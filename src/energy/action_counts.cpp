@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 
+#include "check/contract.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
+#include "systolic/fold_cache.hpp"
 
 namespace scalesim::energy
 {
@@ -100,6 +103,172 @@ ActionCountVisitor::beginLayer(const systolic::FoldGrid& grid,
     ofmapReadRows_.reset(kTrackerBanks, cfg_.bankSize);
     ofmapWriteRows_.reset(kTrackerBanks, cfg_.bankSize);
     layerStart_ = counts_;
+    // Summaries name their fold by its indices, which restart with
+    // every layer.
+    summaryIndex_.clear();
+    summaries_.clear();
+    bankPool_.clear();
+    rowPool_.clear();
+}
+
+std::size_t
+ActionCountVisitor::SummaryKeyHash::operator()(const SummaryKey& k) const
+{
+    Fnv1a h;
+    h.mix(k.rf);
+    h.mix(k.cf);
+    h.mix(k.rho);
+    h.mix(k.stream);
+    return static_cast<std::size_t>(h.digest());
+}
+
+std::uint64_t
+ActionCountVisitor::rowOf(Addr addr) const
+{
+    return rowShift_ != kNoRowShift ? addr >> rowShift_
+                                    : addr / cfg_.rowSize;
+}
+
+const ActionCountVisitor::StreamSummary&
+ActionCountVisitor::summary(const systolic::FoldCacheEntry& entry,
+                            std::uint32_t stream,
+                            std::span<const Addr> addrs, std::uint64_t rho)
+{
+    const SummaryKey key{entry.rf, entry.cf, rho, stream};
+    const auto [it, fresh] = summaryIndex_.try_emplace(
+        key, static_cast<std::uint32_t>(summaries_.size()));
+    if (!fresh)
+        return summaries_[it->second];
+
+    // Run the stream, offset by rho, through empty trackers. A bank's
+    // first `capacity` distinct rows are the only misses here that a
+    // non-empty incoming state could turn into hits: until then no row
+    // has been evicted, and after them the in-fold rows alone fill the
+    // bank. Every hit is a hit in any incoming state.
+    const std::uint32_t cap = cfg_.bankSize;
+    summaryRows_.reset(kTrackerBanks, cap);
+    firstRows_.resize(static_cast<std::size_t>(kTrackerBanks) * cap);
+    firstCount_.assign(kTrackerBanks, 0);
+    StreamSummary s;
+    s.addrs = addrs.size();
+    for (Addr addr : addrs) {
+        const std::uint64_t row = rowOf(addr + rho);
+        const std::uint64_t bank = row % kTrackerBanks;
+        if (summaryRows_.access(bank, row))
+            ++s.fixedRepeats;
+        else if (firstCount_[bank] < cap)
+            firstRows_[bank * cap + firstCount_[bank]++] = row;
+    }
+    s.firstBank = static_cast<std::uint32_t>(bankPool_.size());
+    for (std::uint32_t bank = 0; bank < kTrackerBanks; ++bank) {
+        const std::uint32_t n = firstCount_[bank];
+        if (n == 0)
+            continue;
+        SIM_CHECK_EQ(summaryRows_.sizes[bank], n,
+                     "a bank keeps min(distinct rows, capacity) rows");
+        bankPool_.push_back({bank, n, rowPool_.size()});
+        const auto first = firstRows_.begin() + bank * cap;
+        rowPool_.insert(rowPool_.end(), first, first + n);
+        const auto mru = summaryRows_.rows.begin() + bank * cap;
+        rowPool_.insert(rowPool_.end(), mru, mru + n);
+    }
+    s.numBanks = static_cast<std::uint32_t>(bankPool_.size())
+        - s.firstBank;
+    summaries_.push_back(s);
+    return summaries_.back();
+}
+
+void
+ActionCountVisitor::applySummary(RowTrackerSet& trackers,
+                                 const systolic::FoldCacheEntry& entry,
+                                 std::uint32_t stream,
+                                 std::span<const Addr> addrs,
+                                 std::int64_t delta, Count& random,
+                                 Count& repeat)
+{
+    if (addrs.empty())
+        return;
+    // delta = q * rowSize + rho with 0 <= rho < rowSize: shifted rows
+    // are the rho-offset canonical rows plus q, in bank (bank + q) % 32.
+    const std::int64_t row_size = cfg_.rowSize;
+    std::int64_t q = delta / row_size;
+    std::int64_t rho = delta % row_size;
+    if (rho < 0) {
+        rho += row_size;
+        --q;
+    }
+    const StreamSummary& s = summary(entry, stream, addrs,
+                                     static_cast<std::uint64_t>(rho));
+    const std::uint64_t shift = static_cast<std::uint64_t>(q);
+    const std::uint64_t rotate = static_cast<std::uint64_t>(
+        ((q % kTrackerBanks) + kTrackerBanks) % kTrackerBanks);
+    const std::uint32_t cap = trackers.capacity;
+    Count repeats = s.fixedRepeats;
+    probe_.reset(1, cap);
+    for (std::uint32_t i = 0; i < s.numBanks; ++i) {
+        const BankSummary& bs = bankPool_[s.firstBank + i];
+        const std::uint64_t bank = (bs.bank + rotate) % kTrackerBanks;
+        std::uint64_t* const live = trackers.rows.data() + bank * cap;
+        const std::uint32_t n_in = trackers.sizes[bank];
+        incoming_.assign(live, live + n_in);
+
+        // First touches against the incoming rows.
+        std::copy(incoming_.begin(), incoming_.end(), probe_.rows.begin());
+        probe_.sizes[0] = n_in;
+        const std::uint64_t* const first = rowPool_.data() + bs.rows;
+        for (std::uint32_t j = 0; j < bs.distinct; ++j)
+            repeats += probe_.access(0, first[j] + shift);
+
+        // Outgoing state: the in-fold MRU list, then (while the bank has
+        // room) the incoming rows the fold did not touch, in order.
+        const std::uint64_t* const mru = first + bs.distinct;
+        std::uint32_t n_out = 0;
+        for (std::uint32_t j = 0; j < bs.distinct; ++j)
+            live[n_out++] = mru[j] + shift;
+        for (std::uint64_t row : incoming_) {
+            if (n_out == cap)
+                break;
+            if (std::find(live, live + bs.distinct, row)
+                == live + bs.distinct) {
+                live[n_out++] = row;
+            }
+        }
+        trackers.sizes[bank] = n_out;
+    }
+    repeat += repeats;
+    random += s.addrs - repeats;
+}
+
+bool
+ActionCountVisitor::replayFold(const systolic::FoldCacheEntry& entry,
+                               Cycle /*fold_start*/,
+                               const systolic::ReplayDeltas& deltas,
+                               bool accumulate)
+{
+    auto apply = [&](RowTrackerSet& trackers, std::uint32_t stream,
+                     const systolic::FoldCacheEntry::Stream& arena,
+                     std::int64_t delta, SramActionCounts& sram,
+                     bool reads) {
+        Count& random = reads ? sram.readRandom : sram.writeRandom;
+        Count& repeat = reads ? sram.readRepeat : sram.writeRepeat;
+        [[maybe_unused]] const Count before = random + repeat;
+        applySummary(trackers, entry, stream, arena.addrs, delta, random,
+                     repeat);
+        SIM_CHECK_EQ(random + repeat - before, arena.addrs.size(),
+                     "a summarized stream counts each address once");
+    };
+    apply(ifmapRows_, 0, entry.ifmap, deltas.ifmap, counts_.ifmapSram,
+          true);
+    apply(filterRows_, 1, entry.filter, deltas.filter,
+          counts_.filterSram, true);
+    if (accumulate) {
+        apply(ofmapReadRows_, 2, entry.writes, deltas.ofmap,
+              counts_.ofmapSram, true);
+    }
+    apply(ofmapWriteRows_, 2, entry.writes, deltas.ofmap,
+          counts_.ofmapSram, false);
+    ++foldsSummarized_;
+    return true;
 }
 
 void

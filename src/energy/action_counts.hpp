@@ -9,6 +9,7 @@
 #ifndef SCALESIM_ENERGY_ACTION_COUNTS_HH
 #define SCALESIM_ENERGY_ACTION_COUNTS_HH
 
+#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -92,7 +93,19 @@ class ActionCountVisitor : public systolic::DemandVisitor
                std::span<const Addr> ofmap_writes) override;
     void endLayer(Cycle total_cycles) override;
 
+    /**
+     * Count a replayed fold from per-fold stream summaries instead of
+     * its addresses (see StreamSummary). Always consumes the fold.
+     */
+    bool replayFold(const systolic::FoldCacheEntry& entry,
+                    Cycle fold_start,
+                    const systolic::ReplayDeltas& deltas,
+                    bool accumulate) override;
+
     const ActionCounts& counts() const { return counts_; }
+
+    /** Replayed folds counted through replayFold(), over all layers. */
+    Count foldsSummarized() const { return foldsSummarized_; }
 
   private:
     /**
@@ -115,6 +128,65 @@ class ActionCountVisitor : public systolic::DemandVisitor
                        std::span<const Addr> addrs, Count& random,
                        Count& repeat);
 
+    /**
+     * What one canonical fold stream does to a RowTrackerSet when its
+     * addresses are shifted by q * rowSize + rho, for one rho. Shifting
+     * by whole rows moves every row by q and rotates the banks by q, and
+     * LRU outcomes only compare rows for equality, so the summary holds
+     * for every q. Per touched bank it keeps the first (up to capacity)
+     * distinct rows in first-touch order — the only accesses whose
+     * outcome depends on the incoming tracker state — and the bank's
+     * final MRU list of in-fold rows. Every later access hits or misses
+     * the same way whatever the incoming state: `fixedRepeats` counts
+     * its hits.
+     */
+    struct StreamSummary
+    {
+        Count addrs = 0;
+        Count fixedRepeats = 0;
+        std::uint32_t firstBank = 0; ///< index into bankPool_
+        std::uint32_t numBanks = 0;
+    };
+    /**
+     * One touched bank of a StreamSummary: `distinct` = min(distinct
+     * rows, capacity); rowPool_[rows, rows + distinct) are the first
+     * touches, the next `distinct` entries the final MRU list.
+     */
+    struct BankSummary
+    {
+        std::uint32_t bank = 0;
+        std::uint32_t distinct = 0;
+        std::uint64_t rows = 0;
+    };
+    /**
+     * Memo key: capture fold of the entry, sub-row shift, and stream
+     * (0 ifmap, 1 filter, 2 ofmap writes, which accumulating folds
+     * replay as their ofmap reads too).
+     */
+    struct SummaryKey
+    {
+        std::uint64_t rf = 0;
+        std::uint64_t cf = 0;
+        std::uint64_t rho = 0;
+        std::uint32_t stream = 0;
+        bool operator==(const SummaryKey&) const = default;
+    };
+    struct SummaryKeyHash
+    {
+        std::size_t operator()(const SummaryKey& k) const;
+    };
+
+    std::uint64_t rowOf(Addr addr) const;
+    const StreamSummary& summary(const systolic::FoldCacheEntry& entry,
+                                 std::uint32_t stream,
+                                 std::span<const Addr> addrs,
+                                 std::uint64_t rho);
+    /** Apply a stream summary, shifted by `delta`, to `trackers`. */
+    void applySummary(RowTrackerSet& trackers,
+                      const systolic::FoldCacheEntry& entry,
+                      std::uint32_t stream, std::span<const Addr> addrs,
+                      std::int64_t delta, Count& random, Count& repeat);
+
     /** rowShift_ sentinel: row size is not a power of two, divide. */
     static constexpr std::uint32_t kNoRowShift = ~0u;
 
@@ -131,6 +203,22 @@ class ActionCountVisitor : public systolic::DemandVisitor
     RowTrackerSet filterRows_;
     RowTrackerSet ofmapReadRows_;
     RowTrackerSet ofmapWriteRows_;
+
+    // Per-layer stream summaries, pooled so steady-state replays
+    // allocate nothing; cleared in beginLayer.
+    std::unordered_map<SummaryKey, std::uint32_t, SummaryKeyHash>
+        summaryIndex_;
+    std::vector<StreamSummary> summaries_;
+    std::vector<BankSummary> bankPool_;
+    std::vector<std::uint64_t> rowPool_;
+    /** Scratch for building summaries and applying them. */
+    RowTrackerSet summaryRows_;
+    std::vector<std::uint64_t> firstRows_;
+    std::vector<std::uint32_t> firstCount_;
+    std::vector<std::uint64_t> incoming_;
+    RowTrackerSet probe_;
+    Count foldsSummarized_ = 0;
+
     double utilization_ = 0.0;
     std::uint64_t numPes_ = 0;
     std::uint32_t arrayRows_ = 1;

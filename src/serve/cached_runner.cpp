@@ -418,6 +418,7 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
 
     core::Simulator sim(cfg);
     bool sim_used = false;
+    SimProfile profile;
     obs::StatsRegistry comp_accum;
 
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
@@ -447,8 +448,12 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
             // Isolated evaluation: reset before (not after) each
             // simulated layer, so results are position-independent and
             // the cache key needs no run-history component.
-            if (sim_used)
+            if (sim_used) {
+                // reset() also clears the profiler: bank the previous
+                // layer's share first.
+                profile.merge(sim.profile());
                 sim.reset();
+            }
             sim_used = true;
             layer = sim.runLayer(spec, i);
             if (sim.dramMemory())
@@ -502,8 +507,10 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
                                             run.totalCycles);
         run.edp = model.edp(run.totalEnergy, run.totalCycles);
     }
-    if (sim_used)
-        run.profile = sim.profile();
+    if (sim_used) {
+        profile.merge(sim.profile());
+        run.profile = profile;
+    }
     run.registerStats(run.stats);
     // The merged per-layer component snapshots stand in for the
     // coupled run's Simulator::registerStats call; the name spaces

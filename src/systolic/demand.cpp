@@ -285,9 +285,13 @@ DemandGenerator::runCached(DemandVisitor& visitor) const
                 && replayKey(rf, cf, key)) {
                 if (FoldCacheEntry* entry = cache.find(key)) {
                     const bool accumulate = !os && rf > 0;
-                    entry->replay(visitor, fold_start,
-                                  replayDeltas(*entry, rf, cf),
-                                  accumulate, scratch);
+                    const ReplayDeltas deltas = replayDeltas(*entry, rf,
+                                                             cf);
+                    if (!visitor.replayFold(*entry, fold_start, deltas,
+                                            accumulate)) {
+                        entry->replay(visitor, fold_start, deltas,
+                                      accumulate, scratch);
+                    }
                     ++cacheStats_.foldsReplayed;
                     cacheStats_.addrsReplayed +=
                         entry->addrCount(accumulate);

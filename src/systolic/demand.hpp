@@ -85,6 +85,22 @@ class DemandVisitor
                        std::span<const Addr> ofmap_reads,
                        std::span<const Addr> ofmap_writes) = 0;
 
+    /**
+     * A fold the fold cache replays: `entry`'s canonical streams
+     * shifted by `deltas`, starting at `fold_start`; when `accumulate`,
+     * the shifted writes double as the ofmap read stream. Return true
+     * to consume the fold without its addresses. The default returns
+     * false, and the generator then sends the fold's cycles through
+     * cycle() as for any other fold. Within one layer, `entry` is
+     * identified by its capture fold (entry.rf, entry.cf).
+     */
+    virtual bool
+    replayFold(const FoldCacheEntry& /*entry*/, Cycle /*fold_start*/,
+               const ReplayDeltas& /*deltas*/, bool /*accumulate*/)
+    {
+        return false;
+    }
+
     virtual void endFold(std::uint64_t /*rf*/, std::uint64_t /*cf*/,
                          Cycle /*fold_end*/) {}
     virtual void endLayer(Cycle /*total_cycles*/) {}
@@ -153,13 +169,19 @@ class DemandGenerator
     mutable FoldCacheStats cacheStats_;
 };
 
-/** Fans one demand stream out to several visitors. */
+/**
+ * Fans one demand stream out to several visitors. A replayed fold is
+ * offered to every sink; the cycles of that fold then reach only the
+ * sinks that declined it.
+ */
 class TeeVisitor : public DemandVisitor
 {
   public:
     explicit TeeVisitor(std::vector<DemandVisitor*> sinks)
         : sinks_(std::move(sinks))
-    {}
+    {
+        declined_.reserve(sinks_.size());
+    }
 
     void
     beginLayer(const FoldGrid& grid, const OperandMap& operands) override
@@ -179,13 +201,25 @@ class TeeVisitor : public DemandVisitor
           std::span<const Addr> ofmap_reads,
           std::span<const Addr> ofmap_writes) override
     {
-        for (auto* sink : sinks_)
+        for (auto* sink : partial_ ? declined_ : sinks_)
             sink->cycle(clk, ifmap_reads, filter_reads, ofmap_reads,
                         ofmap_writes);
+    }
+    bool
+    replayFold(const FoldCacheEntry& entry, Cycle fold_start,
+               const ReplayDeltas& deltas, bool accumulate) override
+    {
+        declined_.clear();
+        for (auto* sink : sinks_)
+            if (!sink->replayFold(entry, fold_start, deltas, accumulate))
+                declined_.push_back(sink);
+        partial_ = declined_.size() < sinks_.size();
+        return declined_.empty();
     }
     void
     endFold(std::uint64_t rf, std::uint64_t cf, Cycle end) override
     {
+        partial_ = false;
         for (auto* sink : sinks_)
             sink->endFold(rf, cf, end);
     }
@@ -198,6 +232,10 @@ class TeeVisitor : public DemandVisitor
 
   private:
     std::vector<DemandVisitor*> sinks_;
+    /** Sinks that declined the current replayed fold. */
+    std::vector<DemandVisitor*> declined_;
+    /** Some sinks consumed the current fold: feed only declined_. */
+    bool partial_ = false;
 };
 
 /** Demand visitor that counts accesses (handy for tests). */

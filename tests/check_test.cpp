@@ -442,6 +442,36 @@ TEST(AuditedRun, TraceRunOnGoldenWorkloadIsClean)
     EXPECT_NE(json.str().find("\"audit\""), std::string::npos);
 }
 
+TEST(AuditedRun, SummarizedEnergyWithOddTrackersIsClean)
+{
+    // Replayed folds reach the action counter as per-fold summaries;
+    // a non-power-of-two RowSize and a small BankSize keep the shifts
+    // landing mid-row and the banks saturating within a fold.
+    SimConfig cfg;
+    cfg.arrayRows = 8;
+    cfg.arrayCols = 8;
+    cfg.dataflow = Dataflow::InputStationary;
+    cfg.mode = SimMode::Trace;
+    cfg.audit = true;
+    cfg.energy.enabled = true;
+    cfg.energy.rowSize = 24;
+    cfg.energy.bankSize = 2;
+    Simulator sim(cfg);
+    const RunResult run = sim.run(workloads::resnet18Prefix(3));
+    ASSERT_TRUE(run.audited);
+    EXPECT_TRUE(run.audit.clean())
+        << [&] {
+               std::ostringstream out;
+               run.audit.writeReport(out);
+               return out.str();
+           }();
+    EXPECT_GT(sim.foldCacheStats().foldsReplayed, 0u);
+    EXPECT_GE(run.audit.checksForLaw("energy.actionAccounting"),
+              run.layers.size());
+    EXPECT_GE(run.audit.checksForLaw("energy.demandAgreement"),
+              run.layers.size());
+}
+
 TEST(AuditedRun, DramAndSparseRunIsClean)
 {
     SimConfig cfg;

@@ -13,6 +13,7 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "common/types.hpp"
 #include "energy/action_counts.hpp"
@@ -241,3 +242,170 @@ TEST(FoldCacheStatsTest, DisabledRunsEverythingLive)
     EXPECT_EQ(live.cache.addrsReplayed, 0u);
     EXPECT_EQ(live.cache.bytesSaved(), 0u);
 }
+
+namespace
+{
+
+/** Action counts of a pass whose only sink is the action counter. */
+struct SummaryPass
+{
+    energy::ActionCounts actions;
+    Count foldsSummarized = 0;
+    FoldCacheStats cache;
+};
+
+/**
+ * With ActionCountVisitor as the only sink, every replayed fold goes
+ * through its per-fold summary instead of its addresses.
+ */
+SummaryPass
+runActionsOnly(const GemmDims& gemm, Dataflow df, std::uint32_t rows,
+               std::uint32_t cols, const OperandMap& operands, bool cached,
+               const EnergyConfig& ecfg = {},
+               const KGatherMap* gather = nullptr)
+{
+    DemandGenerator gen(gemm, df, rows, cols, operands, gather);
+    gen.setFoldCache(cached);
+    energy::ActionCountVisitor actions(ecfg);
+    gen.run(actions);
+    return {actions.counts(), actions.foldsSummarized(),
+            gen.foldCacheStats()};
+}
+
+/** Summarized cached pass vs the per-address uncached reference. */
+void
+expectSummaryEquivalent(const GemmDims& gemm, Dataflow df,
+                        std::uint32_t rows, std::uint32_t cols,
+                        const OperandMap& operands,
+                        const EnergyConfig& ecfg = {},
+                        const KGatherMap* gather = nullptr)
+{
+    const auto cached = runActionsOnly(gemm, df, rows, cols, operands,
+                                       true, ecfg, gather);
+    const auto live = runActionsOnly(gemm, df, rows, cols, operands,
+                                     false, ecfg, gather);
+    expectActionsEqual(cached.actions, live.actions);
+    EXPECT_EQ(live.foldsSummarized, 0u);
+    EXPECT_EQ(cached.foldsSummarized, cached.cache.foldsReplayed);
+}
+
+OperandMap
+convOperands(const LayerSpec& layer)
+{
+    return OperandMap::forLayer(layer, MemoryConfig{});
+}
+
+} // namespace
+
+class ActionSummaryAb : public ::testing::TestWithParam<Dataflow>
+{
+};
+
+TEST_P(ActionSummaryAb, RaggedGemm)
+{
+    const GemmDims gemm{27, 19, 13};
+    expectSummaryEquivalent(gemm, GetParam(), 8, 8, makeOperands(gemm));
+}
+
+TEST_P(ActionSummaryAb, FullFoldGemmSummarizes)
+{
+    const GemmDims gemm{32, 16, 24};
+    const OperandMap operands = makeOperands(gemm);
+    expectSummaryEquivalent(gemm, GetParam(), 8, 8, operands);
+    const auto cached = runActionsOnly(gemm, GetParam(), 8, 8, operands,
+                                       true);
+    EXPECT_GT(cached.foldsSummarized, 0u);
+}
+
+TEST_P(ActionSummaryAb, ConvImToCol)
+{
+    const LayerSpec layer = LayerSpec::conv("c", 14, 14, 3, 3, 8, 12, 1);
+    const OperandMap operands = convOperands(layer);
+    expectSummaryEquivalent(layer.toGemm(), GetParam(), 8, 8, operands);
+    const auto cached = runActionsOnly(layer.toGemm(), GetParam(), 8, 8,
+                                       operands, true);
+    EXPECT_GT(cached.foldsSummarized, 0u);
+}
+
+TEST_P(ActionSummaryAb, BatchedConv)
+{
+    const LayerSpec layer =
+        LayerSpec::conv("c", 10, 10, 3, 3, 4, 8, 1).withBatch(2);
+    expectSummaryEquivalent(layer.toGemm(), GetParam(), 8, 8,
+                            convOperands(layer));
+}
+
+TEST_P(ActionSummaryAb, StridedConv)
+{
+    const LayerSpec layer = LayerSpec::conv("c", 16, 16, 3, 3, 4, 8, 2);
+    expectSummaryEquivalent(layer.toGemm(), GetParam(), 8, 8,
+                            convOperands(layer));
+}
+
+TEST_P(ActionSummaryAb, SmallArrayIncomingStateDecidesHits)
+{
+    // A 2x2 array touches at most a couple of rows per tracker bank in
+    // one fold, far below BankSize 8: nearly every first touch hits or
+    // misses on the rows earlier folds left behind.
+    const GemmDims gemm{24, 20, 40};
+    EnergyConfig ecfg;
+    ecfg.rowSize = 8;
+    ecfg.bankSize = 8;
+    const OperandMap operands = makeOperands(gemm);
+    expectSummaryEquivalent(gemm, GetParam(), 2, 2, operands, ecfg);
+    const auto cached = runActionsOnly(gemm, GetParam(), 2, 2, operands,
+                                       true, ecfg);
+    EXPECT_GT(cached.foldsSummarized, 0u);
+    const energy::ActionCounts& a = cached.actions;
+    EXPECT_GT(a.ifmapSram.readRepeat + a.filterSram.readRepeat, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDataflows, ActionSummaryAb,
+    ::testing::Values(Dataflow::OutputStationary,
+                      Dataflow::WeightStationary,
+                      Dataflow::InputStationary),
+    [](const auto& tpi) { return toString(tpi.param); });
+
+TEST(ActionSummarySparse, GatheredWs)
+{
+    const GemmDims dense{48, 24, 32};
+    const auto pattern = sparse::SparsityPattern::layerWise(dense.k, 2, 4);
+    expectSummaryEquivalent(dense, Dataflow::WeightStationary, 8, 8,
+                            makeOperands(dense), {}, &pattern);
+}
+
+/** (dataflow, RowSize, BankSize) */
+using TrackerShape = std::tuple<Dataflow, std::uint32_t, std::uint32_t>;
+
+class ActionSummaryTrackers : public ::testing::TestWithParam<TrackerShape>
+{
+};
+
+TEST_P(ActionSummaryTrackers, ConvMatchesPerAddress)
+{
+    // Non-power-of-two and large rows make replay shifts land mid-row,
+    // so the summaries are keyed by several sub-row offsets.
+    const auto [df, row_size, bank_size] = GetParam();
+    EnergyConfig ecfg;
+    ecfg.rowSize = row_size;
+    ecfg.bankSize = bank_size;
+    const LayerSpec layer = LayerSpec::conv("c", 14, 14, 3, 3, 8, 12, 1);
+    expectSummaryEquivalent(layer.toGemm(), df, 8, 8, convOperands(layer),
+                            ecfg);
+    const GemmDims gemm{40, 36, 20};
+    expectSummaryEquivalent(gemm, df, 8, 8, makeOperands(gemm), ecfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowBank, ActionSummaryTrackers,
+    ::testing::Combine(::testing::Values(Dataflow::OutputStationary,
+                                         Dataflow::WeightStationary,
+                                         Dataflow::InputStationary),
+                       ::testing::Values(24u, 8u, 64u),
+                       ::testing::Values(2u, 4u, 8u)),
+    [](const auto& tpi) {
+        return toString(std::get<0>(tpi.param)) + "_r"
+            + std::to_string(std::get<1>(tpi.param)) + "_b"
+            + std::to_string(std::get<2>(tpi.param));
+    });

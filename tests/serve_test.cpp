@@ -256,6 +256,24 @@ TEST(CachedRunner, RunMatchesCachedRunByteForByte)
     }
 }
 
+TEST(CachedRunner, ProfileCoversEverySimulatedLayer)
+{
+    SimConfig cfg = baseConfig();
+    cfg.energy.enabled = true;
+    Topology topo = smallTopology();
+    topo.layers.push_back(LayerSpec::gemm("fc2", 8, 32, 64));
+
+    LayerResultCache cache;
+    const core::RunResult cold = runTopologyCached(cfg, topo, &cache);
+    EXPECT_EQ(cold.profile.layersProfiled, topo.layers.size());
+    EXPECT_GT(cold.profile.totalSeconds, 0.0);
+    const core::RunResult plain = runTopologyCached(cfg, topo, nullptr);
+    EXPECT_EQ(plain.profile.layersProfiled, topo.layers.size());
+    // A warm run simulates nothing, so it profiles nothing.
+    const core::RunResult warm = runTopologyCached(cfg, topo, &cache);
+    EXPECT_EQ(warm.profile.layersProfiled, 0u);
+}
+
 TEST(CachedRunner, AuditConfigBypassesCache)
 {
     SimConfig cfg = baseConfig();
