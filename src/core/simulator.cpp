@@ -365,6 +365,24 @@ Simulator::run(const Topology& topology)
         sampler.finish(timeline_, snap);
         run.intervals = sampler.takeSeries();
     }
+    // Layout slowdown comes only from the trace-mode demand pass, which
+    // sparse OS/IS layers skip; unlike energy it has no analytical
+    // fallback, so say when the knob had no effect.
+    if (cfg_.layout.enabled) {
+        const auto sparse_layers = std::count_if(
+            run.layers.begin(), run.layers.end(),
+            [](const LayerResult& l) { return l.sparse.has_value(); });
+        if (cfg_.mode != SimMode::Trace) {
+            warn("LayoutModel ignored: the layout model needs trace "
+                 "mode; layoutSlowdown stays 1.0");
+        } else if (cfg_.dataflow != Dataflow::WeightStationary
+                   && sparse_layers > 0) {
+            warn("LayoutModel ignored on %td sparse layer(s): sparse "
+                 "%s layers have no demand trace; their layoutSlowdown "
+                 "stays 1.0",
+                 sparse_layers, toString(cfg_.dataflow).c_str());
+        }
+    }
     if (cfg_.energy.enabled && energyModel_) {
         run.avgPowerW = energyModel_->averagePowerW(run.totalEnergy,
                                                     run.totalCycles);

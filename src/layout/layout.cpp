@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "check/contract.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
+#include "systolic/fold_cache.hpp"
 
 namespace scalesim::layout
 {
@@ -105,35 +108,57 @@ OperandLayouts::forOperands(const systolic::OperandMap& map,
 
 BankConflictEvaluator::BankConflictEvaluator(
     const LayoutModelConfig& cfg, const OperandLayouts& layouts)
-    : cfg_(cfg), layouts_(layouts)
+    : cfg_(cfg)
 {
     if (cfg_.banks == 0 || cfg_.portsPerBank == 0)
         fatal("layout model needs non-zero banks and ports");
     bandwidthPerBank_ = std::max<std::uint64_t>(
         1, cfg_.onChipBandwidth / cfg_.banks);
+    streams_[0].layout = layouts.ifmap;
+    streams_[1].layout = layouts.filter;
+    streams_[2].layout = layouts.ofmap;
 }
 
 void
 BankConflictEvaluator::beginLayer(const systolic::FoldGrid& grid,
                                   const systolic::OperandMap& operands)
 {
-    operands_ = operands;
+    const Addr bases[] = {operands.ifmapBase, operands.filterBase,
+                          operands.ofmapBase};
+    const std::uint64_t widths[] = {operands.ifmapRowWidth(),
+                                    operands.dims.n, operands.dims.n};
+    for (std::size_t s = 0; s < streams_.size(); ++s) {
+        StreamMap& map = streams_[s];
+        const Layout2D& l = map.layout;
+        map.base = bases[s];
+        map.rowWidth = std::max<std::uint64_t>(1, widths[s]);
+        // line = off / colStep and col = off % colStep in that case.
+        map.period = l.rowStep == 1 && l.cols == map.rowWidth
+                && map.rowWidth % l.colStep == 0
+            ? l.colStep
+            : l.rowStep * map.rowWidth;
+    }
     idealCycles_ = grid.totalCycles();
     slowedCycles_ = 0;
     conflictCycles_ = 0;
+    // Cost vectors name their fold by its indices, which restart with
+    // every layer.
+    costIndex_.clear();
+    costPool_.clear();
 }
 
 std::uint64_t
-BankConflictEvaluator::operandSlowdown(const Layout2D& layout,
+BankConflictEvaluator::operandSlowdown(const StreamMap& map,
                                        std::span<const Addr> reads,
                                        std::span<const Addr> extra,
-                                       Addr base, std::uint64_t row_width)
+                                       std::uint64_t rho)
 {
     scratch_.clear();
+    const Layout2D& layout = map.layout;
     auto add = [&](Addr addr) {
-        const std::uint64_t off = addr - base;
-        const std::uint64_t r = off / row_width;
-        const std::uint64_t c = off % row_width;
+        const std::uint64_t off = addr + rho - map.base;
+        const std::uint64_t r = off / map.rowWidth;
+        const std::uint64_t c = off % map.rowWidth;
         const std::uint64_t line = layout.lineId(r, c);
         const std::uint64_t col = layout.colId(r, c);
         const std::uint32_t bank = static_cast<std::uint32_t>(
@@ -171,15 +196,12 @@ BankConflictEvaluator::cycle(Cycle /*clk*/,
                              std::span<const Addr> ofmap_reads,
                              std::span<const Addr> ofmap_writes)
 {
-    const std::uint64_t ifmap_cost = operandSlowdown(
-        layouts_.ifmap, ifmap_reads, {}, operands_.ifmapBase,
-        operands_.ifmapRowWidth());
-    const std::uint64_t filter_cost = operandSlowdown(
-        layouts_.filter, filter_reads, {}, operands_.filterBase,
-        operands_.dims.n);
+    const std::uint64_t ifmap_cost = operandSlowdown(streams_[0],
+                                                     ifmap_reads, {});
+    const std::uint64_t filter_cost = operandSlowdown(streams_[1],
+                                                      filter_reads, {});
     const std::uint64_t ofmap_cost = operandSlowdown(
-        layouts_.ofmap, ofmap_reads, ofmap_writes, operands_.ofmapBase,
-        operands_.dims.n);
+        streams_[2], ofmap_reads, ofmap_writes);
 
     // The three SRAMs are accessed in parallel; the slowest gates the
     // cycle. An idle cycle still takes one cycle.
@@ -190,9 +212,75 @@ BankConflictEvaluator::cycle(Cycle /*clk*/,
         ++conflictCycles_;
 }
 
-void
-BankConflictEvaluator::endLayer(Cycle /*total_cycles*/)
+std::size_t
+BankConflictEvaluator::CostKeyHash::operator()(const CostKey& k) const
 {
+    Fnv1a h;
+    h.mix(k.rf);
+    h.mix(k.cf);
+    h.mix(k.rho);
+    h.mix(k.stream);
+    return static_cast<std::size_t>(h.digest());
+}
+
+std::size_t
+BankConflictEvaluator::cycleCosts(const systolic::FoldCacheEntry& entry,
+                                  std::uint32_t stream, std::int64_t delta)
+{
+    const StreamMap& map = streams_[stream];
+    const std::int64_t period = static_cast<std::int64_t>(map.period);
+    std::int64_t rho = delta % period;
+    if (rho < 0)
+        rho += period;
+    const CostKey key{entry.rf, entry.cf, static_cast<std::uint64_t>(rho),
+                      stream};
+    const systolic::FoldCacheEntry::Stream& arena = stream == 0
+        ? entry.ifmap
+        : stream == 1 ? entry.filter : entry.writes;
+    const std::size_t cycles = arena.begin.size() - 1;
+    const auto [it, fresh] = costIndex_.try_emplace(
+        key, CostSpan{costPool_.size(), cycles});
+    SIM_CHECK_EQ(it->second.cycles, entry.writes.begin.size() - 1,
+                 "a memoized cost vector covers every fold cycle");
+    if (!fresh)
+        return it->second.first;
+    for (std::size_t c = 0; c < cycles; ++c) {
+        const std::span<const Addr> addrs(
+            arena.addrs.data() + arena.begin[c],
+            arena.begin[c + 1] - arena.begin[c]);
+        costPool_.push_back(static_cast<std::uint32_t>(
+            operandSlowdown(map, addrs, {},
+                            static_cast<std::uint64_t>(rho))));
+    }
+    return it->second.first;
+}
+
+bool
+BankConflictEvaluator::replayFold(const systolic::FoldCacheEntry& entry,
+                                  Cycle /*fold_start*/,
+                                  const systolic::ReplayDeltas& deltas,
+                                  bool /*accumulate*/)
+{
+    // Look all three up before reading: a miss may grow the pool.
+    const std::size_t ifmap = cycleCosts(entry, 0, deltas.ifmap);
+    const std::size_t filter = cycleCosts(entry, 1, deltas.filter);
+    const std::size_t ofmap = cycleCosts(entry, 2, deltas.ofmap);
+    const std::uint32_t* const pool = costPool_.data();
+    const std::size_t cycles = entry.writes.begin.size() - 1;
+    Cycle slowed = 0;
+    Count conflicts = 0;
+    for (std::size_t c = 0; c < cycles; ++c) {
+        const std::uint32_t cost = std::max<std::uint32_t>(
+            1, std::max({pool[ifmap + c], pool[filter + c],
+                         pool[ofmap + c]}));
+        slowed += cost;
+        conflicts += cost > 1;
+    }
+    SIM_CHECK_LE(cycles, slowed, "a replayed fold takes its cycles");
+    slowedCycles_ += slowed;
+    conflictCycles_ += conflicts;
+    ++foldsMemoized_;
+    return true;
 }
 
 double

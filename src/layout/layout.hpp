@@ -17,6 +17,7 @@
 #define SCALESIM_LAYOUT_LAYOUT_HH
 
 #include <array>
+#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -115,7 +116,15 @@ class BankConflictEvaluator : public systolic::DemandVisitor
                std::span<const Addr> filter_reads,
                std::span<const Addr> ofmap_reads,
                std::span<const Addr> ofmap_writes) override;
-    void endLayer(Cycle total_cycles) override;
+
+    /**
+     * Charge a replayed fold from memoized per-cycle costs instead of
+     * its addresses (see CostKey). Always consumes the fold.
+     */
+    bool replayFold(const systolic::FoldCacheEntry& entry,
+                    Cycle fold_start,
+                    const systolic::ReplayDeltas& deltas,
+                    bool accumulate) override;
 
     /** Cycles the layer takes with bank conflicts applied. */
     Cycle slowedCycles() const { return slowedCycles_; }
@@ -126,22 +135,79 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     /** Cycles in which at least one bank exceeded its ports. */
     Count conflictCycles() const { return conflictCycles_; }
 
+    /** Replayed folds charged through replayFold(), over all layers. */
+    Count foldsMemoized() const { return foldsMemoized_; }
+
   private:
-    /** Distinct lines per bank for one operand's accesses. */
-    std::uint64_t operandSlowdown(const Layout2D& layout,
+    /**
+     * One operand's address-to-(bank, line) map: off = addr - base,
+     * (row, col) = (off / rowWidth, off % rowWidth), then the layout.
+     * Shifting off by `period` keeps every bank and moves every line by
+     * the same amount: rowStep rows always do; colStep words do when a
+     * line is a run of colStep words that tiles the row exactly.
+     */
+    struct StreamMap
+    {
+        Layout2D layout;
+        Addr base = 0;
+        std::uint64_t rowWidth = 1;
+        std::uint64_t period = 1;
+    };
+
+    /**
+     * Memo key of one stream's per-cycle costs. Under a replay shift
+     * delta = t * period + rho (0 <= rho < period) every address keeps
+     * the bank it has when shifted by rho alone, and every line moves
+     * by the same amount, so each cycle's distinct lines per bank — its
+     * cost — depend only on the capture fold, the stream (0 ifmap,
+     * 1 filter, 2 ofmap) and rho. Accumulate reads repeat the write
+     * addresses and add no line.
+     */
+    struct CostKey
+    {
+        std::uint64_t rf = 0;
+        std::uint64_t cf = 0;
+        std::uint64_t rho = 0;
+        std::uint32_t stream = 0;
+        bool operator==(const CostKey&) const = default;
+    };
+    struct CostKeyHash
+    {
+        std::size_t operator()(const CostKey& k) const;
+    };
+    /** A memoized cost vector: costPool_[first, first + cycles). */
+    struct CostSpan
+    {
+        std::size_t first = 0;
+        std::size_t cycles = 0;
+    };
+
+    /**
+     * Cost of one operand's accesses in one cycle: distinct lines in
+     * the busiest bank over its ports. Addresses count as if shifted
+     * by `rho`.
+     */
+    std::uint64_t operandSlowdown(const StreamMap& map,
                                   std::span<const Addr> reads,
                                   std::span<const Addr> extra,
-                                  Addr base, std::uint64_t row_width);
+                                  std::uint64_t rho = 0);
+    /** Index into costPool_ of a stream's per-cycle costs at `delta`. */
+    std::size_t cycleCosts(const systolic::FoldCacheEntry& entry,
+                           std::uint32_t stream, std::int64_t delta);
 
     LayoutModelConfig cfg_;
-    OperandLayouts layouts_;
-    systolic::OperandMap operands_;
+    std::array<StreamMap, 3> streams_; // ifmap, filter, ofmap
     std::uint64_t bandwidthPerBank_ = 1;
     Cycle slowedCycles_ = 0;
     Cycle idealCycles_ = 0;
     Count conflictCycles_ = 0;
     // Scratch: (bank, line) pairs of the cycle under evaluation.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> scratch_;
+    // Per-layer cost vectors, pooled so steady-state replays allocate
+    // nothing; cleared in beginLayer.
+    std::unordered_map<CostKey, CostSpan, CostKeyHash> costIndex_;
+    std::vector<std::uint32_t> costPool_;
+    Count foldsMemoized_ = 0;
 };
 
 } // namespace scalesim::layout

@@ -472,6 +472,40 @@ TEST(AuditedRun, SummarizedEnergyWithOddTrackersIsClean)
               run.layers.size());
 }
 
+TEST(AuditedRun, MemoizedLayoutWithOddBanksIsClean)
+{
+    // Replayed folds reach the bank-conflict evaluator as memoized
+    // per-cycle costs. Lines of 7 words tile neither the 1000-word
+    // ofmap/filter rows nor the conv rows, and 3 banks of 2 words
+    // leave one word per line outside every bank boundary.
+    SimConfig cfg;
+    cfg.arrayRows = 8;
+    cfg.arrayCols = 8;
+    cfg.dataflow = Dataflow::OutputStationary;
+    cfg.mode = SimMode::Trace;
+    cfg.audit = true;
+    cfg.layout.enabled = true;
+    cfg.layout.banks = 3;
+    cfg.layout.portsPerBank = 1;
+    cfg.layout.onChipBandwidth = 7;
+    Topology topo = workloads::resnet18Prefix(2);
+    topo.layers.push_back(LayerSpec::gemm("fc1000", 16, 1000, 64));
+    Simulator sim(cfg);
+    const RunResult run = sim.run(topo);
+    ASSERT_TRUE(run.audited);
+    EXPECT_TRUE(run.audit.clean())
+        << [&] {
+               std::ostringstream out;
+               run.audit.writeReport(out);
+               return out.str();
+           }();
+    EXPECT_GT(sim.foldCacheStats().foldsReplayed, 0u);
+    EXPECT_GE(run.audit.checksForLaw("runtime.envelope"),
+              run.layers.size());
+    for (const LayerResult& l : run.layers)
+        EXPECT_GT(l.layoutSlowdown, 1.0) << l.name;
+}
+
 TEST(AuditedRun, DramAndSparseRunIsClean)
 {
     SimConfig cfg;

@@ -160,6 +160,65 @@ TEST(Simulator, LayoutSlowdownStretchesCompute)
     EXPECT_GE(l.computeCycles, p.computeCycles);
 }
 
+TEST(Simulator, IgnoredLayoutModelWarnsOncePerRun)
+{
+    // Layout slowdown needs the trace-mode demand pass. Analytical runs
+    // and sparse OS/IS layers skip it and keep slowdown 1.0; the run
+    // says so once instead of silently.
+    Topology sparse_topo = tinyTopology();
+    sparse_topo.layers[0].sparseN = 1;
+    sparse_topo.layers[0].sparseM = 4;
+    sparse_topo.layers[1].sparseN = 2;
+    sparse_topo.layers[1].sparseM = 4;
+    auto run_stderr = [](SimConfig cfg, const Topology& topo) {
+        cfg.layout.enabled = true;
+        Simulator sim(cfg);
+        ::testing::internal::CaptureStderr();
+        const RunResult run = sim.run(topo);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        const bool skips_sparse =
+            cfg.dataflow != Dataflow::WeightStationary;
+        for (const LayerResult& l : run.layers) {
+            if (cfg.mode != SimMode::Trace || (l.sparse && skips_sparse)) {
+                EXPECT_EQ(l.layoutSlowdown, 1.0) << l.name;
+            }
+        }
+        return err;
+    };
+    auto count = [](const std::string& text, const std::string& what) {
+        std::size_t n = 0;
+        for (auto at = text.find(what); at != std::string::npos;
+             at = text.find(what, at + 1)) {
+            ++n;
+        }
+        return n;
+    };
+
+    SimConfig analytical = baseConfig();
+    analytical.mode = SimMode::Analytical;
+    const std::string a = run_stderr(analytical, tinyTopology());
+    EXPECT_EQ(count(a, "LayoutModel ignored"), 1u) << a;
+    EXPECT_NE(a.find("trace mode"), std::string::npos) << a;
+
+    SimConfig sparse_os = baseConfig();
+    sparse_os.dataflow = Dataflow::OutputStationary;
+    sparse_os.sparsity.enabled = true;
+    const std::string s = run_stderr(sparse_os, sparse_topo);
+    EXPECT_EQ(count(s, "LayoutModel ignored"), 1u) << s;
+    EXPECT_NE(s.find("2 sparse layer(s)"), std::string::npos) << s;
+    EXPECT_NE(s.find("sparse os layers"), std::string::npos) << s;
+
+    // Layouts the run does evaluate stay quiet: dense trace runs and
+    // sparse WS layers, which stream their gathered demand.
+    SimConfig sparse_ws = baseConfig();
+    sparse_ws.sparsity.enabled = true;
+    EXPECT_EQ(count(run_stderr(sparse_ws, sparse_topo), "LayoutModel"),
+              0u);
+    EXPECT_EQ(count(run_stderr(baseConfig(), tinyTopology()),
+                    "LayoutModel"),
+              0u);
+}
+
 TEST(Simulator, EnergyAccountingEndToEnd)
 {
     SimConfig cfg = baseConfig();

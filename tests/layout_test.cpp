@@ -3,13 +3,18 @@
  * Unit tests for on-chip data layout modeling: the line/col/bank index
  * equations, layout constructors, and the bank-conflict evaluator's
  * slowdown properties (>= 1, fewer conflicts with more banks/ports,
- * layout sensitivity).
+ * layout sensitivity), and golden A/B tests of the per-fold cost memo
+ * against the per-address path.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/log.hpp"
+#include "energy/action_counts.hpp"
 #include "layout/layout.hpp"
+#include "sparse/pattern.hpp"
 #include "systolic/demand.hpp"
 
 using namespace scalesim;
@@ -209,3 +214,227 @@ INSTANTIATE_TEST_SUITE_P(Banks, BankSweep,
                          [](const auto& tpi) {
                              return format("b%u", tpi.param);
                          });
+
+namespace
+{
+
+const char*
+schemeName(LayoutScheme scheme)
+{
+    switch (scheme) {
+      case LayoutScheme::RowMajor:
+        return "RowMajor";
+      case LayoutScheme::ColMajor:
+        return "ColMajor";
+      case LayoutScheme::Tiled:
+        return "Tiled";
+    }
+    return "?";
+}
+
+/** Bank-conflict totals of one demand pass. */
+struct LayoutPass
+{
+    Cycle slowed = 0;
+    Count conflicts = 0;
+    Count foldsMemoized = 0;
+    FoldCacheStats cache;
+};
+
+/** Layout sink and the demand pass feeding it, for one shape. */
+struct LayoutCase
+{
+    GemmDims gemm;
+    OperandMap operands;
+    Dataflow df = Dataflow::OutputStationary;
+    std::uint32_t array = 8;
+    LayoutModelConfig cfg;
+    LayoutScheme scheme = LayoutScheme::RowMajor;
+    const KGatherMap* gather = nullptr;
+
+    /**
+     * Run the pass with the evaluator and, if given, `other` behind a
+     * TeeVisitor.
+     */
+    LayoutPass
+    run(bool cached, DemandVisitor* other = nullptr) const
+    {
+        DemandGenerator gen(gemm, df, array, array, operands, gather);
+        gen.setFoldCache(cached);
+        BankConflictEvaluator eval(
+            cfg, OperandLayouts::forOperands(operands, cfg, scheme));
+        if (other) {
+            TeeVisitor tee({&eval, other});
+            gen.run(tee);
+        } else {
+            gen.run(eval);
+        }
+        return {eval.slowedCycles(), eval.conflictCycles(),
+                eval.foldsMemoized(), gen.foldCacheStats()};
+    }
+
+    /** Memoized cached pass vs the per-address uncached reference. */
+    LayoutPass
+    expectMemoEquivalent() const
+    {
+        const LayoutPass cached = run(true);
+        const LayoutPass live = run(false);
+        EXPECT_EQ(cached.slowed, live.slowed);
+        EXPECT_EQ(cached.conflicts, live.conflicts);
+        EXPECT_EQ(live.foldsMemoized, 0u);
+        EXPECT_EQ(cached.foldsMemoized, cached.cache.foldsReplayed);
+        return cached;
+    }
+};
+
+/** (dataflow, scheme) */
+using MemoShape = std::tuple<Dataflow, LayoutScheme>;
+
+class LayoutMemoAb : public ::testing::TestWithParam<MemoShape>
+{
+  protected:
+    LayoutCase
+    gemmCase(const GemmDims& gemm, const LayoutModelConfig& cfg) const
+    {
+        LayoutCase c;
+        c.gemm = gemm;
+        c.operands = makeOperands(gemm);
+        c.df = std::get<0>(GetParam());
+        c.cfg = cfg;
+        c.scheme = std::get<1>(GetParam());
+        return c;
+    }
+    LayoutCase
+    convCase(const LayerSpec& layer, const LayoutModelConfig& cfg) const
+    {
+        LayoutCase c = gemmCase(layer.toGemm(), cfg);
+        c.operands = OperandMap::forLayer(layer, MemoryConfig{});
+        return c;
+    }
+};
+
+} // namespace
+
+TEST_P(LayoutMemoAb, RaggedGemm)
+{
+    gemmCase({27, 19, 13}, layoutCfg(8, 1, 64)).expectMemoEquivalent();
+}
+
+TEST_P(LayoutMemoAb, FullFoldGemmMemoizes)
+{
+    const LayoutPass cached =
+        gemmCase({32, 16, 24}, layoutCfg(4, 2, 24)).expectMemoEquivalent();
+    EXPECT_GT(cached.foldsMemoized, 0u);
+}
+
+TEST_P(LayoutMemoAb, StridedConv)
+{
+    const LayerSpec layer = LayerSpec::conv("c", 16, 16, 3, 3, 4, 8, 2);
+    convCase(layer, layoutCfg(16, 1, 100)).expectMemoEquivalent();
+}
+
+TEST_P(LayoutMemoAb, BatchedConv)
+{
+    const LayerSpec layer =
+        LayerSpec::conv("c", 10, 10, 3, 3, 4, 8, 1).withBatch(2);
+    const LayoutPass cached =
+        convCase(layer, layoutCfg(32, 1, 256)).expectMemoEquivalent();
+    EXPECT_GT(cached.foldsMemoized, 0u);
+}
+
+TEST_P(LayoutMemoAb, LinesAgainstThousandWordRows)
+{
+    // Row-major lines of 24, 7 and 32 words do not tile the 1000-word
+    // filter and ofmap rows, so their period is a whole row; lines of
+    // 100 words do, and their period is one line. Either way replay
+    // shifts land on several offsets within a period.
+    const GemmDims gemm{24, 20, 1000};
+    for (const LayoutModelConfig& cfg :
+         {layoutCfg(4, 2, 24), layoutCfg(3, 1, 7), layoutCfg(16, 1, 100),
+          layoutCfg(32, 1, 32)}) {
+        SCOPED_TRACE(format("bandwidth %u", cfg.onChipBandwidth));
+        gemmCase(gemm, cfg).expectMemoEquivalent();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDataflows, LayoutMemoAb,
+    ::testing::Combine(::testing::Values(Dataflow::OutputStationary,
+                                         Dataflow::WeightStationary,
+                                         Dataflow::InputStationary),
+                       ::testing::Values(LayoutScheme::RowMajor,
+                                         LayoutScheme::ColMajor,
+                                         LayoutScheme::Tiled)),
+    [](const auto& tpi) {
+        return toString(std::get<0>(tpi.param)) + "_"
+            + schemeName(std::get<1>(tpi.param));
+    });
+
+TEST(LayoutMemo, SparseWsGather)
+{
+    const GemmDims dense{48, 24, 32};
+    const auto pattern = sparse::SparsityPattern::layerWise(dense.k, 2, 4);
+    for (LayoutScheme scheme : {LayoutScheme::RowMajor,
+                                LayoutScheme::ColMajor,
+                                LayoutScheme::Tiled}) {
+        SCOPED_TRACE(schemeName(scheme));
+        LayoutCase c;
+        c.gemm = dense;
+        c.operands = makeOperands(dense);
+        c.df = Dataflow::WeightStationary;
+        c.cfg = layoutCfg(4, 1, 24);
+        c.scheme = scheme;
+        c.gather = &pattern;
+        EXPECT_GT(c.expectMemoEquivalent().foldsMemoized, 0u);
+    }
+}
+
+TEST(LayoutMemo, TeeWithActionCounterBothConsume)
+{
+    LayoutCase c;
+    c.gemm = {40, 36, 20};
+    c.operands = makeOperands(c.gemm);
+    c.df = Dataflow::WeightStationary;
+    c.cfg = layoutCfg(4, 2, 24);
+    energy::ActionCountVisitor cached_actions(EnergyConfig{});
+    energy::ActionCountVisitor live_actions(EnergyConfig{});
+    const LayoutPass cached = c.run(true, &cached_actions);
+    const LayoutPass live = c.run(false, &live_actions);
+    EXPECT_EQ(cached.slowed, live.slowed);
+    EXPECT_EQ(cached.conflicts, live.conflicts);
+    EXPECT_GT(cached.foldsMemoized, 0u);
+    EXPECT_EQ(cached.foldsMemoized, cached.cache.foldsReplayed);
+    EXPECT_EQ(cached_actions.foldsSummarized(), cached.foldsMemoized);
+    const energy::ActionCounts& a = cached_actions.counts();
+    const energy::ActionCounts& b = live_actions.counts();
+    for (const auto sram : {&energy::ActionCounts::ifmapSram,
+                            &energy::ActionCounts::filterSram,
+                            &energy::ActionCounts::ofmapSram}) {
+        EXPECT_EQ((a.*sram).readRandom, (b.*sram).readRandom);
+        EXPECT_EQ((a.*sram).readRepeat, (b.*sram).readRepeat);
+        EXPECT_EQ((a.*sram).writeRandom, (b.*sram).writeRandom);
+        EXPECT_EQ((a.*sram).writeRepeat, (b.*sram).writeRepeat);
+    }
+}
+
+TEST(LayoutMemo, TeeWithDecliningSinkStillFeedsItAddresses)
+{
+    LayoutCase c;
+    c.gemm = {40, 36, 20};
+    c.operands = makeOperands(c.gemm);
+    c.df = Dataflow::InputStationary;
+    c.cfg = layoutCfg(3, 1, 7);
+    CountingVisitor cached_counts;
+    CountingVisitor live_counts;
+    const LayoutPass cached = c.run(true, &cached_counts);
+    const LayoutPass live = c.run(false, &live_counts);
+    EXPECT_EQ(cached.slowed, live.slowed);
+    EXPECT_EQ(cached.conflicts, live.conflicts);
+    EXPECT_GT(cached.foldsMemoized, 0u);
+    EXPECT_EQ(cached.foldsMemoized, cached.cache.foldsReplayed);
+    EXPECT_EQ(cached_counts.ifmapReads, live_counts.ifmapReads);
+    EXPECT_EQ(cached_counts.filterReads, live_counts.filterReads);
+    EXPECT_EQ(cached_counts.ofmapReads, live_counts.ofmapReads);
+    EXPECT_EQ(cached_counts.ofmapWrites, live_counts.ofmapWrites);
+    EXPECT_EQ(cached_counts.activeCycles, live_counts.activeCycles);
+}
