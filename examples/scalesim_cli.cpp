@@ -20,7 +20,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <string_view>
 
@@ -49,7 +48,6 @@ usage()
         "                    [--no-fold-cache] [--audit]\n"
         "                    [--interval N]\n"
         "                    [--multicore PRxPC] [--contention MODEL]\n"
-        "                    [--mc-jobs N]\n"
         "  --no-fold-cache disable the fold-replay demand cache\n"
         "               (same outputs, slower trace mode)\n"
         "  --audit      audit cross-module conservation laws after\n"
@@ -67,11 +65,6 @@ usage()
         "               PRxPC grid (e.g. 2x2) instead of one core\n"
         "  --contention shared (cycle-interleaved co-simulation,\n"
         "               default) | static (sequential 1/N split)\n"
-        "  --mc-jobs    co-step the shared-contention cores with the\n"
-        "               epoch-parallel engine on N worker threads\n"
-        "               (0 = auto; bit-identical to the serial\n"
-        "               engine); [multicore] Engine/Jobs in the\n"
-        "               config file select the same\n"
         "workloads: ";
     for (const auto& name : workloads::names())
         std::cerr << name << " ";
@@ -97,7 +90,6 @@ main(int argc, char** argv)
     std::string interval_arg;
     std::string multicore_grid;
     std::string contention_name = "shared";
-    std::string mc_jobs_arg;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
@@ -135,8 +127,6 @@ main(int argc, char** argv)
             multicore_grid = next();
         } else if (arg == "--contention") {
             contention_name = next();
-        } else if (arg == "--mc-jobs") {
-            mc_jobs_arg = next();
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;
@@ -195,34 +185,16 @@ main(int argc, char** argv)
             mc.dataflow = cfg.dataflow;
             mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
             mc.contention = contention;
-            mc.engine = multicore::multiCoreEngineFromString(
-                cfg.multicore.engine);
-            mc.jobs = cfg.multicore.jobs;
-            if (!mc_jobs_arg.empty()) {
-                std::uint64_t jobs = 0;
-                if (parseUint64(mc_jobs_arg, jobs) != NumberParse::Ok
-                    || jobs > std::numeric_limits<unsigned>::max()) {
-                    fatal("--mc-jobs expects a worker count, got '%s'",
-                          mc_jobs_arg.c_str());
-                }
-                mc.jobs = static_cast<unsigned>(jobs);
-                mc.engine = multicore::MultiCoreEngine::Epoch;
-            }
-            const std::uint32_t word
-                = std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            mc.l1.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
-            mc.l1.filterWords = cfg.memory.filterSramKb * 1024 / word;
-            mc.l1.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
+            mc.l1 = systolic::scratchpadConfig(cfg);
 
             inform("running %s (%zu layers) on a %llux%llu grid of "
-                   "%ux%u %s arrays, %s contention, %s engine",
+                   "%ux%u %s arrays, %s contention",
                    topo.name.c_str(), topo.layers.size(),
                    static_cast<unsigned long long>(pr),
                    static_cast<unsigned long long>(pc),
                    cfg.arrayRows, cfg.arrayCols,
                    toString(cfg.dataflow).c_str(),
-                   multicore::toString(contention),
-                   multicore::toString(mc.engine));
+                   multicore::toString(contention));
 
             multicore::MultiCoreTraceSimulator mcs(mc);
             obs::StatsRegistry reg;
@@ -378,14 +350,8 @@ main(int argc, char** argv)
                 cfg.memory.bandwidthWordsPerCycle);
             systolic::TracingMemory tracer(inner,
                                            cfg.memory.wordBytes);
-            systolic::ScratchpadConfig spad_cfg;
-            spad_cfg.ifmapWords = cfg.memory.ifmapSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            spad_cfg.filterWords = cfg.memory.filterSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            spad_cfg.ofmapWords = cfg.memory.ofmapSramKb * 1024
-                / std::max<std::uint32_t>(1, cfg.memory.wordBytes);
-            systolic::DoubleBufferedScratchpad spad(spad_cfg, tracer);
+            systolic::DoubleBufferedScratchpad spad(
+                systolic::scratchpadConfig(cfg), tracer);
             for (const auto& layer : topo.layers) {
                 const auto operands = systolic::OperandMap::forLayer(
                     layer, cfg.memory);

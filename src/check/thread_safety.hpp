@@ -1,11 +1,11 @@
 /**
  * @file
  * Clang Thread Safety Analysis surface for the simulator's concurrent
- * code (ThreadPool sweeps, the epoch-parallel multi-core engine, the
- * serve-mode result cache). The repo's standing invariant is
- * *bit-identical* results under any worker count; the locking
- * discipline that invariant rests on is encoded here as compile-time
- * capability annotations instead of runtime-TSan-maybe-catches.
+ * code (parallelFor sweeps and the serve-mode result cache). The
+ * repo's standing invariant is *bit-identical* results under any
+ * worker count; the locking discipline that invariant rests on is
+ * encoded here as compile-time capability annotations instead of
+ * runtime-TSan-maybe-catches.
  *
  * Under clang the SIM_* macros expand to the thread-safety attributes
  * and the `static-analysis` CI lane compiles with
@@ -16,10 +16,6 @@
  * std::mutex is not an annotated capability type, so lock-protected
  * classes use the CheckedMutex wrapper below (a std::mutex that clang
  * can reason about) together with the MutexLock RAII guard.
- * condition-variable waits go through std::condition_variable_any,
- * which accepts MutexLock as its BasicLockable; wait predicates that
- * touch guarded members call CheckedMutex::assertHeld() first, telling
- * the analysis the capability is held inside the predicate lambda.
  *
  * Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
  */
@@ -98,26 +94,13 @@ class SIM_CAPABILITY("mutex") CheckedMutex
     void unlock() SIM_RELEASE() { mutex_.unlock(); }
     bool try_lock() SIM_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
-    /**
-     * Tell the analysis the mutex is held without touching it. For
-     * contexts the analysis cannot see through — chiefly
-     * condition-variable wait predicates, which run as separate
-     * lambdas while the wait holds the lock.
-     */
-    void assertHeld() const SIM_ASSERT_CAPABILITY(this) {}
-
   private:
     // The wrapper *is* the annotated capability; the raw mutex under
     // it is the implementation detail.
     std::mutex mutex_; // scalesim-lint: allow(naked-mutex)
 };
 
-/**
- * RAII guard for CheckedMutex (the annotated std::lock_guard). Also
- * satisfies BasicLockable, so std::condition_variable_any can wait on
- * it directly: `cv.wait(lock, pred)` unlocks/relocks through the
- * annotated methods below.
- */
+/** RAII guard for CheckedMutex (the annotated std::lock_guard). */
 class SIM_SCOPED_CAPABILITY MutexLock
 {
   public:
@@ -131,11 +114,6 @@ class SIM_SCOPED_CAPABILITY MutexLock
 
     MutexLock(const MutexLock&) = delete;
     MutexLock& operator=(const MutexLock&) = delete;
-
-    /** Relock after a condition-variable wait cycle. */
-    void lock() SIM_ACQUIRE() { mutex_.lock(); }
-    /** Unlock for a condition-variable wait cycle. */
-    void unlock() SIM_RELEASE() { mutex_.unlock(); }
 
   private:
     CheckedMutex& mutex_;

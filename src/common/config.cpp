@@ -113,6 +113,18 @@ IniFile::badValue(std::string_view section, std::string_view key,
           entry.value.c_str(), what);
 }
 
+void
+IniFile::rejectRemovedKey(std::string_view section, std::string_view key,
+                          const char* why) const
+{
+    if (const Entry* entry = find(section, key)) {
+        const std::string what =
+            std::string("is no longer accepted: the key was removed ")
+            + why;
+        badValue(section, key, *entry, what.c_str());
+    }
+}
+
 bool
 IniFile::has(std::string_view section, std::string_view key) const
 {
@@ -319,10 +331,10 @@ SimConfig::fromIni(const IniFile& ini)
     cfg.dram.coreClockMhz = ini.getDouble("memory", "CoreClockMhz",
                                           cfg.dram.coreClockMhz);
 
-    cfg.multicore.engine = ini.getString("multicore", "Engine",
-                                         cfg.multicore.engine);
-    cfg.multicore.jobs = ini.getUint32("multicore", "Jobs",
-                                       cfg.multicore.jobs);
+    for (const char* key : {"Engine", "Jobs"}) {
+        ini.rejectRemovedKey("multicore", key,
+                             "because multi-core co-stepping is serial");
+    }
 
     cfg.layout.enabled = ini.getBool("layout", "LayoutModel",
                                      cfg.layout.enabled);
@@ -385,11 +397,6 @@ SimConfig::validate() const
             fatal("request queues must be non-empty");
         if (dram.coreClockMhz <= 0.0)
             fatal("CoreClockMhz must be positive");
-    }
-    if (canonical(multicore.engine) != "serial"
-        && canonical(multicore.engine) != "epoch") {
-        fatal("[multicore] Engine must be serial or epoch (got '%s')",
-              multicore.engine.c_str());
     }
     if (layout.enabled) {
         if (layout.banks == 0 || layout.portsPerBank == 0)

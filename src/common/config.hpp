@@ -57,6 +57,11 @@ class IniFile
     void set(std::string_view section, std::string_view key,
              const std::string& value);
 
+    /** fatal() as `file:line: section.key: ...` when a key the
+        simulator no longer reads is set, saying `why`. */
+    void rejectRemovedKey(std::string_view section, std::string_view key,
+                          const char* why) const;
+
     /** Source label used in error messages (path or "<string>"). */
     const std::string& source() const { return name_; }
 
@@ -178,21 +183,6 @@ struct DramConfig
     double coreClockMhz = 1000.0;
 };
 
-/** [multicore] section knobs (trace-level multi-core runs). */
-struct MultiCoreEngineConfig
-{
-    /**
-     * Co-step engine for the shared-timeline contention model:
-     * "serial" (single-threaded reference) or "epoch" (epoch-parallel,
-     * bit-identical to serial for every worker count — golden A/B
-     * enforced). `--mc-jobs N` on the CLI selects epoch with N
-     * workers.
-     */
-    std::string engine = "serial";
-    /** Worker threads for the epoch engine (0 = auto). */
-    std::uint32_t jobs = 0;
-};
-
 /** [layout] section knobs (paper §VI). */
 struct LayoutModelConfig
 {
@@ -258,7 +248,6 @@ struct SimConfig
     MemoryConfig memory;
     SparsityConfig sparsity;
     DramConfig dram;
-    MultiCoreEngineConfig multicore;
     LayoutModelConfig layout;
     EnergyConfig energy;
 

@@ -1,9 +1,13 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <utility>
+#include <thread>
+#include <vector>
+
+#include "check/thread_safety.hpp"
 
 namespace scalesim
 {
@@ -23,111 +27,6 @@ resolveJobs(unsigned requested)
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-ThreadPool::ThreadPool(unsigned threads)
-    : threadCount_(resolveJobs(threads))
-{
-    workers_.reserve(threadCount_);
-    for (unsigned i = 0; i < threadCount_; ++i) {
-        workers_.emplace_back(
-            [this](std::stop_token stop) { workerLoop(stop); });
-    }
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    for (auto& worker : workers_)
-        worker.request_stop();
-    taskReady_.notify_all();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        MutexLock lock(mutex_);
-        tasks_.push_back(std::move(task));
-        ++inFlight_;
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    MutexLock lock(mutex_);
-    allDone_.wait(lock, [this] {
-        mutex_.assertHeld(); // the wait predicate runs locked
-        return inFlight_ == 0;
-    });
-}
-
-void
-ThreadPool::workerLoop(std::stop_token stop)
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            MutexLock lock(mutex_);
-            taskReady_.wait(lock, stop, [this] {
-                mutex_.assertHeld();
-                return !tasks_.empty();
-            });
-            if (tasks_.empty())
-                return; // stop requested and queue drained
-            task = std::move(tasks_.front());
-            tasks_.pop_front();
-        }
-        task();
-        {
-            MutexLock lock(mutex_);
-            if (--inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
-}
-
-void
-CompletionQueue::finish(std::size_t index, std::exception_ptr error)
-{
-    {
-        MutexLock lock(mutex_);
-        done_.push_back(index);
-        if (error && !error_)
-            error_ = error;
-    }
-    ready_.notify_one();
-}
-
-std::vector<std::size_t>
-CompletionQueue::poll()
-{
-    MutexLock lock(mutex_);
-    std::vector<std::size_t> out;
-    out.swap(done_);
-    return out;
-}
-
-std::vector<std::size_t>
-CompletionQueue::waitAny()
-{
-    MutexLock lock(mutex_);
-    ready_.wait(lock, [this] {
-        mutex_.assertHeld();
-        return !done_.empty();
-    });
-    std::vector<std::size_t> out;
-    out.swap(done_);
-    return out;
-}
-
-std::exception_ptr
-CompletionQueue::error()
-{
-    MutexLock lock(mutex_);
-    return error_;
 }
 
 void

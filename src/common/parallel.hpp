@@ -12,25 +12,15 @@
  * not share mutable state; each owns its own Simulator/DramMemory.
  *
  * Locking discipline (statically enforced under clang's thread-safety
- * analysis, see check/thread_safety.hpp): every mutable member of
- * ThreadPool and CompletionQueue is guarded by the instance's one
- * mutex; all public entry points acquire it internally and must be
- * called without it held (SIM_EXCLUDES).
+ * analysis, see check/thread_safety.hpp): parallelFor's first-error
+ * slot is the only state its workers share, guarded by its one mutex.
  */
 
 #ifndef SCALESIM_COMMON_PARALLEL_HH
 #define SCALESIM_COMMON_PARALLEL_HH
 
-#include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <thread>
-#include <vector>
-
-#include "check/thread_safety.hpp"
 
 namespace scalesim
 {
@@ -42,84 +32,6 @@ namespace scalesim
  *  - Any other value is used as-is (clamped to >= 1).
  */
 unsigned resolveJobs(unsigned requested);
-
-/**
- * Fixed-size pool of std::jthread workers draining a task queue.
- * Tasks may be submitted from any thread; wait() blocks until the
- * queue is empty and every in-flight task has finished.
- */
-class ThreadPool
-{
-  public:
-    /** Spawn `threads` workers (resolved via resolveJobs). */
-    explicit ThreadPool(unsigned threads = 0);
-
-    /** Drains outstanding work, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    unsigned threadCount() const { return threadCount_; }
-
-    /** Enqueue one task. */
-    void submit(std::function<void()> task) SIM_EXCLUDES(mutex_);
-
-    /** Block until all submitted tasks have completed. */
-    void wait() SIM_EXCLUDES(mutex_);
-
-  private:
-    void workerLoop(std::stop_token stop) SIM_EXCLUDES(mutex_);
-
-    unsigned threadCount_;
-    CheckedMutex mutex_;
-    std::condition_variable_any taskReady_;
-    std::condition_variable_any allDone_;
-    std::deque<std::function<void()>> tasks_ SIM_GUARDED_BY(mutex_);
-    std::uint64_t inFlight_ SIM_GUARDED_BY(mutex_) = 0;
-    std::vector<std::jthread> workers_; // last: joins before members die
-};
-
-/**
- * Single-consumer completion channel for tracking *individual* tasks
- * submitted to a ThreadPool (whose wait() only knows "all done").
- * Each task calls finish(index) when it completes — from any thread —
- * and the consumer collects finished indices with poll() (non-blocking)
- * or waitAny() (blocks until at least one task has finished).
- *
- * Memory-visibility contract: every write a task performed before
- * finish(i) is visible to the consumer once poll()/waitAny() has
- * returned i (both sides synchronize on the internal mutex), so the
- * consumer may freely read the task's results afterwards.
- *
- * A task that failed reports its exception via finish(i, eptr); the
- * index is still delivered (so in-flight accounting stays exact) and
- * the first reported exception is kept for the consumer to rethrow
- * via error() once it has drained everything it is waiting on.
- */
-class CompletionQueue
-{
-  public:
-    /** Mark task `index` finished; safe from any thread. */
-    void finish(std::size_t index,
-                std::exception_ptr error = nullptr)
-        SIM_EXCLUDES(mutex_);
-
-    /** Collect finished indices without blocking (may be empty). */
-    std::vector<std::size_t> poll() SIM_EXCLUDES(mutex_);
-
-    /** Block until at least one task finishes, then collect. */
-    std::vector<std::size_t> waitAny() SIM_EXCLUDES(mutex_);
-
-    /** First exception reported by finish(), or nullptr. */
-    std::exception_ptr error() SIM_EXCLUDES(mutex_);
-
-  private:
-    CheckedMutex mutex_;
-    std::condition_variable_any ready_;
-    std::vector<std::size_t> done_ SIM_GUARDED_BY(mutex_);
-    std::exception_ptr error_ SIM_GUARDED_BY(mutex_);
-};
 
 /**
  * Run body(i) for every i in [0, n) on up to `jobs` threads.

@@ -33,18 +33,8 @@ Simulator::init()
         memory_ = bandwidthMemory_.get();
     }
 
-    systolic::ScratchpadConfig spad;
-    spad.ifmapWords = sramWords(cfg_.memory.ifmapSramKb);
-    spad.filterWords = sramWords(cfg_.memory.filterSramKb);
-    spad.ofmapWords = sramWords(cfg_.memory.ofmapSramKb);
-    spad.readQueueSize = cfg_.dram.readQueueSize;
-    spad.writeQueueSize = cfg_.dram.writeQueueSize;
-    spad.burstWords = cfg_.memory.burstWords;
-    spad.issuePerCycle = cfg_.memory.issuePerCycle;
-    spad.prefetchDepth = cfg_.memory.prefetchDepth;
-    spad.recordFoldSpans = cfg_.memory.recordFoldSpans;
     scratchpad_ = std::make_unique<systolic::DoubleBufferedScratchpad>(
-        spad, *memory_);
+        systolic::scratchpadConfig(cfg_), *memory_);
 
     if (cfg_.energy.enabled) {
         const double sram_kb = static_cast<double>(
@@ -79,14 +69,6 @@ Simulator::reset()
     foldCacheStats_ = {};
     profiler_.reset();
     ranOnce_ = false;
-}
-
-std::uint64_t
-Simulator::sramWords(std::uint64_t kb) const
-{
-    const std::uint32_t word_bytes = std::max<std::uint32_t>(
-        1, cfg_.memory.wordBytes);
-    return kb * 1024 / word_bytes;
 }
 
 LayerResult

@@ -220,7 +220,6 @@ class Simulator
     void registerStats(obs::StatsRegistry& reg) const;
 
   private:
-    std::uint64_t sramWords(std::uint64_t kb) const;
     /** Build all stateful components from cfg_ (ctor + reset body). */
     void init();
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/parallel.hpp"
 #include "multicore/arbiter.hpp"
 #include "multicore/shared_l2.hpp"
 #include "systolic/scratchpad.hpp"
@@ -51,28 +50,12 @@ enum class ContentionModel
 ContentionModel contentionModelFromString(std::string_view text);
 const char* toString(ContentionModel model);
 
-/** Co-step engine driving the Shared contention model's timeline. */
+/** Retained only so the benchmark harness, which still assigns
+    `engine`, compiles; the next benchmark change deletes it. */
 enum class MultiCoreEngine
 {
-    /** Single-threaded reference: grant and execute one transaction
-        at a time. */
     Serial,
-    /**
-     * Epoch-parallel: the serial arbiter still resolves every shared
-     * L2/DRAM transaction in exactly serial order, but each engine's
-     * post-issue bookkeeping (fold wrap-up, next-fold planning) runs
-     * on ThreadPool workers while the coordinator keeps granting
-     * transactions that provably precede every in-flight engine's
-     * advertised-event floor (the epoch-rendezvous invariant, see
-     * DESIGN.md). Bit-identical to Serial for every worker count —
-     * enforced by golden A/B tests.
-     */
-    Epoch,
 };
-
-/** Parse "serial" | "epoch" (case-insensitive). */
-MultiCoreEngine multiCoreEngineFromString(std::string_view text);
-const char* toString(MultiCoreEngine engine);
 
 /** Configuration of the trace-level multi-core system. */
 struct MultiCoreTraceConfig
@@ -89,12 +72,8 @@ struct MultiCoreTraceConfig
     double dramWordsPerCycle = 32.0;
     /** Contention model (see file comment). */
     ContentionModel contention = ContentionModel::Shared;
-    /** Co-step engine for the Shared model (Serial is the
-        reference; Epoch is bit-identical and parallel). */
+    /** Unread; kept for the benchmark harness (see MultiCoreEngine). */
     MultiCoreEngine engine = MultiCoreEngine::Serial;
-    /** Worker threads for the Epoch engine (0 = auto via
-        resolveJobs(); <= 1 resolved runs the epoch loop inline). */
-    unsigned jobs = 0;
     /**
      * Scan arbiter ports in reverse enumeration order. The grant is an
      * argmin over a total-order key, so results must not change; the
@@ -185,9 +164,6 @@ class MultiCoreTraceSimulator
     std::unique_ptr<systolic::BandwidthMemory> dram_;
     std::unique_ptr<SharedL2> l2_;
     systolic::MainMemory* coreView_; // L2 if enabled, else DRAM
-    /** Lazily-created worker pool for the Epoch engine; persists
-        across layers so pool spin-up is paid once per run. */
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace scalesim::multicore

@@ -49,8 +49,8 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
     h.mix(kCacheSchemaVersion);
 
     // Config slice that affects one layer's timing/energy. runName,
-    // audit, intervalCycles, and the multicore engine selection are
-    // deliberately absent: none of them change an instance's numbers.
+    // audit and intervalCycles are deliberately absent: none of them
+    // change an instance's numbers.
     h.mix(cfg.arrayRows);
     h.mix(cfg.arrayCols);
     h.mix(static_cast<std::uint8_t>(cfg.dataflow));

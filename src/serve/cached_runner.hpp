@@ -17,10 +17,10 @@
  * config slice that affects per-layer timing/energy (array geometry,
  * dataflow, mode, fold cache, SIMD, all [memory]/[sparsity]/[dram]/
  * [layout]/[energy] knobs), and the canonical layer shape. runName,
- * audit, interval sampling, multicore engine choice, the layer's
- * display name, and its repetition count are deliberately excluded —
- * they never change one instance's numbers (name/repetitions are
- * patched onto the cached result at hit time). The layer index joins
+ * audit, interval sampling, the layer's display name, and its
+ * repetition count are deliberately excluded — they never change one
+ * instance's numbers (name/repetitions are patched onto the cached
+ * result at hit time). The layer index joins
  * the key only when sparsity is enabled, because SparseLayerModel
  * seeds its per-row pattern with the layer position.
  *

@@ -4,7 +4,7 @@
  * a long-running server speaking newline-delimited JSON (one request
  * object per line, one response object per line) over stdin/stdout —
  * trivially bridged to a Unix socket with `socat UNIX-LISTEN:... EXEC:`.
- * Requests schedule on the existing ThreadPool via the sweep runner and
+ * Requests fan out over parallelFor via the sweep runner and
  * share one content-addressed per-layer result cache, so re-submitted
  * or overlapping sweeps are served from memory.
  *

@@ -10,6 +10,24 @@
 namespace scalesim::systolic
 {
 
+ScratchpadConfig
+scratchpadConfig(const SimConfig& cfg)
+{
+    const std::uint32_t word = std::max<std::uint32_t>(
+        1, cfg.memory.wordBytes);
+    ScratchpadConfig spad;
+    spad.ifmapWords = cfg.memory.ifmapSramKb * 1024 / word;
+    spad.filterWords = cfg.memory.filterSramKb * 1024 / word;
+    spad.ofmapWords = cfg.memory.ofmapSramKb * 1024 / word;
+    spad.burstWords = cfg.memory.burstWords;
+    spad.readQueueSize = cfg.dram.readQueueSize;
+    spad.writeQueueSize = cfg.dram.writeQueueSize;
+    spad.issuePerCycle = cfg.memory.issuePerCycle;
+    spad.prefetchDepth = cfg.memory.prefetchDepth;
+    spad.recordFoldSpans = cfg.memory.recordFoldSpans;
+    return spad;
+}
+
 TileCache::TileCache(std::uint64_t capacity_words)
     : capacity_(capacity_words)
 {
@@ -180,9 +198,6 @@ struct DoubleBufferedScratchpad::LayerRun
     Count burstWords = 0;
     Cycle burstWant = 0;
     Cycle burstAt = kNoEvent;
-    /** A stepIssue() happened whose stepAdvance() has not run yet
-        (split-phase stepping; burstAt is stale until it does). */
-    bool advancePending = false;
 
     /** Point the cursor at the start of `span`. */
     void
@@ -570,18 +585,9 @@ DoubleBufferedScratchpad::nextEventCycle() const
 void
 DoubleBufferedScratchpad::step()
 {
-    stepIssue();
-    stepAdvance();
-}
-
-DoubleBufferedScratchpad::StepIssue
-DoubleBufferedScratchpad::stepIssue()
-{
     if (!run_ || run_->burstAt == kNoEvent)
         fatal("step() without a pending memory event");
     LayerRun& r = *run_;
-    SIM_CHECK(!r.advancePending,
-              "stepIssue() before the previous stepAdvance() completed");
     const bool reads = r.phase == LayerRun::Phase::FoldReads;
     RequestQueue& queue = reads ? r.readQueue : r.writeQueue;
     const Cycle slot = queue.reserve(r.burstWant);
@@ -604,53 +610,6 @@ DoubleBufferedScratchpad::stepIssue()
     r.nextIssue = static_cast<double>(at) + r.pace;
     r.burstAddr += r.burstWords;
     r.segRemaining -= r.burstWords;
-    r.advancePending = true;
-
-    // Classify what stepAdvance() will do and lower-bound every event
-    // this engine can advertise afterwards. The bound must hold over
-    // the *whole* chain the advance may run (span/fold transitions,
-    // empty plans, writeback anchoring), because the co-simulation
-    // scheduler keeps granting other engines while it is in flight.
-    StepIssue out;
-    const TileSpan& span =
-        reads ? r.plan.reads[r.spanIdx] : r.pendingSpan;
-    if (r.segRemaining > 0 || r.seg + 1 < span.segments) {
-        // More bursts in this span: pacing advances one issue slot
-        // (pace <= 1), so the next want-cycle is exactly at + 1 and
-        // the queue can only delay it further.
-        out.floorCycle = at + 1;
-    } else if (reads && r.spanIdx + 1 < r.plan.reads.size()) {
-        // Span transition: pacing restarts at the fold's issue base.
-        out.floorCycle = r.issueBase;
-    } else if (reads && r.pendingWriteback) {
-        // The previous fold's writeback is anchored at
-        // max(computeEnd - requests, prevComputeStart).
-        out.floorCycle = r.prevComputeStart;
-    } else if (r.phase == LayerRun::Phase::FinalWrites) {
-        // closeWrites() + complete(): no further events at all.
-        out.floorCycle = kNoEvent;
-    } else {
-        // foldWrapup() chain (possibly through several empty folds),
-        // ending in the next fold's reads, a writeback, or Done.
-        // Every anchor it can produce is >= ready: the next fold's
-        // issueBase = max(prevPrefetchDone, buffer_free) with
-        // prevPrefetchDone = ready; writeback bases are
-        // >= prevComputeStart = max(computeEnd, ready) >= ready; and
-        // ready never decreases across folds. This is also the
-        // expensive case (stall attribution, tile-cache lookups,
-        // next-fold planning), so it is the one worth offloading.
-        out.floorCycle = r.ready;
-        out.heavy = true;
-    }
-    return out;
-}
-
-void
-DoubleBufferedScratchpad::stepAdvance()
-{
-    if (!run_ || !run_->advancePending)
-        fatal("stepAdvance() without a pending stepIssue()");
-    run_->advancePending = false;
     advance();
 }
 

@@ -244,7 +244,6 @@ TEST(SimConfig, FromIniDefaultsAndOverrides)
         "Dataflow = os\nIfmapSramSzkB = 512\n"
         "[memory]\nDramModel = true\nTech = HBM2\nChannels = 4\n"
         "ReadQueueSize = 32\n"
-        "[multicore]\nEngine = epoch\nJobs = 4\n"
         "[layout]\nLayoutModel = true\nBanks = 8\n"
         "[energy]\nEnergyModel = true\nRowSize = 16\n");
     SimConfig cfg = SimConfig::fromIni(ini);
@@ -262,18 +261,26 @@ TEST(SimConfig, FromIniDefaultsAndOverrides)
     EXPECT_EQ(cfg.layout.banks, 8u);
     EXPECT_TRUE(cfg.energy.enabled);
     EXPECT_EQ(cfg.energy.rowSize, 16u);
-    EXPECT_EQ(cfg.multicore.engine, "epoch");
-    EXPECT_EQ(cfg.multicore.jobs, 4u);
 }
 
-TEST(SimConfig, RejectsUnknownMulticoreEngine)
+TEST(SimConfig, RejectsRemovedMulticoreKeys)
 {
-    SimConfig cfg;
-    cfg.multicore.engine = "turbo";
-    expectFatalContaining([&] { cfg.validate(); },
-                          "Engine must be serial or epoch");
-    cfg.multicore.engine = "Epoch"; // canonicalized like other knobs
-    cfg.validate();
+    // [multicore] Engine/Jobs picked a parallel co-step engine that no
+    // longer exists; a config that still sets them must fail at its
+    // line rather than be silently ignored.
+    expectFatalContaining(
+        [] {
+            SimConfig::fromIni(IniFile::parseString(
+                "[general]\nrun_name = x\n[multicore]\nEngine = serial\n",
+                "old.cfg"));
+        },
+        "old.cfg:4: multicore.Engine");
+    expectFatalContaining(
+        [] {
+            SimConfig::fromIni(IniFile::parseString(
+                "[multicore]\nJobs = 4\n", "old.cfg"));
+        },
+        "multi-core co-stepping is serial");
 }
 
 TEST(SparseRatio, Parsing)

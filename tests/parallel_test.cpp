@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the parallel execution engine and the simulator's
- * self-profiling layer: thread-pool/parallelFor semantics, the
- * determinism contract (parallel sweeps byte-identical to sequential
- * ones), and SimProfiler instrumentation in the run report.
+ * self-profiling layer: parallelFor semantics, the determinism
+ * contract (parallel sweeps byte-identical to sequential ones), and
+ * SimProfiler instrumentation in the run report.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -94,21 +96,6 @@ TEST(ParallelFor, HandlesZeroAndTinyRanges)
     EXPECT_EQ(calls.load(), 0);
     parallelFor(1, 8, [&](std::uint64_t) { ++calls; });
     EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, DrainsAllSubmittedTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 256; ++i)
-        pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 256);
-    // The pool stays usable after a wait().
-    pool.submit([&] { ++done; });
-    pool.wait();
-    EXPECT_EQ(done.load(), 257);
 }
 
 TEST(ResolveJobs, ExplicitValuesPassThrough)
@@ -267,43 +254,4 @@ TEST(SparsitySpeedup, UtilizationStaysBoundedAndSpeedupReported)
     dense_topo.layers.push_back(LayerSpec::gemm("g", 256, 256, 256));
     const core::RunResult dense_run = dense_sim.run(dense_topo);
     EXPECT_DOUBLE_EQ(dense_run.layers[0].speedup, 1.0);
-}
-
-TEST(CompletionQueue, PollAndWaitAnyDrainFinishedIndices)
-{
-    CompletionQueue queue;
-    EXPECT_TRUE(queue.poll().empty());
-    queue.finish(3);
-    queue.finish(7);
-    std::vector<std::size_t> done = queue.poll();
-    ASSERT_EQ(done.size(), 2u);
-    EXPECT_EQ(done[0], 3u);
-    EXPECT_EQ(done[1], 7u);
-    EXPECT_TRUE(queue.poll().empty());
-    // waitAny blocks until a completion arrives from another thread.
-    ThreadPool pool(2);
-    pool.submit([&queue] { queue.finish(11); });
-    done = queue.waitAny();
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0], 11u);
-    EXPECT_EQ(queue.error(), nullptr);
-    pool.wait();
-}
-
-TEST(CompletionQueue, KeepsFirstErrorAcrossCompletions)
-{
-    CompletionQueue queue;
-    queue.finish(0, std::make_exception_ptr(
-                        std::runtime_error("first")));
-    queue.finish(1, std::make_exception_ptr(
-                        std::runtime_error("second")));
-    queue.finish(2);
-    EXPECT_EQ(queue.poll().size(), 3u);
-    const std::exception_ptr error = queue.error();
-    ASSERT_NE(error, nullptr);
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
 }

@@ -218,6 +218,47 @@ TEST(RequestQueue, DrainRetiresCompleted)
     EXPECT_EQ(queue.occupancy(), 1u);
 }
 
+TEST(Scratchpad, ConfigCarriesEveryRunKnob)
+{
+    // Every scratchpad knob of a run configuration must reach the
+    // scratchpad, whichever path (single-core, multi-core, trace
+    // writer) builds it. Each value differs from its default.
+    SimConfig cfg;
+    cfg.memory.wordBytes = 2;
+    cfg.memory.ifmapSramKb = 64;
+    cfg.memory.filterSramKb = 32;
+    cfg.memory.ofmapSramKb = 16;
+    cfg.memory.burstWords = 16;
+    cfg.memory.issuePerCycle = 3;
+    cfg.memory.prefetchDepth = 2;
+    cfg.memory.recordFoldSpans = true;
+    cfg.dram.readQueueSize = 24;
+    cfg.dram.writeQueueSize = 12;
+    const ScratchpadConfig spad = scratchpadConfig(cfg);
+    EXPECT_EQ(spad.ifmapWords, 32u * 1024);
+    EXPECT_EQ(spad.filterWords, 16u * 1024);
+    EXPECT_EQ(spad.ofmapWords, 8u * 1024);
+    EXPECT_EQ(spad.burstWords, 16u);
+    EXPECT_EQ(spad.issuePerCycle, 3u);
+    EXPECT_EQ(spad.prefetchDepth, 2u);
+    EXPECT_TRUE(spad.recordFoldSpans);
+    EXPECT_EQ(spad.readQueueSize, 24u);
+    EXPECT_EQ(spad.writeQueueSize, 12u);
+
+    // The default run configuration maps onto the scratchpad defaults.
+    const ScratchpadConfig def = scratchpadConfig(SimConfig{});
+    const ScratchpadConfig ref;
+    EXPECT_EQ(def.ifmapWords, ref.ifmapWords);
+    EXPECT_EQ(def.filterWords, ref.filterWords);
+    EXPECT_EQ(def.ofmapWords, ref.ofmapWords);
+    EXPECT_EQ(def.burstWords, ref.burstWords);
+    EXPECT_EQ(def.issuePerCycle, ref.issuePerCycle);
+    EXPECT_EQ(def.prefetchDepth, ref.prefetchDepth);
+    EXPECT_EQ(def.recordFoldSpans, ref.recordFoldSpans);
+    EXPECT_EQ(def.readQueueSize, ref.readQueueSize);
+    EXPECT_EQ(def.writeQueueSize, ref.writeQueueSize);
+}
+
 TEST(Scratchpad, NoStallsWithAbundantBandwidth)
 {
     const GemmDims gemm{64, 64, 64};
