@@ -25,7 +25,8 @@ splitSramKb(std::uint64_t totalKb)
 }
 
 std::vector<DseDetailedPoint>
-runSweepDetailed(const DseSweep& sweep, const Topology& topology)
+runSweepDetailed(const DseSweep& sweep,
+                 const std::function<RunResult(const SimConfig&)>& run_point)
 {
     if (sweep.arraySizes.empty() || sweep.dataflows.empty()
         || sweep.sramKbTotals.empty()) {
@@ -58,10 +59,7 @@ runSweepDetailed(const DseSweep& sweep, const Topology& topology)
         cfg.memory.ifmapSramKb = split.ifmapKb;
         cfg.memory.filterSramKb = split.filterKb;
         cfg.memory.ofmapSramKb = split.ofmapKb;
-        // Worker-private Simulator/DramMemory: per-layer timeline_
-        // coupling behaves exactly as in the sequential run.
-        Simulator sim(cfg);
-        RunResult run = sim.run(topology);
+        RunResult run = run_point(cfg);
         DsePoint point;
         point.array = cand.array;
         point.dataflow = cand.dataflow;
@@ -76,6 +74,17 @@ runSweepDetailed(const DseSweep& sweep, const Topology& topology)
         points[i].intervals = std::move(run.intervals);
     });
     return points;
+}
+
+std::vector<DseDetailedPoint>
+runSweepDetailed(const DseSweep& sweep, const Topology& topology)
+{
+    return runSweepDetailed(sweep, [&](const SimConfig& cfg) {
+        // Worker-private Simulator/DramMemory: per-layer timeline_
+        // coupling behaves exactly as in the sequential run.
+        Simulator sim(cfg);
+        return sim.run(topology);
+    });
 }
 
 std::vector<DsePoint>
@@ -159,29 +168,39 @@ paretoFrontier(std::vector<DsePoint> points)
     return frontier;
 }
 
+std::vector<bool>
+onParetoFrontier(const std::vector<DsePoint>& points)
+{
+    const auto frontier = paretoFrontier(points);
+    std::vector<bool> on(points.size(), false);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        for (const auto& f : frontier) {
+            if (f.array == points[i].array
+                && f.dataflow == points[i].dataflow
+                && f.sramKb == points[i].sramKb) {
+                on[i] = true;
+                break;
+            }
+        }
+    }
+    return on;
+}
+
 void
 writeDseReport(std::ostream& out, const std::vector<DsePoint>& points)
 {
-    const auto frontier = paretoFrontier(points);
-    auto on_frontier = [&](const DsePoint& p) {
-        for (const auto& f : frontier) {
-            if (f.array == p.array && f.dataflow == p.dataflow
-                && f.sramKb == p.sramKb) {
-                return true;
-            }
-        }
-        return false;
-    };
+    const std::vector<bool> pareto = onParetoFrontier(points);
     CsvWriter csv(out);
     csv.writeRow({"Array", "Dataflow", "SramKB", "Cycles", "Energy_mJ",
                   "EdP", "Pareto"});
-    for (const auto& p : points) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const DsePoint& p = points[i];
         csv.writeRow({std::to_string(p.array), toString(p.dataflow),
                       std::to_string(p.sramKb),
                       std::to_string(p.cycles),
                       format("%.4f", p.energyMj),
                       format("%.4g", p.edp),
-                      on_frontier(p) ? "yes" : "no"});
+                      pareto[i] ? "yes" : "no"});
     }
 }
 

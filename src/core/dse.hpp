@@ -11,6 +11,7 @@
 #ifndef SCALESIM_CORE_DSE_HH
 #define SCALESIM_CORE_DSE_HH
 
+#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -106,6 +107,19 @@ std::vector<DseDetailedPoint> runSweepDetailed(const DseSweep& sweep,
                                                const Topology& topology);
 
 /**
+ * The one sweep driver: derive each candidate's config from
+ * `sweep.base` (array size, dataflow, 2:1:1 SRAM split, energy on),
+ * evaluate it with `run_point` on `sweep.jobs` workers, and store the
+ * result at the candidate's sequential-order index. The two-argument
+ * form passes the coupled Simulator::run; the sweep server passes its
+ * layer-isolated cached runner. `run_point` is called concurrently
+ * and must share no unsynchronized state between calls.
+ */
+std::vector<DseDetailedPoint> runSweepDetailed(
+    const DseSweep& sweep,
+    const std::function<RunResult(const SimConfig&)>& run_point);
+
+/**
  * Fold every point's registry into one sweep-aggregate registry in
  * index (= sequential candidate) order: scalars and vectors sum
  * across points, distributions merge, and a `sweep.points` scalar
@@ -125,6 +139,12 @@ DsePoint bestByEdp(const std::vector<DsePoint>& points);
  * min-energy) is included.
  */
 std::vector<DsePoint> paretoFrontier(std::vector<DsePoint> points);
+
+/**
+ * Per point, whether it lies on paretoFrontier(points). Points that
+ * share a design (array, dataflow, SRAM) share the answer.
+ */
+std::vector<bool> onParetoFrontier(const std::vector<DsePoint>& points);
 
 /** CSV report of all points, flagging the Pareto-optimal ones. */
 void writeDseReport(std::ostream& out,

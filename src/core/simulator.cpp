@@ -292,49 +292,12 @@ Simulator::run(const Topology& topology)
     // registry uses, so time-series columns line up with stats.json.
     obs::IntervalSampler sampler(cfg_.intervalCycles);
     auto snapshot = [&](obs::StatsRegistry& snap) {
-        snap.addScalar("sim.totalCycles",
-                       "wall-clock cycles incl. stalls",
-                       static_cast<double>(run.totalCycles));
-        snap.addScalar("sim.computeCycles", "ideal compute cycles",
-                       static_cast<double>(run.computeCycles));
-        snap.addScalar("sim.stallCycles", "memory stall cycles",
-                       static_cast<double>(run.stallCycles));
-        snap.addScalar("sim.dramReadWords", "main-memory words read",
-                       static_cast<double>(run.dramReadWords));
-        snap.addScalar("sim.dramWriteWords",
-                       "main-memory words written",
-                       static_cast<double>(run.dramWriteWords));
-        run.cpiTotals.registerStats(
-            snap, "sim.cpistack",
-            "per-cause cycle attribution (sums to totalCycles)");
+        run.registerTotals(snap);
         registerStats(snap);
     };
 
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
-        LayerResult layer = runLayer(topology.layers[i], i);
-        const std::uint64_t reps = layer.repetitions;
-        run.totalCycles += layer.totalCycles * reps;
-        run.computeCycles += layer.computeCycles * reps;
-        run.stallCycles += layer.stallCycles * reps;
-        run.dramReadWords += layer.timing.dramReadWords * reps;
-        run.dramWriteWords += layer.timing.dramWriteWords * reps;
-        run.cpiTotals.accumulate(layer.cpi, reps);
-        if (cfg_.energy.enabled) {
-            energy::EnergyBreakdown scaled = layer.energyBreakdown;
-            scaled.peArray *= static_cast<double>(reps);
-            scaled.glb *= static_cast<double>(reps);
-            scaled.noc *= static_cast<double>(reps);
-            scaled.dram *= static_cast<double>(reps);
-            scaled.staticE *= static_cast<double>(reps);
-            run.totalEnergy.merge(scaled);
-            // One instantaneous-power sample per layer instance.
-            for (std::uint64_t r = 0; r < reps; ++r) {
-                run.powerTrace.push_back({layer.name,
-                                          layer.totalCycles,
-                                          layer.powerW});
-            }
-        }
-        run.layers.push_back(std::move(layer));
+        run.addLayer(runLayer(topology.layers[i], i), cfg_.energy.enabled);
         if (sampler.enabled()) {
             obs::StatsRegistry snap;
             snapshot(snap);
@@ -631,10 +594,35 @@ RunResult::writeEnergyReport(std::ostream& out) const
 }
 
 void
-RunResult::registerStats(obs::StatsRegistry& reg) const
+RunResult::addLayer(LayerResult layer, bool energy)
 {
-    reg.addScalar("sim.layers", "distinct layers simulated",
-                  static_cast<double>(layers.size()));
+    const std::uint64_t reps = layer.repetitions;
+    totalCycles += layer.totalCycles * reps;
+    computeCycles += layer.computeCycles * reps;
+    stallCycles += layer.stallCycles * reps;
+    dramReadWords += layer.timing.dramReadWords * reps;
+    dramWriteWords += layer.timing.dramWriteWords * reps;
+    cpiTotals.accumulate(layer.cpi, reps);
+    if (energy) {
+        energy::EnergyBreakdown scaled = layer.energyBreakdown;
+        scaled.peArray *= static_cast<double>(reps);
+        scaled.glb *= static_cast<double>(reps);
+        scaled.noc *= static_cast<double>(reps);
+        scaled.dram *= static_cast<double>(reps);
+        scaled.staticE *= static_cast<double>(reps);
+        totalEnergy.merge(scaled);
+        // One instantaneous-power sample per layer instance.
+        for (std::uint64_t r = 0; r < reps; ++r) {
+            powerTrace.push_back(
+                {layer.name, layer.totalCycles, layer.powerW});
+        }
+    }
+    layers.push_back(std::move(layer));
+}
+
+void
+RunResult::registerTotals(obs::StatsRegistry& reg) const
+{
     reg.addScalar("sim.totalCycles", "wall-clock cycles incl. stalls",
                   static_cast<double>(totalCycles));
     reg.addScalar("sim.computeCycles", "ideal compute cycles",
@@ -645,13 +633,21 @@ RunResult::registerStats(obs::StatsRegistry& reg) const
                   static_cast<double>(dramReadWords));
     reg.addScalar("sim.dramWriteWords", "main-memory words written",
                   static_cast<double>(dramWriteWords));
+    cpiTotals.registerStats(
+        reg, "sim.cpistack",
+        "per-cause cycle attribution (sums to totalCycles)");
+}
+
+void
+RunResult::registerStats(obs::StatsRegistry& reg) const
+{
+    reg.addScalar("sim.layers", "distinct layers simulated",
+                  static_cast<double>(layers.size()));
+    registerTotals(reg);
     obs::FormulaSpec stall_frac;
     stall_frac.numerator = {{"sim.stallCycles", 1.0}};
     stall_frac.denominator = {{"sim.totalCycles", 1.0}};
     reg.addFormula("sim.stallFraction", "stalls / total", stall_frac);
-    cpiTotals.registerStats(
-        reg, "sim.cpistack",
-        "per-cause cycle attribution (sums to totalCycles)");
 
     if (audited)
         audit.registerStats(reg);

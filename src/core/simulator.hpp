@@ -129,6 +129,15 @@ struct RunResult
     obs::StatsRegistry stats;
 
     /**
+     * Fold one layer into the run totals: cycles, DRAM words and the
+     * CPI stack weighted by its repetitions and, with `energy`, its
+     * energy breakdown scaled likewise plus one power sample per
+     * instance. Both run semantics (the coupled Simulator::run and the
+     * layer-isolated cached runner) aggregate through here.
+     */
+    void addLayer(LayerResult layer, bool energy);
+
+    /**
      * gem5-style human-readable stats summary, including the
      * SIM_OVERHEAD self-profiling section.
      */
@@ -166,6 +175,12 @@ struct RunResult
      * Simulator::registerStats; Simulator::run does both.
      */
     void registerStats(obs::StatsRegistry& reg) const;
+
+    /**
+     * Register the five sim.* cycle/word totals and sim.cpistack.
+     * Part of registerStats; also what each interval snapshot records.
+     */
+    void registerTotals(obs::StatsRegistry& reg) const;
 };
 
 /** The v3 simulator. One instance per accelerator configuration. */
@@ -193,6 +208,12 @@ class Simulator
 
     /** Simulate a whole topology. */
     RunResult run(const Topology& topology);
+
+    /** The energy model (null unless the energy model is on). */
+    const energy::EnergyModel* energyModel() const
+    {
+        return energyModel_.get();
+    }
 
     /** Access the DRAM system (null unless the DRAM model is on). */
     const dram::DramMemory* dramMemory() const { return dram_.get(); }

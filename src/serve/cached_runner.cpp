@@ -1,10 +1,7 @@
 #include "serve/cached_runner.hpp"
 
-#include <algorithm>
-
 #include "common/hash.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/serialize.hpp"
 
 namespace scalesim::serve
@@ -361,38 +358,6 @@ decodeLayerPayload(const std::string& payload, core::LayerResult& r,
     return in.atEnd();
 }
 
-constexpr Cycle kNoArrival = ~static_cast<Cycle>(0);
-
-/**
- * Fold one isolated layer's DRAM stats into a run-level aggregate:
- * counts and byte totals sum; the arrival/completion envelope takes
- * the min/max of the per-layer (layer-local-time) envelopes, which is
- * indicative only under isolated semantics.
- */
-void
-accumulateDramStats(dram::DramStats& total, const dram::DramStats& ds)
-{
-    total.reads += ds.reads;
-    total.writes += ds.writes;
-    total.rowHits += ds.rowHits;
-    total.rowMisses += ds.rowMisses;
-    total.rowConflicts += ds.rowConflicts;
-    total.refreshes += ds.refreshes;
-    total.readBytes += ds.readBytes;
-    total.writeBytes += ds.writeBytes;
-    total.totalReadLatency += ds.totalReadLatency;
-    total.readQueueWait += ds.readQueueWait;
-    total.readRefreshWait += ds.readRefreshWait;
-    total.readServiceTime += ds.readServiceTime;
-    if (ds.firstArrival != kNoArrival) {
-        total.firstArrival = total.firstArrival == kNoArrival
-            ? ds.firstArrival
-            : std::min(total.firstArrival, ds.firstArrival);
-    }
-    total.lastCompletion =
-        std::max(total.lastCompletion, ds.lastCompletion);
-}
-
 } // namespace
 
 core::RunResult
@@ -409,7 +374,6 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         core::Simulator coupled(cfg);
         return coupled.run(topology);
     }
-    LayerResultCache* use = cache;
 
     core::RunResult run;
     run.runName = cfg.runName;
@@ -430,7 +394,7 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         obs::StatsRegistry comp;
         bool decoded = false;
         std::string payload;
-        if (use && use->lookup(key, payload)) {
+        if (cache && cache->lookup(key, payload)) {
             decoded =
                 decodeLayerPayload(payload, layer, layer_dram, comp);
             if (!decoded) {
@@ -459,9 +423,9 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
             if (sim.dramMemory())
                 layer_dram = sim.dramMemory()->system().totalStats();
             sim.registerStats(comp);
-            if (use)
-                use->insert(key,
-                            encodeLayerPayload(layer, layer_dram, comp));
+            if (cache)
+                cache->insert(key,
+                              encodeLayerPayload(layer, layer_dram, comp));
         }
         // Display name and repetition count are excluded from the
         // cache key; patch them from the request's layer spec.
@@ -470,42 +434,18 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         if (layer.sparse)
             layer.sparse->layerName = spec.name;
 
-        const std::uint64_t reps = layer.repetitions;
-        run.totalCycles += layer.totalCycles * reps;
-        run.computeCycles += layer.computeCycles * reps;
-        run.stallCycles += layer.stallCycles * reps;
-        run.dramReadWords += layer.timing.dramReadWords * reps;
-        run.dramWriteWords += layer.timing.dramWriteWords * reps;
-        run.cpiTotals.accumulate(layer.cpi, reps);
-        if (cfg.energy.enabled) {
-            energy::EnergyBreakdown scaled = layer.energyBreakdown;
-            scaled.peArray *= static_cast<double>(reps);
-            scaled.glb *= static_cast<double>(reps);
-            scaled.noc *= static_cast<double>(reps);
-            scaled.dram *= static_cast<double>(reps);
-            scaled.staticE *= static_cast<double>(reps);
-            run.totalEnergy.merge(scaled);
-            for (std::uint64_t rep = 0; rep < reps; ++rep) {
-                run.powerTrace.push_back(
-                    {layer.name, layer.totalCycles, layer.powerW});
-            }
-        }
+        // Counts sum; the arrival/completion envelope spans the
+        // layer-local clocks, so it is indicative only here.
         if (cfg.dram.enabled)
-            accumulateDramStats(run.dramStats, layer_dram);
+            run.dramStats.merge(layer_dram);
+        run.addLayer(std::move(layer), cfg.energy.enabled);
         comp_accum.merge(comp);
-        run.layers.push_back(std::move(layer));
     }
 
-    if (cfg.energy.enabled) {
-        const double sram_kb = static_cast<double>(
-            cfg.memory.ifmapSramKb + cfg.memory.filterSramKb
-            + cfg.memory.ofmapSramKb);
-        const energy::EnergyModel model(
-            energy::Ert::forNode(cfg.energy.node), cfg.energy,
-            cfg.numPes(), sram_kb);
-        run.avgPowerW = model.averagePowerW(run.totalEnergy,
-                                            run.totalCycles);
-        run.edp = model.edp(run.totalEnergy, run.totalCycles);
+    if (const energy::EnergyModel* model = sim.energyModel()) {
+        run.avgPowerW = model->averagePowerW(run.totalEnergy,
+                                             run.totalCycles);
+        run.edp = model->edp(run.totalEnergy, run.totalCycles);
     }
     if (sim_used) {
         profile.merge(sim.profile());
@@ -525,65 +465,11 @@ std::vector<core::DseDetailedPoint>
 runSweepCachedDetailed(const core::DseSweep& sweep,
                        const Topology& topology, LayerResultCache* cache)
 {
-    if (sweep.arraySizes.empty() || sweep.dataflows.empty()
-        || sweep.sramKbTotals.empty()) {
-        fatal("DSE sweep has an empty axis");
-    }
-    struct Candidate
-    {
-        std::uint32_t array;
-        Dataflow dataflow;
-        std::uint64_t sramKb;
-    };
-    std::vector<Candidate> candidates;
-    candidates.reserve(sweep.arraySizes.size() * sweep.dataflows.size()
-                       * sweep.sramKbTotals.size());
-    for (std::uint32_t array : sweep.arraySizes)
-        for (Dataflow df : sweep.dataflows)
-            for (std::uint64_t sram_kb : sweep.sramKbTotals)
-                candidates.push_back({array, df, sram_kb});
-
-    std::vector<core::DseDetailedPoint> points(candidates.size());
-    // Worker-shared state is exactly {candidates (read-only), points
-    // (written by-index, pre-sized), cache (internally locked — its
-    // methods are SIM_EXCLUDES-annotated, see cache.hpp)}; everything
-    // else below is constructed per-iteration, which is what makes the
-    // parallel sweep bit-identical to the sequential one.
-    parallelFor(candidates.size(), sweep.jobs, [&](std::uint64_t i) {
-        const Candidate& cand = candidates[i];
-        SimConfig cfg = sweep.base;
-        cfg.arrayRows = cfg.arrayCols = cand.array;
-        cfg.dataflow = cand.dataflow;
-        cfg.energy.enabled = true;
-        const core::SramSplit split = core::splitSramKb(cand.sramKb);
-        cfg.memory.ifmapSramKb = split.ifmapKb;
-        cfg.memory.filterSramKb = split.filterKb;
-        cfg.memory.ofmapSramKb = split.ofmapKb;
-        core::RunResult run = runTopologyCached(cfg, topology, cache);
-        core::DsePoint point;
-        point.array = cand.array;
-        point.dataflow = cand.dataflow;
-        point.sramKb = cand.sramKb;
-        point.cycles = run.totalCycles;
-        point.energyMj = run.totalEnergy.totalMj();
-        point.edp = run.edp;
-        points[i].point = point;
-        points[i].stats = std::move(run.stats);
+    // Workers share only the cache, which is internally locked (its
+    // methods are SIM_EXCLUDES-annotated, see cache.hpp).
+    return core::runSweepDetailed(sweep, [&](const SimConfig& cfg) {
+        return runTopologyCached(cfg, topology, cache);
     });
-    return points;
-}
-
-std::vector<core::DsePoint>
-runSweepCached(const core::DseSweep& sweep, const Topology& topology,
-               LayerResultCache* cache)
-{
-    std::vector<core::DseDetailedPoint> detailed =
-        runSweepCachedDetailed(sweep, topology, cache);
-    std::vector<core::DsePoint> points;
-    points.reserve(detailed.size());
-    for (const auto& d : detailed)
-        points.push_back(d.point);
-    return points;
 }
 
 } // namespace scalesim::serve

@@ -67,11 +67,6 @@ runSweepCachedDetailed(const core::DseSweep& sweep,
                        const Topology& topology,
                        LayerResultCache* cache);
 
-/** Point-only variant of runSweepCachedDetailed. */
-std::vector<core::DsePoint> runSweepCached(const core::DseSweep& sweep,
-                                           const Topology& topology,
-                                           LayerResultCache* cache);
-
 } // namespace scalesim::serve
 
 #endif // SCALESIM_SERVE_CACHED_RUNNER_HH

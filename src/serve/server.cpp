@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -38,6 +39,40 @@ iniValue(const obs::JsonValue& v)
     }
 }
 
+/**
+ * A request number as an unsigned field of type T. Converting a
+ * negative or out-of-range double with static_cast is undefined (in
+ * practice it wraps), so anything that is not a finite integer T can
+ * hold is rejected with an error naming `field`.
+ */
+template <typename T>
+T
+checkedUnsigned(double value, const std::string& field)
+{
+    // 2^digits is exact in a double and is the first value T cannot
+    // hold; comparing against max() would round it up to 2^64 for
+    // 64-bit T.
+    const double limit =
+        std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!std::isfinite(value) || std::floor(value) != value
+        || value < 0.0 || value >= limit) {
+        throw std::runtime_error(
+            "'" + field + "' must be an integer in [0, "
+            + std::to_string(std::numeric_limits<T>::max()) + "], got "
+            + format("%.17g", value));
+    }
+    return static_cast<T>(value);
+}
+
+/** checkedUnsigned of member `key` of `v`, `fallback` when absent. */
+template <typename T>
+T
+unsignedAt(const obs::JsonValue& v, const std::string& key,
+           double fallback = 0.0)
+{
+    return checkedUnsigned<T>(v.numberAt(key, fallback), key);
+}
+
 /** Base config + request {section: {key: value}} overlay. */
 SimConfig
 configFromRequest(const IniFile& base, const obs::JsonValue& req)
@@ -69,29 +104,27 @@ layerFromJson(const obs::JsonValue& v, std::size_t index)
     if (type == "gemm") {
         layer = LayerSpec::gemm(
             v.stringAt("name", "layer" + std::to_string(index)),
-            static_cast<std::uint64_t>(v.numberAt("m")),
-            static_cast<std::uint64_t>(v.numberAt("n")),
-            static_cast<std::uint64_t>(v.numberAt("k")));
+            unsignedAt<std::uint64_t>(v, "m"),
+            unsignedAt<std::uint64_t>(v, "n"),
+            unsignedAt<std::uint64_t>(v, "k"));
     } else if (type == "conv") {
         layer = LayerSpec::conv(
             v.stringAt("name", "layer" + std::to_string(index)),
-            static_cast<std::uint64_t>(v.numberAt("ifmapH")),
-            static_cast<std::uint64_t>(v.numberAt("ifmapW")),
-            static_cast<std::uint64_t>(v.numberAt("filterH")),
-            static_cast<std::uint64_t>(v.numberAt("filterW")),
-            static_cast<std::uint64_t>(v.numberAt("channels")),
-            static_cast<std::uint64_t>(v.numberAt("numFilters")),
-            static_cast<std::uint64_t>(v.numberAt("stride", 1.0)));
+            unsignedAt<std::uint64_t>(v, "ifmapH"),
+            unsignedAt<std::uint64_t>(v, "ifmapW"),
+            unsignedAt<std::uint64_t>(v, "filterH"),
+            unsignedAt<std::uint64_t>(v, "filterW"),
+            unsignedAt<std::uint64_t>(v, "channels"),
+            unsignedAt<std::uint64_t>(v, "numFilters"),
+            unsignedAt<std::uint64_t>(v, "stride", 1.0));
     } else {
         throw std::runtime_error("unknown layer type '" + type + "'");
     }
     layer.repetitions =
-        static_cast<std::uint32_t>(v.numberAt("repetitions", 1.0));
-    layer.batch = static_cast<std::uint64_t>(v.numberAt("batch", 1.0));
-    layer.sparseN =
-        static_cast<std::uint32_t>(v.numberAt("sparseN", 0.0));
-    layer.sparseM =
-        static_cast<std::uint32_t>(v.numberAt("sparseM", 0.0));
+        unsignedAt<std::uint32_t>(v, "repetitions", 1.0);
+    layer.batch = unsignedAt<std::uint64_t>(v, "batch", 1.0);
+    layer.sparseN = unsignedAt<std::uint32_t>(v, "sparseN");
+    layer.sparseM = unsignedAt<std::uint32_t>(v, "sparseM");
     const std::string tail = v.stringAt("tail");
     if (!tail.empty())
         layer.tail = vectorTailFromString(tail);
@@ -205,18 +238,10 @@ writeSweepResult(obs::JsonWriter& json,
     points.reserve(detailed.size());
     for (const auto& d : detailed)
         points.push_back(d.point);
-    const auto frontier = core::paretoFrontier(points);
-    auto on_frontier = [&](const core::DsePoint& p) {
-        for (const auto& f : frontier) {
-            if (f.array == p.array && f.dataflow == p.dataflow
-                && f.sramKb == p.sramKb) {
-                return true;
-            }
-        }
-        return false;
-    };
+    const std::vector<bool> pareto = core::onParetoFrontier(points);
     json.key("points").beginArray();
-    for (const auto& p : points) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const core::DsePoint& p = points[i];
         json.beginObject();
         json.field("array", p.array);
         json.field("dataflow", toString(p.dataflow));
@@ -224,7 +249,7 @@ writeSweepResult(obs::JsonWriter& json,
         json.field("cycles", p.cycles);
         json.field("energy_mJ", p.energyMj);
         json.field("edp", p.edp);
-        json.field("pareto", on_frontier(p));
+        json.field("pareto", pareto[i]);
         json.endObject();
     }
     json.endArray();
@@ -328,15 +353,16 @@ Server::handleRequest(const std::string& line)
             // Axes may sit at the top level or under a "sweep" object.
             const obs::JsonValue* nested = req.find("sweep");
             const obs::JsonValue& axes = nested ? *nested : req;
-            sweep.jobs = static_cast<unsigned>(axes.numberAt(
-                "jobs",
+            sweep.jobs = unsignedAt<unsigned>(
+                axes, "jobs",
                 req.numberAt(
-                    "jobs", static_cast<double>(options_.defaultJobs))));
+                    "jobs", static_cast<double>(options_.defaultJobs)));
             if (const obs::JsonValue* arrays = axes.find("arrays")) {
                 sweep.arraySizes.clear();
                 for (const auto& a : arrays->items) {
                     sweep.arraySizes.push_back(
-                        static_cast<std::uint32_t>(a.number));
+                        checkedUnsigned<std::uint32_t>(a.number,
+                                                       "arrays"));
                 }
             }
             if (const obs::JsonValue* dfs = axes.find("dataflows")) {
@@ -348,7 +374,8 @@ Server::handleRequest(const std::string& line)
                 sweep.sramKbTotals.clear();
                 for (const auto& s : srams->items) {
                     sweep.sramKbTotals.push_back(
-                        static_cast<std::uint64_t>(s.number));
+                        checkedUnsigned<std::uint64_t>(s.number,
+                                                       "sramKb"));
                 }
             }
             const Topology topo = topologyFromRequest(req);

@@ -3,8 +3,9 @@
  * Sweep server and layer-result cache tests: cache-key discrimination
  * and invariance, byte-identical cached-vs-uncached evaluation, LRU
  * eviction, corruption-tolerant persistence, StatsRegistry binary
- * round-trips, the ndjson request protocol, and concurrent request
- * handling (run under TSan in CI).
+ * round-trips, the ndjson request protocol (including range checks
+ * on request numbers), and concurrent request handling (run under
+ * TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -574,4 +575,102 @@ TEST(ServerProtocol, ConcurrentRequestsShareTheCacheSafely)
         t.join();
     for (const auto& r : results)
         EXPECT_EQ(r, expected);
+}
+
+// ---------------------------------------------------------------------
+// Out-of-range request numbers: rejected by name, never wrapped.
+
+namespace
+{
+
+/** Expect `request` to fail with an error that names `field`. */
+void
+expectRejected(Server& server, const std::string& request,
+               const std::string& field)
+{
+    const obs::JsonValue doc = response(server, request);
+    ASSERT_NE(doc.find("ok"), nullptr) << request;
+    EXPECT_FALSE(doc.find("ok")->boolean) << request;
+    EXPECT_NE(doc.stringAt("error").find("'" + field + "'"),
+              std::string::npos)
+        << doc.stringAt("error");
+}
+
+} // namespace
+
+TEST(ServerProtocol, NegativeArraySizeIsRejected)
+{
+    Server server({});
+    expectRejected(server,
+                   R"({"type": "sweep", "workload": "resnet18",
+                       "arrays": [-32]})",
+                   "arrays");
+}
+
+TEST(ServerProtocol, NegativeSramBudgetIsRejected)
+{
+    Server server({});
+    expectRejected(server,
+                   R"({"type": "sweep", "workload": "resnet18",
+                       "arrays": [32], "sramKb": [-1]})",
+                   "sramKb");
+}
+
+TEST(ServerProtocol, NegativeRepetitionsIsRejected)
+{
+    Server server({});
+    expectRejected(server, R"({"type": "run", "topology": {"layers": [
+        {"type": "gemm", "m": 8, "n": 8, "k": 8,
+         "repetitions": -1}]}})",
+                   "repetitions");
+}
+
+TEST(ServerProtocol, NegativeLayerDimensionIsRejected)
+{
+    Server server({});
+    expectRejected(server, R"({"type": "run", "topology": {"layers": [
+        {"type": "gemm", "m": 8, "n": 8, "k": -8}]}})",
+                   "k");
+}
+
+TEST(ServerProtocol, FractionalAndOversizedNumbersAreRejected)
+{
+    Server server({});
+    expectRejected(server,
+                   R"({"type": "sweep", "workload": "resnet18",
+                       "arrays": [32.5]})",
+                   "arrays");
+    expectRejected(server, R"({"type": "run", "topology": {"layers": [
+        {"type": "gemm", "m": 8, "n": 8, "k": 8,
+         "repetitions": 4294967296}]}})",
+                   "repetitions");
+    expectRejected(server, R"({"type": "run", "topology": {"layers": [
+        {"type": "conv", "ifmapH": 8, "ifmapW": 8, "filterH": 3,
+         "filterW": 3, "channels": 4, "numFilters": 8,
+         "stride": 1e300}]}})",
+                   "stride");
+    expectRejected(server,
+                   R"({"type": "sweep", "workload": "resnet18",
+                       "arrays": [32], "jobs": -2})",
+                   "jobs");
+}
+
+TEST(ServerProtocol, ValidRequestSucceedsAfterRejectedNumbers)
+{
+    Server server({});
+    expectRejected(server,
+                   R"({"type": "sweep", "workload": "resnet18",
+                       "arrays": [-32]})",
+                   "arrays");
+    const obs::JsonValue doc = response(server, R"({"type": "sweep",
+        "topology": {"layers": [
+            {"type": "gemm", "m": 16, "n": 16, "k": 16,
+             "repetitions": 2}]},
+        "arrays": [8, 16], "dataflows": ["os"], "sramKb": [64]})");
+    ASSERT_TRUE(doc.find("ok")->boolean) << doc.stringAt("error");
+    const obs::JsonValue* points = doc.findPath("result.points");
+    ASSERT_NE(points, nullptr);
+    ASSERT_EQ(points->items.size(), 2u);
+    EXPECT_DOUBLE_EQ(points->items[0].numberAt("array"), 8.0);
+    EXPECT_GT(points->items[1].numberAt("cycles"), 0.0);
 }
