@@ -32,6 +32,18 @@ canonical(std::string_view text)
     return out;
 }
 
+/** Parse "trace" | "analytical"; throws std::invalid_argument. */
+SimMode
+simModeFromString(std::string_view text)
+{
+    const std::string c = canonical(text);
+    if (c == "trace")
+        return SimMode::Trace;
+    if (c == "analytical")
+        return SimMode::Analytical;
+    throw std::invalid_argument("unknown mode: " + std::string(text));
+}
+
 } // namespace
 
 IniFile
@@ -258,11 +270,10 @@ SimConfig::fromIni(const IniFile& ini)
     if (cfg.arrayRows == 0 || cfg.arrayCols == 0)
         fatal("array dimensions must be non-zero");
 
-    cfg.dataflow = dataflowFromString(
-        ini.getString("architecture", "Dataflow", "os"));
-    std::string mode = ini.getString("general", "mode", "trace");
-    cfg.mode = canonical(mode) == "analytical" ? SimMode::Analytical
-                                               : SimMode::Trace;
+    cfg.dataflow = ini.getEnum("architecture", "Dataflow", cfg.dataflow,
+                               dataflowFromString, "a dataflow (os|ws|is)");
+    cfg.mode = ini.getEnum("general", "mode", cfg.mode, simModeFromString,
+                           "a mode (trace|analytical)");
     cfg.audit = ini.getBool("general", "Audit", cfg.audit);
     cfg.intervalCycles = ini.getUint("general", "IntervalCycles",
                                      cfg.intervalCycles);
@@ -306,10 +317,9 @@ SimConfig::fromIni(const IniFile& ini)
                                        cfg.sparsity.enabled);
     cfg.sparsity.optimizedMapping = ini.getBool(
         "sparsity", "OptimizedMapping", cfg.sparsity.optimizedMapping);
-    if (ini.has("sparsity", "SparseRep")) {
-        cfg.sparsity.rep = sparseRepFromString(
-            ini.getString("sparsity", "SparseRep"));
-    }
+    cfg.sparsity.rep = ini.getEnum(
+        "sparsity", "SparseRep", cfg.sparsity.rep, sparseRepFromString,
+        "a sparse representation (dense|csr|csc|ellpack_block)");
     cfg.sparsity.blockSize = ini.getUint32(
         "sparsity", "BlockSize", cfg.sparsity.blockSize);
     cfg.sparsity.seed = ini.getUint("sparsity", "Seed",
@@ -318,8 +328,8 @@ SimConfig::fromIni(const IniFile& ini)
     cfg.dram.enabled = ini.getBool("memory", "DramModel",
                                    cfg.dram.enabled);
     cfg.dram.tech = ini.getString("memory", "Tech", cfg.dram.tech);
-    cfg.dram.engine = ini.getString("memory", "DramEngine",
-                                    cfg.dram.engine);
+    ini.rejectRemovedKey("memory", "DramEngine",
+                         "because the DRAM controller has one engine");
     cfg.dram.channels = ini.getUint32("memory", "Channels",
                                       cfg.dram.channels);
     cfg.dram.ranksPerChannel = ini.getUint32(

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -53,6 +54,26 @@ class IniFile
                      double fallback = 0.0) const;
     bool getBool(std::string_view section, std::string_view key,
                  bool fallback = false) const;
+    /**
+     * Parse with `parse`, a *FromString that throws
+     * std::invalid_argument; a value it rejects is fatal() as
+     * `file:line: section.key: 'value' is not <expected>`.
+     */
+    template <typename T, typename Parse>
+    T
+    getEnum(std::string_view section, std::string_view key, T fallback,
+            Parse parse, const char* expected) const
+    {
+        const Entry* entry = find(section, key);
+        if (!entry || entry->value.empty())
+            return fallback;
+        try {
+            return parse(entry->value);
+        } catch (const std::invalid_argument&) {
+            badValue(section, key, *entry,
+                     (std::string("is not ") + expected).c_str());
+        }
+    }
 
     void set(std::string_view section, std::string_view key,
              const std::string& value);
@@ -171,9 +192,6 @@ struct DramConfig
     bool enabled = false;
     /** Technology preset name, e.g. DDR4_2400, LPDDR4_3200, HBM2. */
     std::string tech = "DDR4_2400";
-    /** Controller engine: "eventskip" (default) or "stepped" (the
-     *  bit-identical reference used by the A/B equivalence tests). */
-    std::string engine = "eventskip";
     std::uint32_t channels = 1;
     std::uint32_t ranksPerChannel = 1;
     /** Finite request queues; the accelerator stalls when full. */

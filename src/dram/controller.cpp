@@ -1,7 +1,6 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "check/contract.hpp"
 #include "common/log.hpp"
@@ -28,36 +27,11 @@ DramStats::merge(const DramStats& other)
     lastCompletion = std::max(lastCompletion, other.lastCompletion);
 }
 
-DramEngine
-dramEngineFromString(std::string_view text)
-{
-    std::string lower;
-    for (char ch : text) {
-        if (ch == '-' || ch == '_')
-            continue;
-        lower.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    }
-    if (lower == "eventskip")
-        return DramEngine::EventSkip;
-    if (lower == "stepped")
-        return DramEngine::Stepped;
-    fatal("unknown DRAM engine '%.*s' (eventskip|stepped)",
-          static_cast<int>(text.size()), text.data());
-}
-
-const char*
-toString(DramEngine engine)
-{
-    return engine == DramEngine::EventSkip ? "eventskip" : "stepped";
-}
-
 Channel::Channel(const DramTiming& timing, std::uint32_t ranks,
                  std::uint32_t reorder_window,
-                 std::uint32_t hit_streak_cap, PagePolicy policy,
-                 DramEngine engine)
+                 std::uint32_t hit_streak_cap, PagePolicy policy)
     : timing_(timing), reorderWindow_(reorder_window),
-      hitStreakCap_(hit_streak_cap), policy_(policy), engine_(engine),
+      hitStreakCap_(hit_streak_cap), policy_(policy),
       banks_(static_cast<std::size_t>(ranks) * timing.banksPerRank),
       bankStats_(banks_.size()), nextRefresh_(ranks, timing.tREFI)
 {
@@ -162,32 +136,23 @@ Channel::serviceOne(const Pending& req)
             next += timing_.tREFI;
         };
         // Refreshes whose window already closed before this request:
-        // exactly one count per elapsed tREFI, each leaving the rank's
-        // rows closed as of its end.
-        if (engine_ == DramEngine::EventSkip) {
-            // Event-skip: the i-th catch-up refresh ends at
-            // next + i*tREFI + tRFC, so k = floor((dt - tRFC - next) /
-            // tREFI) + 1 of them fit before dt. Their effects fold
-            // into one bank sweep (ends increase, so only the last
-            // matters for preReady) and one stats/cursor bump —
-            // identical to running the Stepped loop k times.
-            if (next + timing_.tRFC <= dt) {
-                const std::uint64_t k =
-                    (dt - timing_.tRFC - next) / timing_.tREFI + 1;
-                const Cycle last_end = next
-                    + (k - 1) * timing_.tREFI + timing_.tRFC;
-                for (std::size_t b = first;
-                     b < first + timing_.banksPerRank; ++b) {
-                    banks_[b].open = false;
-                    banks_[b].preReady =
-                        std::max(banks_[b].preReady, last_end);
-                }
-                stats_.refreshes += k;
-                next += k * timing_.tREFI;
+        // the i-th ends at next + i*tREFI + tRFC, so k = floor((dt -
+        // tRFC - next) / tREFI) + 1 of them fit before dt. Each counts
+        // once and leaves the rank's rows closed; their ends increase,
+        // so only the last one matters for preReady.
+        if (next + timing_.tRFC <= dt) {
+            const std::uint64_t k =
+                (dt - timing_.tRFC - next) / timing_.tREFI + 1;
+            const Cycle last_end = next
+                + (k - 1) * timing_.tREFI + timing_.tRFC;
+            for (std::size_t b = first;
+                 b < first + timing_.banksPerRank; ++b) {
+                banks_[b].open = false;
+                banks_[b].preReady =
+                    std::max(banks_[b].preReady, last_end);
             }
-        } else {
-            while (next + timing_.tRFC <= dt)
-                refreshRank(next + timing_.tRFC);
+            stats_.refreshes += k;
+            next += k * timing_.tREFI;
         }
         // Refresh in progress (or due) at dt: the request waits it out.
         if (dt >= next) {
@@ -319,41 +284,18 @@ Channel::serviceOne(const Pending& req)
 Cycle
 Channel::serviceUntil(std::uint64_t seq)
 {
-    if (engine_ == DramEngine::EventSkip) {
-        // Batch-drain: one completion-map probe up front (the target
-        // may have been serviced out of order by an earlier drain),
-        // then service straight through to the target and hand its
-        // completion back directly — requests serviced on the way park
-        // in completed_ without being re-probed every iteration.
-        const auto done = completed_.find(seq);
-        if (done != completed_.end()) {
-            const Cycle completion = done->second;
-            completed_.erase(done);
-            return completion;
-        }
-        for (;;) {
-            if (pending_.empty())
-                panic("serviceUntil(%llu): request not pending",
-                      static_cast<unsigned long long>(seq));
-            const Cycle decision_time = std::max(
-                pending_.front().arrival, lastColCmd_);
-            const std::size_t idx = pickNext(decision_time);
-            const Pending req = pending_[idx];
-            pending_.erase(pending_.begin()
-                           + static_cast<std::ptrdiff_t>(idx));
-            const Cycle completion = serviceOne(req);
-            if (req.seq == seq)
-                return completion;
-            completed_[req.seq] = completion;
-        }
+    // One completion-map probe up front (the target may have been
+    // serviced out of order by an earlier drain), then service straight
+    // through to the target and hand its completion back directly —
+    // requests serviced on the way park in completed_ without being
+    // re-probed every iteration.
+    const auto done = completed_.find(seq);
+    if (done != completed_.end()) {
+        const Cycle completion = done->second;
+        completed_.erase(done);
+        return completion;
     }
     for (;;) {
-        auto done = completed_.find(seq);
-        if (done != completed_.end()) {
-            const Cycle completion = done->second;
-            completed_.erase(done);
-            return completion;
-        }
         if (pending_.empty())
             panic("serviceUntil(%llu): request not pending",
                   static_cast<unsigned long long>(seq));
@@ -363,7 +305,10 @@ Channel::serviceUntil(std::uint64_t seq)
         const Pending req = pending_[idx];
         pending_.erase(pending_.begin()
                        + static_cast<std::ptrdiff_t>(idx));
-        completed_[req.seq] = serviceOne(req);
+        const Cycle completion = serviceOne(req);
+        if (req.seq == seq)
+            return completion;
+        completed_[req.seq] = completion;
     }
 }
 

@@ -7,7 +7,9 @@
  *
  * The controller is event-driven at request granularity: it never ticks
  * idle cycles, so million-request traces simulate in milliseconds while
- * every inter-command constraint is honored exactly.
+ * every inter-command constraint is honored exactly. Refresh catch-up
+ * after a long gap is one closed-form division, not a loop over every
+ * elapsed tREFI window.
  */
 
 #ifndef SCALESIM_DRAM_CONTROLLER_HH
@@ -15,7 +17,6 @@
 
 #include <deque>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,27 +54,6 @@ enum class PagePolicy
     Open,
     Closed,
 };
-
-/**
- * Controller scheduling engine. Both produce bit-identical schedules,
- * stats, and completions; EventSkip is the production engine and
- * Stepped the plain reference kept for A/B equivalence tests (the
- * same pattern as ContentionModel::Static for the multi-core model).
- *
- * EventSkip fast-forwards idle stretches: refresh catch-up after a
- * long gap is one closed-form division instead of a loop over every
- * elapsed tREFI window, and serviceUntil() drains straight to the
- * target request instead of re-probing the completion map after every
- * serviced burst.
- */
-enum class DramEngine
-{
-    EventSkip,
-    Stepped,
-};
-
-DramEngine dramEngineFromString(std::string_view text);
-const char* toString(DramEngine engine);
 
 /** Aggregate statistics of one channel (or summed across channels). */
 struct DramStats
@@ -142,8 +122,7 @@ class Channel
     Channel(const DramTiming& timing, std::uint32_t ranks,
             std::uint32_t reorder_window = 32,
             std::uint32_t hit_streak_cap = 16,
-            PagePolicy policy = PagePolicy::Open,
-            DramEngine engine = DramEngine::EventSkip);
+            PagePolicy policy = PagePolicy::Open);
 
     /** Enqueue; returns the request's sequence handle. Arrivals may
      *  be out of order — the queue is kept sorted by arrival (ties
@@ -248,7 +227,6 @@ class Channel
     std::uint32_t reorderWindow_;
     std::uint32_t hitStreakCap_;
     PagePolicy policy_;
-    DramEngine engine_;
 
     std::deque<Pending> pending_;
     std::vector<Bank> banks_;

@@ -47,7 +47,7 @@ DramSystem::DramSystem(const DramSystemConfig& cfg)
     for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
         channels_.emplace_back(cfg_.timing, cfg_.ranks,
                                cfg_.reorderWindow, cfg_.hitStreakCap,
-                               cfg_.pagePolicy, cfg_.engine);
+                               cfg_.pagePolicy);
     }
 }
 
@@ -269,7 +269,6 @@ DramMemory::DramMemory(const DramConfig& cfg, std::uint32_t word_bytes)
           sys.timing = timingPreset(cfg.tech);
           sys.channels = cfg.channels;
           sys.ranks = cfg.ranksPerChannel;
-          sys.engine = dramEngineFromString(cfg.engine);
           return sys;
       }()),
       wordBytes_(word_bytes == 0 ? 1 : word_bytes),

@@ -42,7 +42,6 @@ struct DramSystemConfig
     std::uint32_t reorderWindow = 32;
     std::uint32_t hitStreakCap = 16;
     PagePolicy pagePolicy = PagePolicy::Open;
-    DramEngine engine = DramEngine::EventSkip;
 };
 
 /** One entry of an externally supplied demand trace (§V-B Step 1). */

@@ -27,7 +27,7 @@ struct ArbiterStats
     /**
      * Grants where at least one other core wanted the same cycle:
      * each such grant adds (contenders - 1). Zero means the cores
-     * never collided and the static 1/N split would have been exact.
+     * never collided.
      */
     Count arbConflicts = 0;
     /** Contenders left waiting at each grant (occupancy of the

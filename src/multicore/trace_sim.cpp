@@ -1,32 +1,11 @@
 #include "multicore/trace_sim.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/log.hpp"
 
 namespace scalesim::multicore
 {
-
-ContentionModel
-contentionModelFromString(std::string_view text)
-{
-    std::string lower(text);
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (lower == "shared")
-        return ContentionModel::Shared;
-    if (lower == "static")
-        return ContentionModel::Static;
-    fatal("unknown contention model '%.*s' (shared|static)",
-          static_cast<int>(text.size()), text.data());
-}
-
-const char*
-toString(ContentionModel model)
-{
-    return model == ContentionModel::Shared ? "shared" : "static";
-}
 
 MultiCoreTraceSimulator::MultiCoreTraceSimulator(
     const MultiCoreTraceConfig& cfg)
@@ -34,45 +13,16 @@ MultiCoreTraceSimulator::MultiCoreTraceSimulator(
 {
     if (cfg_.pr == 0 || cfg_.pc == 0)
         fatal("multi-core grid must be non-zero");
-    if (cfg_.contention == ContentionModel::Static) {
-        // Cores execute concurrently but are simulated one after the
-        // other; shared-resource contention is approximated by giving
-        // every core a static 1/numCores share of the L2 port and DRAM
-        // bandwidth, with the time cursors rewound between cores.
-        const double cores = static_cast<double>(cfg_.pr * cfg_.pc);
-        dram_ = std::make_unique<systolic::BandwidthMemory>(
-            cfg_.dramWordsPerCycle / cores);
-        if (cfg_.useL2) {
-            SharedL2Config l2_cfg = cfg_.l2;
-            // The share may be fractional: clamping it up to a full
-            // word per cycle would let a grid wider than the L2 port
-            // model more aggregate bandwidth than the port has (the
-            // DRAM share above is not clamped either).
-            l2_cfg.wordsPerCycle = l2_cfg.wordsPerCycle / cores;
-            if (l2_cfg.wordsPerCycle < 1.0) {
-                warn("static contention model: %.0f cores on a "
-                     "%.0f-words/cycle L2 port leave each core a "
-                     "fractional %.3f words/cycle share",
-                     cores, cfg_.l2.wordsPerCycle,
-                     l2_cfg.wordsPerCycle);
-            }
-            l2_ = std::make_unique<SharedL2>(l2_cfg, *dram_);
-            coreView_ = l2_.get();
-        } else {
-            coreView_ = dram_.get();
-        }
+    // Every core sees the full L2 port and DRAM bandwidth; contention
+    // emerges from real collisions on the shared bus cursors as the
+    // engines are co-stepped.
+    dram_ = std::make_unique<systolic::BandwidthMemory>(
+        cfg_.dramWordsPerCycle);
+    if (cfg_.useL2) {
+        l2_ = std::make_unique<SharedL2>(cfg_.l2, *dram_);
+        coreView_ = l2_.get();
     } else {
-        // Shared timeline: every core sees the full L2 port and DRAM
-        // bandwidth; contention emerges from real collisions on the
-        // shared bus cursors as the engines are co-stepped.
-        dram_ = std::make_unique<systolic::BandwidthMemory>(
-            cfg_.dramWordsPerCycle);
-        if (cfg_.useL2) {
-            l2_ = std::make_unique<SharedL2>(cfg_.l2, *dram_);
-            coreView_ = l2_.get();
-        } else {
-            coreView_ = dram_.get();
-        }
+        coreView_ = dram_.get();
     }
 }
 
@@ -132,79 +82,6 @@ MultiCoreTraceSimulator::corePartition(
 
 MultiCoreTraceResult
 MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
-{
-    return cfg_.contention == ContentionModel::Static
-        ? runLayerStatic(layer) : runLayerShared(layer);
-}
-
-MultiCoreTraceResult
-MultiCoreTraceSimulator::runLayerStatic(const LayerSpec& layer)
-{
-    const GemmDims gemm = layer.toGemm();
-    const MappedDims mapped = systolic::mapGemmConventional(
-        gemm, cfg_.dataflow);
-    const auto sr_starts = shareStarts(mapped.sr, cfg_.pr);
-    const auto sc_starts = shareStarts(mapped.sc, cfg_.pc);
-
-    MemoryConfig mem;
-    const systolic::OperandMap global(gemm, mem);
-
-    const systolic::MemoryStats dram_before = dram_->stats();
-    const SharedL2Stats l2_before = l2_ ? l2_->l2Stats()
-                                        : SharedL2Stats{};
-    if (l2_)
-        l2_->invalidate();
-
-    MultiCoreTraceResult result;
-    result.perCore.reserve(cfg_.pr * cfg_.pc);
-
-    for (std::uint64_t i = 0; i < cfg_.pr; ++i) {
-        for (std::uint64_t j = 0; j < cfg_.pc; ++j) {
-            const std::uint64_t sr_off = sr_starts[i];
-            const std::uint64_t sr_share = sr_starts[i + 1] - sr_off;
-            const std::uint64_t sc_off = sc_starts[j];
-            const std::uint64_t sc_share = sc_starts[j + 1] - sc_off;
-            if (sr_share == 0 || sc_share == 0) {
-                result.perCore.emplace_back();
-                continue;
-            }
-
-            const CorePartition part = corePartition(
-                cfg_.dataflow, gemm, global, sr_off, sr_share, sc_off,
-                sc_share);
-            const systolic::FoldGrid grid(part.share, cfg_.dataflow,
-                                          cfg_.arrayRows,
-                                          cfg_.arrayCols);
-            dram_->resetTimeline();
-            if (l2_)
-                l2_->resetTimeline();
-            systolic::DoubleBufferedScratchpad l1(cfg_.l1, *coreView_);
-            const auto timing = l1.runLayer(grid, part.view);
-            result.makespan = std::max(result.makespan,
-                                       timing.totalCycles);
-            result.l1FillWords += timing.dramReadWords;
-            result.perCore.push_back(timing);
-        }
-    }
-
-    const systolic::MemoryStats& dram_after = dram_->stats();
-    result.dramReadWords = dram_after.readWords
-        - dram_before.readWords;
-    result.dramWriteWords = dram_after.writeWords
-        - dram_before.writeWords;
-    if (l2_) {
-        result.l2 = l2_->l2Stats();
-        result.l2.lookups -= l2_before.lookups;
-        result.l2.hits -= l2_before.hits;
-        result.l2.hitWords -= l2_before.hitWords;
-        result.l2.missWords -= l2_before.missWords;
-        result.l2.writeWords -= l2_before.writeWords;
-    }
-    return result;
-}
-
-MultiCoreTraceResult
-MultiCoreTraceSimulator::runLayerShared(const LayerSpec& layer)
 {
     const GemmDims gemm = layer.toGemm();
     const MappedDims mapped = systolic::mapGemmConventional(

@@ -8,17 +8,11 @@
  * this path surfaces L2 hit rates, the DRAM traffic the L2 saves, and
  * bandwidth-contention effects between cores.
  *
- * Two contention models (ContentionModel):
- *  - `Shared` (default): all cores' L1 engines are stepped against one
- *    shared timeline, a round-robin arbiter granting one memory
- *    transaction at a time; L2 port and DRAM bus contention emerge
- *    from real per-cycle collisions (the paper's concurrent-cores
- *    model). Deterministic and independent of core enumeration order.
- *  - `Static`: the historical approximation — cores simulated one
- *    after another with rewound time cursors and a fixed 1/numCores
- *    bandwidth share each; bursty collisions are invisible and shared
- *    L2 hit/miss numbers depend on core iteration order. Kept for A/B
- *    comparison against the shared model.
+ * All cores' L1 engines are stepped against one shared timeline, a
+ * round-robin arbiter granting one memory transaction at a time; L2
+ * port and DRAM bus contention emerge from real per-cycle collisions
+ * (the paper's concurrent-cores model). Results are deterministic and
+ * independent of core enumeration order.
  */
 
 #ifndef SCALESIM_MULTICORE_TRACE_SIM_HH
@@ -26,7 +20,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -37,21 +30,15 @@
 namespace scalesim::multicore
 {
 
-/** How shared-L2/DRAM contention between cores is modeled. */
+/** ContentionModel, MultiCoreEngine and the MultiCoreTraceConfig
+    fields `contention` and `engine` are unread: they remain only so
+    the benchmark harness, which still assigns them, compiles. The next
+    benchmark change deletes all of them. */
 enum class ContentionModel
 {
-    /** Cycle-interleaved co-simulation on one shared timeline. */
     Shared,
-    /** Sequential per-core runs with a static 1/N bandwidth share. */
-    Static,
 };
 
-/** Parse "shared" | "static" (case-insensitive). */
-ContentionModel contentionModelFromString(std::string_view text);
-const char* toString(ContentionModel model);
-
-/** Retained only so the benchmark harness, which still assigns
-    `engine`, compiles; the next benchmark change deletes it. */
 enum class MultiCoreEngine
 {
     Serial,
@@ -70,9 +57,8 @@ struct MultiCoreTraceConfig
     bool useL2 = true;
     /** Backing main-memory bandwidth (words/cycle). */
     double dramWordsPerCycle = 32.0;
-    /** Contention model (see file comment). */
+    /** Unread (see ContentionModel). */
     ContentionModel contention = ContentionModel::Shared;
-    /** Unread; kept for the benchmark harness (see MultiCoreEngine). */
     MultiCoreEngine engine = MultiCoreEngine::Serial;
     /**
      * Scan arbiter ports in reverse enumeration order. The grant is an
@@ -99,10 +85,10 @@ struct MultiCoreTraceResult
      * equals l2.hitWords + l2.missWords.
      */
     std::uint64_t l1FillWords = 0;
-    /** Arbiter grant stats (ContentionModel::Shared only). */
+    /** Arbiter grant stats. */
     ArbiterStats arb;
-    /** Per-core port stats, core-indexed (Shared only; empty cores
-     *  keep default entries). */
+    /** Per-core port stats, core-indexed (empty cores keep default
+     *  entries). */
     std::vector<MemoryPortStats> ports;
 
     /**
@@ -157,9 +143,6 @@ class MultiCoreTraceSimulator
                                                   std::uint64_t parts);
 
   private:
-    MultiCoreTraceResult runLayerStatic(const LayerSpec& layer);
-    MultiCoreTraceResult runLayerShared(const LayerSpec& layer);
-
     MultiCoreTraceConfig cfg_;
     std::unique_ptr<systolic::BandwidthMemory> dram_;
     std::unique_ptr<SharedL2> l2_;

@@ -77,7 +77,6 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
 
     h.mix(static_cast<std::uint8_t>(cfg.dram.enabled));
     h.mixString(cfg.dram.tech);
-    h.mixString(cfg.dram.engine);
     h.mix(cfg.dram.channels);
     h.mix(cfg.dram.ranksPerChannel);
     h.mix(cfg.dram.readQueueSize);

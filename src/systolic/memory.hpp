@@ -123,12 +123,8 @@ class BandwidthMemory : public MainMemory
 
     Cycle lastIssueWait() const override { return lastWait_; }
 
-    /**
-     * Rewind the bus cursor to time zero. Used when several agents
-     * that run concurrently in real time are simulated one after the
-     * other (their contention is then approximated by a static
-     * bandwidth share instead of the shared cursor).
-     */
+    /** Rewind the bus cursor to time zero, at a layer barrier where
+     *  every agent sharing the bus starts together. */
     void resetTimeline() { busFree_ = 0.0; }
 
   private:

@@ -283,6 +283,43 @@ TEST(SimConfig, RejectsRemovedMulticoreKeys)
         "multi-core co-stepping is serial");
 }
 
+TEST(SimConfig, RejectsRemovedDramEngineKey)
+{
+    // [memory] DramEngine picked a stepped reference controller that
+    // no longer exists.
+    expectFatalContaining(
+        [] {
+            SimConfig::fromIni(IniFile::parseString(
+                "[memory]\nDramModel = true\nDramEngine = eventskip\n",
+                "old.cfg"));
+        },
+        "old.cfg:3: memory.DramEngine: 'eventskip' is no longer "
+        "accepted");
+}
+
+TEST(SimConfig, RejectsUnknownEnumValuesWithFileAndLine)
+{
+    // These used to escape fromIni as std::invalid_argument (aborting
+    // the CLI with no location) or, for mode, silently run trace mode.
+    const auto parse = [](const char* text) {
+        SimConfig::fromIni(IniFile::parseString(text, "bad.cfg"));
+    };
+    expectFatalContaining(
+        [&] { parse("[architecture]\nArrayHeight = 8\nDataflow = zz\n"); },
+        "bad.cfg:3: architecture.Dataflow: 'zz' is not a dataflow");
+    expectFatalContaining(
+        [&] { parse("[sparsity]\nSparseRep = nope\n"); },
+        "bad.cfg:2: sparsity.SparseRep: 'nope' is not a sparse "
+        "representation");
+    expectFatalContaining(
+        [&] { parse("[general]\nmode = analyticl\n"); },
+        "bad.cfg:2: general.mode: 'analyticl' is not a mode");
+    EXPECT_EQ(SimConfig::fromIni(IniFile::parseString(
+                                     "[general]\nmode = Trace\n"))
+                  .mode,
+              SimMode::Trace);
+}
+
 TEST(SparseRatio, Parsing)
 {
     EXPECT_EQ(parseSparsityRatio("2:4"), std::make_pair(2u, 4u));

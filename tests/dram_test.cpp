@@ -2,12 +2,15 @@
  * @file
  * Unit tests for the DRAM substrate: timing presets, row-buffer
  * outcomes and their latency ordering, bank-level parallelism, channel
- * scaling, FR-FCFS reordering, address mapping, and the clock-domain
- * adapter.
+ * scaling, FR-FCFS reordering, address mapping, refresh, pinned
+ * controller goldens, and the clock-domain adapter.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "dram/system.hpp"
 
@@ -336,108 +339,101 @@ TEST(Refresh, TwoRanksRefreshIndependently)
     // tREFI/tRFC are per-rank: each rank follows its own cadence and a
     // refresh closes only that rank's row buffers. The old channel-wide
     // nextRefresh_ both undercounted (one shared cadence for two
-    // ranks) and closed every rank's rows on each refresh. Both
-    // engines must pin the same count — the closed-form catch-up of
-    // EventSkip is exact, not approximate.
+    // ranks) and closed every rank's rows on each refresh.
     DramTiming t = timingPreset("DDR4_2400");
     t.tREFI = 1000;
     t.tRFC = 100;
-    for (const DramEngine eng :
-         {DramEngine::EventSkip, DramEngine::Stepped}) {
-        Channel ch(t, 2, 32, 16, PagePolicy::Open, eng);
-        auto read = [&](std::uint32_t rank, Cycle arrival) {
-            DecodedAddr a;
-            a.rank = rank;
-            return ch.serviceUntil(ch.enqueue(a, false, arrival));
-        };
-        read(0, 1000); // lands in rank 0's first window: 1 refresh
-        read(1, 1500); // rank 1 catches up its own missed window: +1
-        read(0, 3500); // rank 0 catches up the 2000/3000 windows: +2
-        read(1, 3600); // rank 1 catches up the same two windows: +2
-        EXPECT_EQ(ch.stats().refreshes, 6u) << toString(eng);
-        // Every access found its bank closed (first touch or
-        // refreshed).
-        EXPECT_EQ(ch.stats().rowMisses, 4u) << toString(eng);
-        EXPECT_EQ(ch.stats().rowHits, 0u) << toString(eng);
-    }
+    Channel ch(t, 2);
+    auto read = [&](std::uint32_t rank, Cycle arrival) {
+        DecodedAddr a;
+        a.rank = rank;
+        return ch.serviceUntil(ch.enqueue(a, false, arrival));
+    };
+    read(0, 1000); // lands in rank 0's first window: 1 refresh
+    read(1, 1500); // rank 1 catches up its own missed window: +1
+    read(0, 3500); // rank 0 catches up the 2000/3000 windows: +2
+    read(1, 3600); // rank 1 catches up the same two windows: +2
+    EXPECT_EQ(ch.stats().refreshes, 6u);
+    // Every access found its bank closed (first touch or refreshed).
+    EXPECT_EQ(ch.stats().rowMisses, 4u);
+    EXPECT_EQ(ch.stats().rowHits, 0u);
 }
 
 TEST(Refresh, ClosedFormCatchUpCountIsExact)
 {
     // One request after a gap spanning many tREFI windows: the
-    // event-skipping engine must fold the missed windows into exactly
-    // floor((dt - tRFC - next) / tREFI) + 1 refreshes — the count the
-    // stepped loop produces one iteration at a time.
+    // closed-form catch-up must count exactly one refresh per elapsed
+    // window, floor((dt - tRFC - next) / tREFI) + 1 of them.
     DramTiming t = timingPreset("DDR4_2400");
     t.tREFI = 1000;
     t.tRFC = 100;
-    for (const DramEngine eng :
-         {DramEngine::EventSkip, DramEngine::Stepped}) {
-        Channel ch(t, 1, 32, 16, PagePolicy::Open, eng);
-        DecodedAddr a;
-        // Windows start at 1000; ends 1100, 2100, ..., 57100 <= 57321.
-        ch.serviceUntil(ch.enqueue(a, false, 57'321));
-        EXPECT_EQ(ch.stats().refreshes, 57u) << toString(eng);
-    }
+    Channel ch(t, 1);
+    DecodedAddr a;
+    // Windows start at 1000; ends 1100, 2100, ..., 57100 <= 57321.
+    ch.serviceUntil(ch.enqueue(a, false, 57'321));
+    EXPECT_EQ(ch.stats().refreshes, 57u);
 }
 
 // ---------------------------------------------------------------------
-// Engine A/B equivalence: EventSkip (production) vs Stepped
-// (reference). Identical completions, stats, and makespans on every
-// traffic shape, exactly like the ContentionModel::Static switch.
+// Controller goldens. Each Engine.Ab* case pins the per-request
+// latencies (FNV-1a digest), makespan and every DramStats field that
+// the event-skipping controller produced on its traffic shape while a
+// stepped reference engine still existed and matched it exactly.
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-void
-expectStatsEqual(const DramStats& a, const DramStats& b,
-                 const char* what)
+/** Every DramStats field, in declaration order. */
+struct StatsGolden
 {
-    EXPECT_EQ(a.reads, b.reads) << what;
-    EXPECT_EQ(a.writes, b.writes) << what;
-    EXPECT_EQ(a.rowHits, b.rowHits) << what;
-    EXPECT_EQ(a.rowMisses, b.rowMisses) << what;
-    EXPECT_EQ(a.rowConflicts, b.rowConflicts) << what;
-    EXPECT_EQ(a.refreshes, b.refreshes) << what;
-    EXPECT_EQ(a.readBytes, b.readBytes) << what;
-    EXPECT_EQ(a.writeBytes, b.writeBytes) << what;
-    EXPECT_EQ(a.totalReadLatency, b.totalReadLatency) << what;
-    EXPECT_EQ(a.firstArrival, b.firstArrival) << what;
-    EXPECT_EQ(a.lastCompletion, b.lastCompletion) << what;
+    Count reads, writes, rowHits, rowMisses, rowConflicts, refreshes;
+    std::uint64_t readBytes, writeBytes;
+    Cycle totalReadLatency, readQueueWait, readRefreshWait,
+        readServiceTime, firstArrival, lastCompletion;
+};
+
+void
+expectStats(const DramStats& s, const StatsGolden& g, const char* what)
+{
+    EXPECT_EQ(s.reads, g.reads) << what;
+    EXPECT_EQ(s.writes, g.writes) << what;
+    EXPECT_EQ(s.rowHits, g.rowHits) << what;
+    EXPECT_EQ(s.rowMisses, g.rowMisses) << what;
+    EXPECT_EQ(s.rowConflicts, g.rowConflicts) << what;
+    EXPECT_EQ(s.refreshes, g.refreshes) << what;
+    EXPECT_EQ(s.readBytes, g.readBytes) << what;
+    EXPECT_EQ(s.writeBytes, g.writeBytes) << what;
+    EXPECT_EQ(s.totalReadLatency, g.totalReadLatency) << what;
+    EXPECT_EQ(s.readQueueWait, g.readQueueWait) << what;
+    EXPECT_EQ(s.readRefreshWait, g.readRefreshWait) << what;
+    EXPECT_EQ(s.readServiceTime, g.readServiceTime) << what;
+    EXPECT_EQ(s.firstArrival, g.firstArrival) << what;
+    EXPECT_EQ(s.lastCompletion, g.lastCompletion) << what;
 }
 
-/** Run `trace` through both engines and demand bit-identity. */
-void
-expectEnginesAgree(DramSystemConfig cfg,
-                   const std::vector<TraceEntry>& trace,
-                   const char* what)
+std::uint64_t
+cycleDigest(const std::vector<Cycle>& cycles)
 {
-    cfg.engine = DramEngine::EventSkip;
-    DramSystem skip(cfg);
-    const TraceResult a = skip.runTrace(trace);
-    cfg.engine = DramEngine::Stepped;
-    DramSystem step(cfg);
-    const TraceResult b = step.runTrace(trace);
-    ASSERT_EQ(a.latency.size(), b.latency.size());
-    for (std::size_t i = 0; i < a.latency.size(); ++i)
-        EXPECT_EQ(a.latency[i], b.latency[i]) << what << " req " << i;
-    EXPECT_EQ(a.makespan, b.makespan) << what;
-    expectStatsEqual(a.stats, b.stats, what);
+    return Fnv1a::of(cycles.data(), cycles.size() * sizeof(Cycle));
+}
+
+/** Run `trace` and compare it with the pinned golden. */
+void
+expectTraceGolden(const DramSystemConfig& cfg,
+                  const std::vector<TraceEntry>& trace,
+                  std::uint64_t latency_digest, Cycle makespan,
+                  const StatsGolden& stats, const char* what)
+{
+    DramSystem sys(cfg);
+    const TraceResult r = sys.runTrace(trace);
+    ASSERT_EQ(r.latency.size(), trace.size()) << what;
+    EXPECT_EQ(cycleDigest(r.latency), latency_digest) << what;
+    EXPECT_EQ(r.makespan, makespan) << what;
+    expectStats(r.stats, stats, what);
 }
 
 } // namespace
-
-TEST(Engine, FromStringAndToString)
-{
-    EXPECT_EQ(dramEngineFromString("eventskip"), DramEngine::EventSkip);
-    EXPECT_EQ(dramEngineFromString("Event-Skip"), DramEngine::EventSkip);
-    EXPECT_EQ(dramEngineFromString("event_skip"), DramEngine::EventSkip);
-    EXPECT_EQ(dramEngineFromString("STEPPED"), DramEngine::Stepped);
-    EXPECT_THROW(dramEngineFromString("turbo"), FatalError);
-    EXPECT_STREQ(toString(DramEngine::EventSkip), "eventskip");
-    EXPECT_STREQ(toString(DramEngine::Stepped), "stepped");
-}
 
 TEST(Engine, AbStreamingIdentical)
 {
@@ -446,7 +442,10 @@ TEST(Engine, AbStreamingIdentical)
     for (int i = 0; i < 256; ++i)
         trace.push_back({static_cast<Cycle>(i) * 2,
                          static_cast<Addr>(i) * t.burstBytes, false});
-    expectEnginesAgree(config(), trace, "streaming");
+    expectTraceGolden(config(), trace, 0x9e45221f6025cbe1ull, 1631,
+                      {256, 0, 254, 2, 0, 0, 16384, 0, 155136, 148405,
+                       0, 6731, 0, 1631},
+                      "streaming");
 }
 
 TEST(Engine, AbRowThrashIdentical)
@@ -457,7 +456,10 @@ TEST(Engine, AbRowThrashIdentical)
     for (int i = 0; i < 128; ++i)
         trace.push_back({static_cast<Cycle>(i) * 7,
                          static_cast<Addr>(i % 3) * stride, false});
-    expectEnginesAgree(config(), trace, "row thrash");
+    expectTraceGolden(config(), trace, 0x27dc8c54cb8609f4ull, 1168,
+                      {128, 0, 118, 1, 9, 0, 8192, 0, 24240, 20532, 0,
+                       3708, 0, 1168},
+                      "row thrash");
 }
 
 TEST(Engine, AbMixedReadWriteIdentical)
@@ -470,14 +472,17 @@ TEST(Engine, AbMixedReadWriteIdentical)
             * t.burstBytes;
         trace.push_back({static_cast<Cycle>(i) * 5, addr, i % 3 == 0});
     }
-    expectEnginesAgree(config(), trace, "mixed rw");
+    expectTraceGolden(config(), trace, 0x3e7504eff7653734ull, 2103,
+                      {85, 43, 84, 16, 28, 0, 5440, 2752, 55906, 52840,
+                       0, 3066, 0, 2103},
+                      "mixed rw");
 }
 
 TEST(Engine, AbLongIdleGapsIdentical)
 {
     // Idle stretches spanning 1, 40, and 500 tREFI windows between
-    // bursts of traffic: the closed-form refresh catch-up and the
-    // stepped per-window loop must land on identical bank state.
+    // bursts of traffic: the closed-form refresh catch-up must land
+    // on the bank state and refresh count of one catch-up per window.
     const DramTiming t = timingPreset("DDR4_2400");
     std::vector<TraceEntry> trace;
     Cycle now = 0;
@@ -490,7 +495,10 @@ TEST(Engine, AbLongIdleGapsIdentical)
                              false});
         now += gap;
     }
-    expectEnginesAgree(config(), trace, "idle gaps");
+    expectTraceGolden(config(), trace, 0xa90df933c359ab97ull, 384306,
+                      {48, 0, 45, 3, 0, 41, 3072, 0, 17480, 15330, 817,
+                       1333, 0, 384306},
+                      "idle gaps");
 }
 
 TEST(Engine, AbTwoRanksFourChannelsIdentical)
@@ -504,7 +512,10 @@ TEST(Engine, AbTwoRanksFourChannelsIdentical)
             * t.burstBytes;
         trace.push_back({static_cast<Cycle>(i) * 3, addr, i % 4 == 0});
     }
-    expectEnginesAgree(cfg, trace, "two ranks four channels");
+    expectTraceGolden(cfg, trace, 0x29e7edc87eb86531ull, 1046,
+                      {192, 64, 128, 128, 0, 0, 12288, 4096, 38639,
+                       31847, 0, 6792, 0, 1046},
+                      "two ranks four channels");
 }
 
 TEST(Engine, AbClosedPageIdentical)
@@ -516,14 +527,16 @@ TEST(Engine, AbClosedPageIdentical)
     for (int i = 0; i < 128; ++i)
         trace.push_back({static_cast<Cycle>(i) * 11,
                          static_cast<Addr>(i) * t.burstBytes, false});
-    expectEnginesAgree(cfg, trace, "closed page");
+    expectTraceGolden(cfg, trace, 0x8ee1324f0d037429ull, 7076,
+                      {128, 0, 0, 128, 0, 0, 8192, 0, 369280, 359664, 0,
+                       9616, 0, 7076},
+                      "closed page");
 }
 
 TEST(Engine, AbOutOfOrderArrivalsIdentical)
 {
     // Arrival times deliberately not monotone in enqueue order — the
-    // ordered-insert queue must give both engines the same earliest-
-    // first service order.
+    // ordered-insert queue must service them earliest first.
     const DramTiming t = timingPreset("DDR4_2400");
     std::vector<TraceEntry> trace;
     for (int i = 0; i < 64; ++i) {
@@ -531,32 +544,31 @@ TEST(Engine, AbOutOfOrderArrivalsIdentical)
         trace.push_back({arrival, static_cast<Addr>(i) * t.burstBytes,
                          false});
     }
-    expectEnginesAgree(config(), trace, "out-of-order arrivals");
+    expectTraceGolden(config(), trace, 0x5896d05e15812417ull, 3170,
+                      {64, 0, 63, 1, 0, 0, 4096, 0, 1378, 21, 0, 1357,
+                       0, 3170},
+                      "out-of-order arrivals");
 }
 
 TEST(Engine, AbCoupledRequestFlowIdentical)
 {
     // The synchronous request() path (scratchpad flow) drains after
-    // each enqueue; both engines must return identical completions.
+    // each enqueue.
     const DramTiming t = timingPreset("DDR4_2400");
-    auto run = [&](DramEngine eng) {
-        DramSystemConfig cfg = config();
-        cfg.engine = eng;
-        DramSystem sys(cfg);
-        std::vector<Cycle> done;
-        for (int i = 0; i < 96; ++i) {
-            const Addr addr = static_cast<Addr>((i * 131) % 1024)
-                * t.burstBytes;
-            done.push_back(sys.request(addr, 3 * t.burstBytes,
-                                       i % 5 == 0,
-                                       static_cast<Cycle>(i) * 20));
-        }
-        return std::make_pair(done, sys.totalStats());
-    };
-    const auto [skip_done, skip_stats] = run(DramEngine::EventSkip);
-    const auto [step_done, step_stats] = run(DramEngine::Stepped);
-    EXPECT_EQ(skip_done, step_done);
-    expectStatsEqual(skip_stats, step_stats, "coupled flow");
+    DramSystem sys(config());
+    std::vector<Cycle> done;
+    for (int i = 0; i < 96; ++i) {
+        const Addr addr = static_cast<Addr>((i * 131) % 1024)
+            * t.burstBytes;
+        done.push_back(sys.request(addr, 3 * t.burstBytes, i % 5 == 0,
+                                   static_cast<Cycle>(i) * 20));
+    }
+    EXPECT_EQ(cycleDigest(done), 0xd8f54025cdccf409ull);
+    EXPECT_EQ(done.back(), 2240u);
+    expectStats(sys.totalStats(),
+                {228, 60, 280, 8, 0, 0, 14592, 3840, 58398, 52069, 0,
+                 6329, 0, 2256},
+                "coupled flow");
 }
 
 TEST(Channel, NextEventCycleTracksEarliestArrival)

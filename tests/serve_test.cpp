@@ -125,12 +125,6 @@ TEST(CacheKey, TimingRelevantConfigFieldsDiscriminate)
     dram.dram.enabled = true;
     EXPECT_NE(layerCacheKey(dram, layer, 0), base_key);
 
-    SimConfig engine = dram;
-    engine.dram.engine = dram.dram.engine == "event" ? "cycle"
-                                                     : "event";
-    EXPECT_NE(layerCacheKey(engine, layer, 0),
-              layerCacheKey(dram, layer, 0));
-
     SimConfig array = cfg;
     array.arrayRows = 32;
     EXPECT_NE(layerCacheKey(array, layer, 0), base_key);

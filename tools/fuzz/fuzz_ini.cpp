@@ -19,8 +19,8 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
     scalesim::setQuiet(true);
     const std::string text(reinterpret_cast<const char*>(data), size);
     try {
-        scalesim::IniFile ini;
-        ini.parseString(text, "fuzz.cfg");
+        const scalesim::IniFile ini =
+            scalesim::IniFile::parseString(text, "fuzz.cfg");
         const scalesim::SimConfig cfg = scalesim::SimConfig::fromIni(ini);
         (void)cfg;
     } catch (const scalesim::FatalError&) {
