@@ -126,38 +126,30 @@ Channel::serviceOne(const Pending& req)
         const std::size_t first =
             static_cast<std::size_t>(req.addr.rank)
             * timing_.banksPerRank;
-        auto refreshRank = [&](Cycle end) {
+        // `count` consecutive refreshes, the last ending at `end`: each
+        // counts once and leaves the rank's rows closed; their ends
+        // increase, so only the last one matters for preReady.
+        auto refreshRank = [&](std::uint64_t count, Cycle end) {
             for (std::size_t b = first;
                  b < first + timing_.banksPerRank; ++b) {
                 banks_[b].open = false;
                 banks_[b].preReady = std::max(banks_[b].preReady, end);
             }
-            ++stats_.refreshes;
-            next += timing_.tREFI;
+            stats_.refreshes += count;
+            next += count * timing_.tREFI;
         };
         // Refreshes whose window already closed before this request:
         // the i-th ends at next + i*tREFI + tRFC, so k = floor((dt -
-        // tRFC - next) / tREFI) + 1 of them fit before dt. Each counts
-        // once and leaves the rank's rows closed; their ends increase,
-        // so only the last one matters for preReady.
+        // tRFC - next) / tREFI) + 1 of them fit before dt.
         if (next + timing_.tRFC <= dt) {
             const std::uint64_t k =
                 (dt - timing_.tRFC - next) / timing_.tREFI + 1;
-            const Cycle last_end = next
-                + (k - 1) * timing_.tREFI + timing_.tRFC;
-            for (std::size_t b = first;
-                 b < first + timing_.banksPerRank; ++b) {
-                banks_[b].open = false;
-                banks_[b].preReady =
-                    std::max(banks_[b].preReady, last_end);
-            }
-            stats_.refreshes += k;
-            next += k * timing_.tREFI;
+            refreshRank(k, next + (k - 1) * timing_.tREFI + timing_.tRFC);
         }
         // Refresh in progress (or due) at dt: the request waits it out.
         if (dt >= next) {
             const Cycle end = next + timing_.tRFC;
-            refreshRank(end);
+            refreshRank(1, end);
             dt = end;
         }
     }
