@@ -7,7 +7,8 @@
  *
  * -s additionally writes the cycle-accurate SRAM demand traces
  * (IFMAP_SRAM_TRACE.csv etc.) and the main-memory request trace
- * (MEM_TRACE.csv, §V-B format) into the output directory.
+ * (MEM_TRACE.csv, §V-B format) of the simulated run itself into the
+ * output directory.
  *
  * Mirrors the original tool's flow: parse the .cfg, parse the topology
  * CSV (conv or GEMM format, with the v3 SparsitySupport column), run,
@@ -16,12 +17,16 @@
  * With no arguments it runs ResNet-18 on the default configuration.
  */
 
+#include <algorithm>
+#include <cinttypes>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "common/log.hpp"
@@ -30,7 +35,6 @@
 #include "core/simulator.hpp"
 #include "multicore/trace_sim.hpp"
 #include "obs/stats.hpp"
-#include "systolic/trace_io.hpp"
 
 using namespace scalesim;
 
@@ -69,6 +73,26 @@ usage()
     std::cerr << "\n";
 }
 
+/** Open `path` for writing; fatal() if it cannot be created. */
+std::ofstream
+openOutput(const std::string& path)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write %s", path.c_str());
+    return out;
+}
+
+/** Write `(source.*writer)(out)` to `path` and say so. */
+template <class Source, class Writer>
+void
+writeOutput(const std::string& path, const Source& source, Writer writer)
+{
+    std::ofstream out = openOutput(path);
+    (source.*writer)(out);
+    inform("wrote %s", path.c_str());
+}
+
 } // namespace
 
 int
@@ -82,46 +106,29 @@ main(int argc, char** argv)
     std::string stats_json_path;
     std::string json_path;
     std::string trace_path;
-    bool write_traces = false;
-    bool fold_cache = true;
-    bool audit = false;
     std::string interval_arg;
     std::string multicore_grid;
+    bool write_traces = false;
+    bool no_fold_cache = false;
+    bool audit = false;
+    const std::pair<std::string_view, std::string*> valued[] = {
+        {"-c", &config_path}, {"-t", &topology_path}, {"-w", &workload},
+        {"-o", &out_dir}, {"--stats", &stats_path},
+        {"--stats-json", &stats_json_path}, {"--json", &json_path},
+        {"--trace", &trace_path}, {"--interval", &interval_arg},
+        {"--multicore", &multicore_grid}};
+    const std::pair<std::string_view, bool*> flags[] = {
+        {"-s", &write_traces}, {"--no-fold-cache", &no_fold_cache},
+        {"--audit", &audit}};
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "-c") {
-            config_path = next();
-        } else if (arg == "-t") {
-            topology_path = next();
-        } else if (arg == "-w") {
-            workload = next();
-        } else if (arg == "-o") {
-            out_dir = next();
-        } else if (arg == "-s") {
-            write_traces = true;
-        } else if (arg == "--stats") {
-            stats_path = next();
-        } else if (arg == "--stats-json") {
-            stats_json_path = next();
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--trace") {
-            trace_path = next();
-        } else if (arg == "--no-fold-cache") {
-            fold_cache = false;
-        } else if (arg == "--audit") {
-            audit = true;
-        } else if (arg == "--interval") {
-            interval_arg = next();
-        } else if (arg == "--multicore") {
-            multicore_grid = next();
+        const std::string_view arg = argv[i];
+        auto named = [&](const auto& option) { return option.first == arg; };
+        const auto value = std::ranges::find_if(valued, named);
+        const auto flag = std::ranges::find_if(flags, named);
+        if (value != std::end(valued) && i + 1 < argc) {
+            *value->second = argv[++i];
+        } else if (flag != std::end(flags)) {
+            *flag->second = true;
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;
@@ -140,49 +147,49 @@ main(int argc, char** argv)
             : Topology::load(topology_path);
         if (!trace_path.empty())
             cfg.memory.recordFoldSpans = true;
-        if (!fold_cache)
+        if (no_fold_cache)
             cfg.foldCache = false;
         if (audit)
             cfg.audit = true;
-        if (!interval_arg.empty()) {
-            std::uint64_t interval = 0;
-            if (parseUint64(interval_arg, interval)
-                != NumberParse::Ok) {
-                fatal("--interval expects a cycle count, got '%s'",
-                      interval_arg.c_str());
+        auto write_stats = [&](const obs::StatsRegistry& reg) {
+            if (!stats_path.empty())
+                writeOutput(stats_path, reg, &obs::StatsRegistry::dump);
+            if (!stats_json_path.empty()) {
+                writeOutput(stats_json_path, reg,
+                            &obs::StatsRegistry::dumpJson);
             }
-            cfg.intervalCycles = interval;
+        };
+        if (!interval_arg.empty()
+            && parseUint64(interval_arg, cfg.intervalCycles)
+                   != NumberParse::Ok) {
+            fatal("--interval expects a cycle count, got '%s'",
+                  interval_arg.c_str());
         }
 
         if (!multicore_grid.empty()) {
             // Trace-level multi-core path: partition each layer over a
             // PrxPc grid of arrays sharing an L2 and the DRAM bus.
-            std::uint64_t pr = 0, pc = 0;
+            multicore::MultiCoreTraceConfig mc;
             const std::string_view grid = multicore_grid;
             const std::size_t cross = grid.find('x');
             if (cross == std::string_view::npos
-                || parseUint64(grid.substr(0, cross), pr)
+                || parseUint64(grid.substr(0, cross), mc.pr)
                        != NumberParse::Ok
-                || parseUint64(grid.substr(cross + 1), pc)
+                || parseUint64(grid.substr(cross + 1), mc.pc)
                        != NumberParse::Ok
-                || pr == 0 || pc == 0) {
+                || mc.pr == 0 || mc.pc == 0) {
                 fatal("--multicore expects PRxPC (e.g. 2x2), got '%s'",
                       multicore_grid.c_str());
             }
-            multicore::MultiCoreTraceConfig mc;
-            mc.pr = pr;
-            mc.pc = pc;
             mc.arrayRows = cfg.arrayRows;
             mc.arrayCols = cfg.arrayCols;
             mc.dataflow = cfg.dataflow;
             mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
             mc.l1 = systolic::scratchpadConfig(cfg);
 
-            inform("running %s (%zu layers) on a %llux%llu grid of "
-                   "%ux%u %s arrays",
-                   topo.name.c_str(), topo.layers.size(),
-                   static_cast<unsigned long long>(pr),
-                   static_cast<unsigned long long>(pc),
+            inform("running %s (%zu layers) on a %" PRIu64 "x%" PRIu64
+                   " grid of %ux%u %s arrays",
+                   topo.name.c_str(), topo.layers.size(), mc.pr, mc.pc,
                    cfg.arrayRows, cfg.arrayCols,
                    toString(cfg.dataflow).c_str());
 
@@ -196,11 +203,10 @@ main(int argc, char** argv)
             for (std::size_t li = 0; li < topo.layers.size(); ++li) {
                 const auto& layer = topo.layers[li];
                 const auto res = mcs.runLayer(layer);
-                res.registerStats(reg,
-                                  "mc.l" + std::to_string(li));
+                const std::uint64_t reps = layer.repetitions;
+                const std::string scope = "mc.l" + std::to_string(li);
+                res.registerStats(reg, scope);
                 if (audit) {
-                    const std::string scope = "mc.l"
-                        + std::to_string(li);
                     auditor.auditArbiter(res, mc.useL2, scope);
                     for (std::size_t c = 0; c < res.perCore.size();
                          ++c) {
@@ -213,10 +219,10 @@ main(int argc, char** argv)
                             res.perCore[c].totalCycles, core_scope);
                     }
                 }
-                makespan += res.makespan;
-                conflicts += res.arb.arbConflicts;
-                dram_read += res.dramReadWords;
-                dram_write += res.dramWriteWords;
+                makespan += res.makespan * reps;
+                conflicts += res.arb.arbConflicts * reps;
+                dram_read += res.dramReadWords * reps;
+                dram_write += res.dramWriteWords * reps;
                 std::cout << layer.name << ": makespan "
                           << res.makespan << " cycles, dram "
                           << res.dramReadWords << "r/"
@@ -237,19 +243,7 @@ main(int argc, char** argv)
                 auditor.report().writeReport(std::cerr);
             }
 
-            auto dump_to = [&](const std::string& path,
-                               auto writer) {
-                std::ofstream out(path);
-                if (!out)
-                    fatal("cannot write %s", path.c_str());
-                (reg.*writer)(out);
-                inform("wrote %s", path.c_str());
-            };
-            if (!stats_path.empty())
-                dump_to(stats_path, &obs::StatsRegistry::dump);
-            if (!stats_json_path.empty())
-                dump_to(stats_json_path,
-                        &obs::StatsRegistry::dumpJson);
+            write_stats(reg);
             if (!json_path.empty() || !trace_path.empty()
                 || write_traces || cfg.intervalCycles > 0) {
                 warn("--json/--trace/-s/--interval are single-core "
@@ -258,102 +252,62 @@ main(int argc, char** argv)
             return audit && !auditor.report().clean() ? 2 : 0;
         }
 
+        // -s: the run streams its traces straight into these files.
+        std::filesystem::create_directories(out_dir);
+        std::vector<std::ofstream> trace_files;
+        core::TraceStreams traces;
+        if (write_traces) {
+            for (const char* name : {"IFMAP_SRAM_TRACE.csv",
+                                     "FILTER_SRAM_TRACE.csv",
+                                     "OFMAP_SRAM_TRACE.csv",
+                                     "OFMAP_READ_SRAM_TRACE.csv",
+                                     "MEM_TRACE.csv"})
+                trace_files.push_back(openOutput(out_dir + "/" + name));
+            traces = {&trace_files[0], &trace_files[1], &trace_files[2],
+                      &trace_files[3], &trace_files[4]};
+        }
+
         inform("running %s (%zu layers) on a %ux%u %s array",
                topo.name.c_str(), topo.layers.size(), cfg.arrayRows,
                cfg.arrayCols, toString(cfg.dataflow).c_str());
-        core::Simulator sim(cfg);
-        const core::RunResult run = sim.run(topo);
-
-        std::filesystem::create_directories(out_dir);
-        auto write = [&](const char* name, auto writer) {
-            const std::string path = out_dir + "/" + name;
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot write %s", path.c_str());
-            (run.*writer)(out);
-            inform("wrote %s", path.c_str());
-        };
-        write("COMPUTE_REPORT.csv", &core::RunResult::writeComputeReport);
-        write("BANDWIDTH_REPORT.csv",
-              &core::RunResult::writeBandwidthReport);
-        if (cfg.sparsity.enabled || cfg.sparsity.optimizedMapping) {
-            write("SPARSE_REPORT.csv",
-                  &core::RunResult::writeSparseReport);
+        const core::RunResult run = core::Simulator(cfg, traces).run(topo);
+        for (std::ofstream& file : trace_files) {
+            if (!file.flush())
+                fatal("cannot write the traces in %s", out_dir.c_str());
         }
+        if (write_traces)
+            inform("wrote SRAM and memory traces to %s", out_dir.c_str());
+
+        auto report = [&](const char* name, auto writer) {
+            writeOutput(out_dir + "/" + name, run, writer);
+        };
+        report("COMPUTE_REPORT.csv", &core::RunResult::writeComputeReport);
+        report("BANDWIDTH_REPORT.csv",
+               &core::RunResult::writeBandwidthReport);
+        if (cfg.sparsity.enabled || cfg.sparsity.optimizedMapping)
+            report("SPARSE_REPORT.csv", &core::RunResult::writeSparseReport);
         if (cfg.energy.enabled) {
-            write("ENERGY_REPORT.csv",
-                  &core::RunResult::writeEnergyReport);
-            write("POWER_REPORT.csv", &core::RunResult::writePowerReport);
+            report("ENERGY_REPORT.csv", &core::RunResult::writeEnergyReport);
+            report("POWER_REPORT.csv", &core::RunResult::writePowerReport);
         }
 
         // Observability outputs go to explicit paths (not out_dir).
-        auto write_to = [&](const std::string& path, auto writer) {
-            std::ofstream out(path);
-            if (!out)
-                fatal("cannot write %s", path.c_str());
-            (run.*writer)(out);
-            inform("wrote %s", path.c_str());
-        };
-        if (!stats_path.empty())
-            write_to(stats_path, &core::RunResult::writeStats);
-        if (!stats_json_path.empty())
-            write_to(stats_json_path, &core::RunResult::writeStatsJson);
+        write_stats(run.stats);
         if (!json_path.empty())
-            write_to(json_path, &core::RunResult::writeJson);
-        if (!trace_path.empty())
-            write_to(trace_path, &core::RunResult::writeChromeTrace);
-
-        if (!run.intervals.empty()) {
-            auto write_series = [&](const char* name, auto method) {
-                const std::string path = out_dir + "/" + name;
-                std::ofstream out(path);
-                if (!out)
-                    fatal("cannot write %s", path.c_str());
-                (run.intervals.*method)(out);
-                inform("wrote %s", path.c_str());
-            };
-            write_series("INTERVAL_STATS.txt",
-                         &obs::IntervalSeries::writeStatsText);
-            write_series("INTERVAL_SERIES.csv",
-                         &obs::IntervalSeries::writeCsv);
-            write_series("INTERVAL_SERIES.json",
-                         &obs::IntervalSeries::writeJson);
+            writeOutput(json_path, run, &core::RunResult::writeJson);
+        if (!trace_path.empty()) {
+            writeOutput(trace_path, run,
+                        &core::RunResult::writeChromeTrace);
         }
 
-        if (write_traces) {
-            // Cycle-accurate SRAM traces from one demand pass per
-            // layer, plus the §V-B main-memory request trace.
-            std::ofstream ifmap_out(out_dir + "/IFMAP_SRAM_TRACE.csv");
-            std::ofstream filter_out(out_dir
-                                     + "/FILTER_SRAM_TRACE.csv");
-            std::ofstream ofmap_out(out_dir + "/OFMAP_SRAM_TRACE.csv");
-            std::ofstream oread_out(out_dir
-                                    + "/OFMAP_READ_SRAM_TRACE.csv");
-            systolic::BandwidthMemory inner(
-                cfg.memory.bandwidthWordsPerCycle);
-            systolic::TracingMemory tracer(inner,
-                                           cfg.memory.wordBytes);
-            systolic::DoubleBufferedScratchpad spad(
-                systolic::scratchpadConfig(cfg), tracer);
-            for (const auto& layer : topo.layers) {
-                const auto operands = systolic::OperandMap::forLayer(
-                    layer, cfg.memory);
-                systolic::DemandGenerator gen(
-                    layer.toGemm(), cfg.dataflow, cfg.arrayRows,
-                    cfg.arrayCols, operands);
-                gen.setFoldCache(cfg.foldCache);
-                systolic::SramTraceWriter writer(&ifmap_out,
-                                                 &filter_out,
-                                                 &ofmap_out,
-                                                 &oread_out);
-                gen.run(writer);
-                spad.reset();
-                spad.runLayer(gen.grid(), operands);
-            }
-            std::ofstream mem_out(out_dir + "/MEM_TRACE.csv");
-            systolic::writeMemTrace(mem_out, tracer.records());
-            inform("wrote SRAM and memory traces to %s",
-                   out_dir.c_str());
+        if (!run.intervals.empty()) {
+            const std::string series = out_dir + "/INTERVAL_";
+            writeOutput(series + "STATS.txt", run.intervals,
+                        &obs::IntervalSeries::writeStatsText);
+            writeOutput(series + "SERIES.csv", run.intervals,
+                        &obs::IntervalSeries::writeCsv);
+            writeOutput(series + "SERIES.json", run.intervals,
+                        &obs::IntervalSeries::writeJson);
         }
 
         run.writeSummary(std::cout);

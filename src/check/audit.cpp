@@ -54,6 +54,9 @@ lawTable()
         {"cpi.conservation",
          "CPI-stack buckets partition wall-clock time: per-cause "
          "cycle buckets sum exactly to totalCycles"},
+        {"trace.agreement",
+         "main-memory trace rows equal the layer's DRAM requests; "
+         "every request cycle lies within the layer's span"},
     };
     return laws;
 }
@@ -586,6 +589,31 @@ InvariantAuditor::auditMemoryTraffic(
            " != memory-model write requests %" PRIu64,
            static_cast<std::uint64_t>(spad_totals.dramWriteRequests),
            static_cast<std::uint64_t>(mem.writeRequests));
+}
+
+void
+InvariantAuditor::auditTraceAgreement(
+    std::span<const systolic::MemTraceRecord> records,
+    const systolic::LayerTiming& timing, Cycle layer_start,
+    std::string_view scope)
+{
+    const char* law = "trace.agreement";
+    const std::uint64_t requests =
+        timing.dramReadRequests + timing.dramWriteRequests;
+    verify(records.size() == requests, law, scope,
+           "memory trace rows %zu != scratchpad DRAM requests %" PRIu64,
+           records.size(), requests);
+    const Cycle layer_end = layer_start + timing.totalCycles;
+    const auto outside = std::find_if(
+        records.begin(), records.end(), [&](const auto& rec) {
+            return rec.cycle < layer_start || rec.cycle > layer_end;
+        });
+    verify(outside == records.end(), law, scope,
+           "memory trace row %td at cycle %" PRIu64
+           " outside the layer span [%" PRIu64 ", %" PRIu64 "]",
+           outside - records.begin(),
+           outside == records.end() ? Cycle{0} : outside->cycle,
+           layer_start, layer_end);
 }
 
 void

@@ -52,6 +52,10 @@
  *                            multi-core port-level read-latency split
  *                            (portWait + queue + refresh + service)
  *                            covers totalReadLatency per port
+ *   trace.agreement          the main-memory trace of a layer has one
+ *                            record per DRAM request the scratchpad
+ *                            issued, each at a cycle inside the
+ *                            layer's span of the run timeline
  */
 
 #ifndef SCALESIM_CHECK_AUDIT_HH
@@ -59,6 +63,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +76,7 @@
 #include "obs/stats.hpp"
 #include "systolic/demand.hpp"
 #include "systolic/scratchpad.hpp"
+#include "systolic/trace_io.hpp"
 
 namespace scalesim::check
 {
@@ -206,6 +212,17 @@ class InvariantAuditor
     void auditMemoryTraffic(const systolic::LayerTiming& spad_totals,
                             const systolic::MemoryStats& mem,
                             std::string_view scope);
+
+    /**
+     * trace.agreement: `records` are one layer instance's main-memory
+     * trace, issued from `layer_start` on the run timeline; their
+     * count must equal the layer's DRAM requests and every cycle must
+     * lie in [layer_start, layer_start + timing.totalCycles].
+     */
+    void auditTraceAgreement(
+        std::span<const systolic::MemTraceRecord> records,
+        const systolic::LayerTiming& timing, Cycle layer_start,
+        std::string_view scope);
 
     /** mc.arbConservation over one multi-core layer result, plus the
         per-port cpi.conservation read-latency split. */

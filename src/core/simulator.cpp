@@ -13,11 +13,18 @@
 namespace scalesim::core
 {
 
-Simulator::Simulator(const SimConfig& cfg)
-    : cfg_(cfg)
+Simulator::Simulator(const SimConfig& cfg, TraceStreams traces)
+    : cfg_(cfg), memTrace_(traces.memory)
 {
     cfg_.validate();
     init();
+    if (traces.ifmapSram || traces.filterSram || traces.ofmapSram
+        || traces.ofmapReadSram) {
+        sramTrace_.emplace(traces.ifmapSram, traces.filterSram,
+                           traces.ofmapSram, traces.ofmapReadSram);
+    }
+    if (memTrace_)
+        systolic::writeMemTrace(*memTrace_, {});
 }
 
 void
@@ -31,6 +38,11 @@ Simulator::init()
         bandwidthMemory_ = std::make_unique<systolic::BandwidthMemory>(
             cfg_.memory.bandwidthWordsPerCycle);
         memory_ = bandwidthMemory_.get();
+    }
+    if (memTrace_) {
+        tracer_ = std::make_unique<systolic::TracingMemory>(
+            *memory_, cfg_.memory.wordBytes);
+        memory_ = tracer_.get();
     }
 
     scratchpad_ = std::make_unique<systolic::DoubleBufferedScratchpad>(
@@ -59,6 +71,7 @@ Simulator::reset()
     // state, and the auditor accumulates checks. Dropping them first
     // releases the scratchpad's reference into the old memory model.
     scratchpad_.reset();
+    tracer_.reset();
     dram_.reset();
     bandwidthMemory_.reset();
     memory_ = nullptr;
@@ -118,15 +131,15 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
     }
     result.mappingEfficiency = grid.mappingEfficiency();
 
-    // 2. Demand-driven passes (trace mode): layout slowdown and exact
-    //    energy action counts share one generation pass.
-    const bool want_trace = cfg_.mode == SimMode::Trace
+    // 2. Demand-driven passes: layout slowdown, exact energy action
+    //    counts (trace mode) and the SRAM traces share one pass.
+    const bool model_pass = cfg_.mode == SimMode::Trace
         && (cfg_.layout.enabled || cfg_.energy.enabled);
     const bool sparse_trace_ok = !sparse_model.active()
         || cfg_.dataflow == Dataflow::WeightStationary;
     std::optional<layout::BankConflictEvaluator> layout_eval;
     std::optional<energy::ActionCountVisitor> action_visitor;
-    if (want_trace && sparse_trace_ok) {
+    if ((model_pass || sramTrace_) && sparse_trace_ok) {
         const sparse::SparsityPattern* gather = sparse_model.active()
             ? &sparse_model.pattern() : nullptr;
         systolic::DemandGenerator generator(
@@ -134,7 +147,7 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
             cfg_.arrayCols, operands, gather);
         generator.setFoldCache(cfg_.foldCache);
         std::vector<systolic::DemandVisitor*> sinks;
-        if (cfg_.layout.enabled) {
+        if (model_pass && cfg_.layout.enabled) {
             layout_eval.emplace(
                 cfg_.layout,
                 layout::OperandLayouts::forOperands(
@@ -142,16 +155,20 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
                     layout::LayoutScheme::RowMajor));
             sinks.push_back(&*layout_eval);
         }
-        if (cfg_.energy.enabled) {
+        if (model_pass && cfg_.energy.enabled) {
             action_visitor.emplace(cfg_.energy);
             sinks.push_back(&*action_visitor);
         }
+        if (sramTrace_)
+            sinks.push_back(&*sramTrace_);
         systolic::TeeVisitor tee(std::move(sinks));
         {
             const auto prof = profiler_.scope(SimPhase::DemandGen);
             generator.run(tee);
         }
-        foldCacheStats_.merge(generator.foldCacheStats());
+        // A pass run only for the SRAM traces leaves the counters alone.
+        if (model_pass)
+            foldCacheStats_.merge(generator.foldCacheStats());
         if (auditor_ && action_visitor) {
             // Audit the raw per-layer counts before stall/SIMD cycles
             // and sparse-metadata reads are folded in below; the
@@ -186,12 +203,21 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
         auditor_->auditRuntimeEnvelope(result.timing, grid,
                                        result.layoutSlowdown,
                                        result.name);
+        if (tracer_) {
+            auditor_->auditTraceAgreement(tracer_->records(),
+                                          result.timing, timeline_,
+                                          result.name);
+        }
         if (cfg_.mode == SimMode::Trace && !sparse_model.active()) {
             const auto prof = profiler_.scope(SimPhase::DemandGen);
             auditor_->auditFoldReplayFidelity(
                 result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
                 cfg_.arrayCols, operands, result.name);
         }
+    }
+    if (tracer_) {
+        systolic::writeMemTrace(*memTrace_, tracer_->records(), false);
+        tracer_->clearRecords();
     }
 
     // Element-wise tail on the vector unit, serialized after the
@@ -310,18 +336,24 @@ Simulator::run(const Topology& topology)
         sampler.finish(timeline_, snap);
         run.intervals = sampler.takeSeries();
     }
-    // Layout slowdown comes only from the trace-mode demand pass, which
-    // sparse OS/IS layers skip; unlike energy it has no analytical
-    // fallback, so say when the knob had no effect.
+    // Layout slowdown and SRAM traces come only from the demand pass,
+    // which sparse OS/IS layers skip; unlike energy neither has an
+    // analytical fallback, so say when they are missing.
+    const auto sparse_layers = std::count_if(
+        run.layers.begin(), run.layers.end(),
+        [](const LayerResult& l) { return l.sparse.has_value(); });
+    const bool sparse_skipped = cfg_.dataflow != Dataflow::WeightStationary
+        && sparse_layers > 0;
+    if (sramTrace_ && sparse_skipped) {
+        warn("SRAM traces skip %td sparse layer(s): sparse %s layers "
+             "have no demand stream",
+             sparse_layers, toString(cfg_.dataflow).c_str());
+    }
     if (cfg_.layout.enabled) {
-        const auto sparse_layers = std::count_if(
-            run.layers.begin(), run.layers.end(),
-            [](const LayerResult& l) { return l.sparse.has_value(); });
         if (cfg_.mode != SimMode::Trace) {
             warn("LayoutModel ignored: the layout model needs trace "
                  "mode; layoutSlowdown stays 1.0");
-        } else if (cfg_.dataflow != Dataflow::WeightStationary
-                   && sparse_layers > 0) {
+        } else if (sparse_skipped) {
             warn("LayoutModel ignored on %td sparse layer(s): sparse "
                  "%s layers have no demand trace; their layoutSlowdown "
                  "stays 1.0",

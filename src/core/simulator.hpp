@@ -28,6 +28,7 @@
 #include "obs/stats.hpp"
 #include "sparse/model.hpp"
 #include "systolic/scratchpad.hpp"
+#include "systolic/trace_io.hpp"
 
 namespace scalesim::core
 {
@@ -183,11 +184,24 @@ struct RunResult
     void registerTotals(obs::StatsRegistry& reg) const;
 };
 
+/**
+ * Trace taps on a Simulator's run (DESIGN.md "Trace outputs"). Null
+ * streams cost nothing; the others must outlive the Simulator.
+ */
+struct TraceStreams
+{
+    std::ostream* ifmapSram = nullptr;
+    std::ostream* filterSram = nullptr;
+    std::ostream* ofmapSram = nullptr;
+    std::ostream* ofmapReadSram = nullptr;
+    std::ostream* memory = nullptr;
+};
+
 /** The v3 simulator. One instance per accelerator configuration. */
 class Simulator
 {
   public:
-    explicit Simulator(const SimConfig& cfg);
+    explicit Simulator(const SimConfig& cfg, TraceStreams traces = {});
     ~Simulator();
 
     const SimConfig& config() const { return cfg_; }
@@ -245,9 +259,13 @@ class Simulator
     void init();
 
     SimConfig cfg_;
+    std::ostream* memTrace_; ///< TraceStreams::memory
+    /** Set iff an SRAM stream is attached; flushes at every layer end. */
+    std::optional<systolic::SramTraceWriter> sramTrace_;
     std::unique_ptr<systolic::BandwidthMemory> bandwidthMemory_;
     std::unique_ptr<dram::DramMemory> dram_;
-    systolic::MainMemory* memory_; // non-owning view of the active one
+    std::unique_ptr<systolic::TracingMemory> tracer_;
+    systolic::MainMemory* memory_; // non-owning: what the spad drives
     std::unique_ptr<systolic::DoubleBufferedScratchpad> scratchpad_;
     std::unique_ptr<energy::EnergyModel> energyModel_;
     /** Running clock across layers (keeps memory time aligned). */

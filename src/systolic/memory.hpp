@@ -51,13 +51,6 @@ struct MemoryStats
         return readRequests
             ? static_cast<double>(totalReadLatency) / readRequests : 0.0;
     }
-    double
-    avgWriteLatency() const
-    {
-        return writeRequests
-            ? static_cast<double>(totalWriteLatency) / writeRequests
-            : 0.0;
-    }
 
     void
     merge(const MemoryStats& other)
@@ -98,7 +91,6 @@ class MainMemory
     virtual Cycle lastIssueWait() const { return 0; }
 
     const MemoryStats& stats() const { return stats_; }
-    void clearStats() { stats_ = {}; }
 
   protected:
     MemoryStats stats_;

@@ -244,6 +244,7 @@ SramTraceWriter::cycle(Cycle clk, std::span<const Addr> ifmap_reads,
 TracingMemory::TracingMemory(MainMemory& inner, std::uint32_t word_bytes)
     : inner_(inner), wordBytes_(word_bytes == 0 ? 1 : word_bytes)
 {
+    stats_ = inner_.stats();
 }
 
 Cycle
@@ -252,9 +253,7 @@ TracingMemory::issueRead(Addr addr, Count words, Cycle now)
     records_.push_back({now, addr * wordBytes_, words * wordBytes_,
                         false});
     const Cycle done = inner_.issueRead(addr, words, now);
-    ++stats_.readRequests;
-    stats_.readWords += words;
-    stats_.totalReadLatency += done - now;
+    stats_ = inner_.stats();
     return done;
 }
 
@@ -264,17 +263,16 @@ TracingMemory::issueWrite(Addr addr, Count words, Cycle now)
     records_.push_back({now, addr * wordBytes_, words * wordBytes_,
                         true});
     const Cycle done = inner_.issueWrite(addr, words, now);
-    ++stats_.writeRequests;
-    stats_.writeWords += words;
-    stats_.totalWriteLatency += done - now;
+    stats_ = inner_.stats();
     return done;
 }
 
 void
 writeMemTrace(std::ostream& out,
-              const std::vector<MemTraceRecord>& records)
+              const std::vector<MemTraceRecord>& records, bool header)
 {
-    out << "# cycle, address, bytes, type\n";
+    if (header)
+        out << "# cycle, address, bytes, type\n";
     for (const auto& rec : records) {
         out << rec.cycle << ", " << rec.byteAddr << ", " << rec.bytes
             << ", " << (rec.write ? 'W' : 'R') << "\n";

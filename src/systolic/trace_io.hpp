@@ -109,7 +109,11 @@ struct MemTraceRecord
     bool operator==(const MemTraceRecord&) const = default;
 };
 
-/** MainMemory decorator that records every transaction it forwards. */
+/**
+ * MainMemory decorator that records every transaction it forwards.
+ * Transparent: timing, lastIssueWait() and every MemoryStats field
+ * mirror the inner model.
+ */
 class TracingMemory : public MainMemory
 {
   public:
@@ -117,6 +121,8 @@ class TracingMemory : public MainMemory
 
     Cycle issueRead(Addr addr, Count words, Cycle now) override;
     Cycle issueWrite(Addr addr, Count words, Cycle now) override;
+
+    Cycle lastIssueWait() const override { return inner_.lastIssueWait(); }
 
     const std::vector<MemTraceRecord>& records() const
     {
@@ -130,9 +136,11 @@ class TracingMemory : public MainMemory
     std::vector<MemTraceRecord> records_;
 };
 
-/** Write records as "cycle, address, bytes, R|W" CSV lines. */
+/** Write records as "cycle, address, bytes, R|W" CSV lines, after a
+ *  column header unless `header` is false (a later part of a trace). */
 void writeMemTrace(std::ostream& out,
-                   const std::vector<MemTraceRecord>& records);
+                   const std::vector<MemTraceRecord>& records,
+                   bool header = true);
 
 /** Parse a trace written by writeMemTrace; fatal() on bad rows. */
 std::vector<MemTraceRecord> readMemTrace(std::istream& in);

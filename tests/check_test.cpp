@@ -17,6 +17,7 @@
 #include "core/simulator.hpp"
 #include "energy/action_counts.hpp"
 #include "systolic/demand.hpp"
+#include "systolic/trace_io.hpp"
 
 using namespace scalesim;
 using namespace scalesim::check;
@@ -63,7 +64,7 @@ traceActionCounts(const GemmDims& gemm, Dataflow df,
 TEST(AuditReport, LawTableIsStableAndUnique)
 {
     const auto& laws = InvariantAuditor::laws();
-    EXPECT_EQ(laws.size(), 12u);
+    EXPECT_EQ(laws.size(), 13u);
     std::set<std::string> names;
     for (const auto& law : laws) {
         EXPECT_FALSE(law.description.empty()) << law.name;
@@ -74,6 +75,7 @@ TEST(AuditReport, LawTableIsStableAndUnique)
     EXPECT_TRUE(names.count("foldCache.replayFidelity"));
     EXPECT_TRUE(names.count("run.totalsAccounting"));
     EXPECT_TRUE(names.count("cpi.conservation"));
+    EXPECT_TRUE(names.count("trace.agreement"));
 }
 
 TEST(AuditReport, RegisterStatsIsSchemaStable)
@@ -342,6 +344,47 @@ TEST(Auditor, MemoryTrafficFaultInjection)
     faulty.auditMemoryTraffic(spad, mem, "run");
     EXPECT_EQ(violationsOf(faulty.report(), "mem.trafficConservation"),
               1u);
+}
+
+TEST(Auditor, TraceAgreementFaultInjection)
+{
+    // A layer traced at cycle 5000 of the run timeline: its records
+    // sit inside [5000, 5000 + totalCycles] until one is shifted past
+    // the end or dropped.
+    const GemmDims gemm{64, 32, 48};
+    systolic::BandwidthMemory inner(4.0);
+    systolic::TracingMemory tracer(inner, 1);
+    systolic::DoubleBufferedScratchpad spad(systolic::ScratchpadConfig{},
+                                            tracer);
+    const systolic::FoldGrid grid(gemm, Dataflow::WeightStationary, 16,
+                                  16);
+    const Cycle start = 5000;
+    const systolic::LayerTiming timing = spad.runLayer(
+        grid, systolic::OperandMap(gemm, MemoryConfig{}), start);
+    std::vector<systolic::MemTraceRecord> records = tracer.records();
+    ASSERT_FALSE(records.empty());
+
+    InvariantAuditor clean;
+    clean.auditTraceAgreement(records, timing, start, "conv");
+    EXPECT_TRUE(clean.report().clean());
+    EXPECT_EQ(clean.report().checksForLaw("trace.agreement"), 2u);
+
+    records[records.size() / 2].cycle = start + timing.totalCycles + 1;
+    InvariantAuditor late;
+    late.auditTraceAgreement(records, timing, start, "conv");
+    EXPECT_EQ(violationsOf(late.report(), "trace.agreement"), 1u);
+
+    // The same records read as a layer starting later: the first ones
+    // now precede the layer.
+    records = tracer.records();
+    InvariantAuditor early;
+    early.auditTraceAgreement(records, timing, start + 1, "conv");
+    EXPECT_EQ(violationsOf(early.report(), "trace.agreement"), 1u);
+
+    records.pop_back();
+    InvariantAuditor dropped;
+    dropped.auditTraceAgreement(records, timing, start, "conv");
+    EXPECT_EQ(violationsOf(dropped.report(), "trace.agreement"), 1u);
 }
 
 TEST(Auditor, ArbiterConservationFaultInjection)

@@ -15,6 +15,8 @@
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
 #include "core/simulator.hpp"
+#include "systolic/demand.hpp"
+#include "systolic/trace_io.hpp"
 
 using namespace scalesim;
 using namespace scalesim::core;
@@ -217,6 +219,126 @@ TEST(Simulator, IgnoredLayoutModelWarnsOncePerRun)
     EXPECT_EQ(count(run_stderr(baseConfig(), tinyTopology()),
                     "LayoutModel"),
               0u);
+}
+
+TEST(Simulator, TraceTapsLeaveTheRunUnchanged)
+{
+    // -s traces are taps on the one run. Attaching them changes no stat
+    // and no layer result; MEM_TRACE holds one row per request the run
+    // issued, on the run's timeline; and a dense layer's SRAM traces
+    // equal a standalone demand pass's.
+    SimConfig cfg = baseConfig();
+    cfg.dram.enabled = true;
+    cfg.dram.channels = 2;
+    cfg.memory.burstWords = 16;
+    cfg.energy.enabled = true;
+    const Topology topo = tinyTopology();
+
+    const RunResult plain = Simulator(cfg).run(topo);
+    std::ostringstream ifmap, filter, ofmap, oread, mem;
+    Simulator traced_sim(cfg, {&ifmap, &filter, &ofmap, &oread, &mem});
+    const RunResult traced = traced_sim.run(topo);
+
+    std::ostringstream plain_stats, traced_stats;
+    plain.writeStats(plain_stats);
+    traced.writeStats(traced_stats);
+    EXPECT_EQ(plain_stats.str(), traced_stats.str());
+    ASSERT_EQ(plain.layers.size(), traced.layers.size());
+    for (std::size_t i = 0; i < plain.layers.size(); ++i) {
+        const LayerResult& a = plain.layers[i];
+        const LayerResult& b = traced.layers[i];
+        EXPECT_EQ(a.totalCycles, b.totalCycles) << a.name;
+        EXPECT_EQ(a.computeCycles, b.computeCycles) << a.name;
+        EXPECT_EQ(a.stallCycles, b.stallCycles) << a.name;
+        EXPECT_EQ(a.timing.prefetchStallCycles,
+                  b.timing.prefetchStallCycles) << a.name;
+        EXPECT_EQ(a.timing.drainStallCycles, b.timing.drainStallCycles)
+            << a.name;
+        EXPECT_EQ(a.timing.bandwidthStallCycles,
+                  b.timing.bandwidthStallCycles) << a.name;
+        EXPECT_EQ(a.timing.dramReadRequests, b.timing.dramReadRequests)
+            << a.name;
+        EXPECT_EQ(a.timing.dramWriteRequests,
+                  b.timing.dramWriteRequests) << a.name;
+        EXPECT_EQ(a.timing.avgReadLatency, b.timing.avgReadLatency)
+            << a.name;
+        for (unsigned k = 0; k < obs::CpiStack::kBucketCount; ++k) {
+            EXPECT_EQ(a.cpi.bucketValue(k), b.cpi.bucketValue(k))
+                << a.name << " " << obs::CpiStack::bucketName(k);
+        }
+        EXPECT_EQ(a.energyBreakdown.totalPj(), b.energyBreakdown.totalPj())
+            << a.name;
+    }
+
+    std::istringstream mem_in(mem.str());
+    const auto records = systolic::readMemTrace(mem_in);
+    EXPECT_EQ(static_cast<double>(records.size()),
+              traced.stats.scalarValue("mem.readRequests")
+                  + traced.stats.scalarValue("mem.writeRequests"));
+    ASSERT_FALSE(records.empty());
+    EXPECT_LE(records.back().cycle, traced.totalCycles);
+    // The second layer's requests start on the run timeline, after the
+    // first layer, not at cycle 0.
+    EXPECT_GE(records.back().cycle, traced.layers[0].totalCycles);
+
+    std::ostringstream want_ifmap, want_filter, want_ofmap, want_oread;
+    for (const LayerSpec& layer : topo.layers) {
+        systolic::DemandGenerator gen(
+            layer.toGemm(), cfg.dataflow, cfg.arrayRows, cfg.arrayCols,
+            systolic::OperandMap::forLayer(layer, cfg.memory));
+        systolic::SramTraceWriter writer(&want_ifmap, &want_filter,
+                                         &want_ofmap, &want_oread);
+        gen.run(writer);
+    }
+    EXPECT_FALSE(want_ifmap.str().empty());
+    EXPECT_EQ(ifmap.str(), want_ifmap.str());
+    EXPECT_EQ(filter.str(), want_filter.str());
+    EXPECT_EQ(ofmap.str(), want_ofmap.str());
+    EXPECT_EQ(oread.str(), want_oread.str());
+
+    // Audited, every layer's trace agrees with its timing.
+    cfg.audit = true;
+    std::ostringstream audited_mem;
+    TraceStreams audited_traces;
+    audited_traces.memory = &audited_mem;
+    Simulator audited(cfg, audited_traces);
+    const RunResult audited_run = audited.run(topo);
+    EXPECT_TRUE(audited_run.audit.clean());
+    EXPECT_EQ(audited_run.audit.checksForLaw("trace.agreement"),
+              2 * topo.layers.size());
+    EXPECT_EQ(audited_mem.str(), mem.str());
+}
+
+TEST(Simulator, SramTracesSkipSparseOsLayersWithOneWarning)
+{
+    Topology topo = tinyTopology();
+    topo.layers[0].sparseN = 1;
+    topo.layers[0].sparseM = 4;
+    SimConfig cfg = baseConfig();
+    cfg.sparsity.enabled = true;
+    auto traced_run = [&](Dataflow df, std::string& err) {
+        cfg.dataflow = df;
+        std::ostringstream ifmap;
+        TraceStreams traces;
+        traces.ifmapSram = &ifmap;
+        Simulator sim(cfg, traces);
+        ::testing::internal::CaptureStderr();
+        sim.run(topo);
+        err = ::testing::internal::GetCapturedStderr();
+        return ifmap.str();
+    };
+    std::string err;
+    // Sparse WS layers trace the gathered stream the run simulates.
+    const std::string ws = traced_run(Dataflow::WeightStationary, err);
+    EXPECT_EQ(err.find("SRAM traces"), std::string::npos) << err;
+    EXPECT_FALSE(ws.empty());
+    // Sparse OS layers have no demand stream: only the dense fc layer
+    // is traced, and the run says so once.
+    const std::string os = traced_run(Dataflow::OutputStationary, err);
+    EXPECT_NE(err.find("SRAM traces skip 1 sparse layer(s)"),
+              std::string::npos) << err;
+    EXPECT_EQ(err.find("SRAM traces"), err.rfind("SRAM traces")) << err;
+    EXPECT_FALSE(os.empty());
 }
 
 TEST(Simulator, EnergyAccountingEndToEnd)

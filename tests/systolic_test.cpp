@@ -12,6 +12,7 @@
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "dram/system.hpp"
 #include "systolic/mapping.hpp"
 #include "systolic/memory.hpp"
 #include "systolic/scratchpad.hpp"
@@ -563,6 +564,49 @@ TEST(TraceIo, TracingMemoryRecordsEverything)
     EXPECT_EQ(tracer.stats().readWords, 32u);
     // The inner memory saw the traffic too.
     EXPECT_EQ(inner.stats().readWords, 32u);
+}
+
+TEST(TraceIo, TracingMemoryIsTransparentOverDram)
+{
+    // The tracer between a scratchpad and the DRAM model must not
+    // change what the model reports: completion times, lastIssueWait()
+    // and every MemoryStats field, latency split included, equal an
+    // untraced twin's fed the same requests.
+    DramConfig cfg;
+    cfg.enabled = true;
+    cfg.channels = 2;
+    dram::DramMemory inner(cfg, 1);
+    dram::DramMemory twin(cfg, 1);
+    TracingMemory tracer(inner, 1);
+    Cycle now = 0;
+    for (Addr i = 0; i < 3000; ++i) {
+        const Addr addr = (i * 7919) % 65536 * 16;
+        EXPECT_EQ(tracer.issueRead(addr, 16, now),
+                  twin.issueRead(addr, 16, now));
+        EXPECT_EQ(tracer.lastIssueWait(), inner.lastIssueWait());
+        if (i % 5 == 0) {
+            EXPECT_EQ(tracer.issueWrite(addr + 8, 16, now),
+                      twin.issueWrite(addr + 8, 16, now));
+        }
+        now += 11;
+    }
+    for (const MemoryStats* mem : {&inner.stats(), &twin.stats()}) {
+        const MemoryStats& got = tracer.stats();
+        EXPECT_EQ(got.readRequests, mem->readRequests);
+        EXPECT_EQ(got.writeRequests, mem->writeRequests);
+        EXPECT_EQ(got.readWords, mem->readWords);
+        EXPECT_EQ(got.writeWords, mem->writeWords);
+        EXPECT_EQ(got.totalReadLatency, mem->totalReadLatency);
+        EXPECT_EQ(got.totalWriteLatency, mem->totalWriteLatency);
+        EXPECT_EQ(got.readPortWait, mem->readPortWait);
+        EXPECT_EQ(got.readQueueWait, mem->readQueueWait);
+        EXPECT_EQ(got.readRefresh, mem->readRefresh);
+        EXPECT_EQ(got.readService, mem->readService);
+    }
+    // The split is exercised, not trivially zero.
+    EXPECT_GT(tracer.stats().readService, 0u);
+    EXPECT_GT(tracer.stats().readRefresh, 0u);
+    EXPECT_EQ(tracer.records().size(), 3000u + 600u);
 }
 
 TEST(TraceIo, MemTraceFileRoundTrip)
