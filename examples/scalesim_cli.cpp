@@ -186,6 +186,9 @@ main(int argc, char** argv)
             mc.dataflow = cfg.dataflow;
             mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
             mc.l1 = systolic::scratchpadConfig(cfg);
+            mc.ifmapOffset = cfg.memory.ifmapOffset;
+            mc.filterOffset = cfg.memory.filterOffset;
+            mc.ofmapOffset = cfg.memory.ofmapOffset;
 
             inform("running %s (%zu layers) on a %" PRIu64 "x%" PRIu64
                    " grid of %ux%u %s arrays",

@@ -41,8 +41,8 @@ Channel::Channel(const DramTiming& timing, std::uint32_t ranks,
         reorderWindow_ = 1;
 }
 
-std::uint64_t
-Channel::enqueue(const DecodedAddr& addr, bool write, Cycle arrival)
+Channel::Pending
+Channel::admit(const DecodedAddr& addr, bool write, Cycle arrival)
 {
     const std::size_t gbank = static_cast<std::size_t>(addr.rank)
         * timing_.banksPerRank + addr.bank;
@@ -55,6 +55,14 @@ Channel::enqueue(const DecodedAddr& addr, bool write, Cycle arrival)
     req.arrival = arrival;
     req.seq = nextSeq_++;
     req.gbank = static_cast<std::uint32_t>(gbank);
+    stats_.firstArrival = std::min(stats_.firstArrival, arrival);
+    return req;
+}
+
+std::uint64_t
+Channel::enqueue(const DecodedAddr& addr, bool write, Cycle arrival)
+{
+    const Pending req = admit(addr, write, arrival);
     // Ordered insert. Arrivals are usually nondecreasing (push_back),
     // but interleaved producers and merged trace files can run late:
     // an out-of-order arrival used to be silently clamped up to the
@@ -71,8 +79,20 @@ Channel::enqueue(const DecodedAddr& addr, bool write, Cycle arrival)
                       || it->arrival <= (it + 1)->arrival),
               "pending queue stays sorted by arrival");
     queueOccupancy_.sample(static_cast<double>(pending_.size()));
-    stats_.firstArrival = std::min(stats_.firstArrival, arrival);
     return req.seq;
+}
+
+Cycle
+Channel::serviceArrival(const DecodedAddr& addr, bool write,
+                        Cycle arrival, LatencySplit& split)
+{
+    if (!pending_.empty())
+        panic("serviceArrival(): %zu requests already pending",
+              pending_.size());
+    const Pending req = admit(addr, write, arrival);
+    // The depth enqueue() would have sampled: this request alone.
+    queueOccupancy_.sample(1.0);
+    return serviceOne(req, split);
 }
 
 std::size_t
@@ -106,7 +126,7 @@ Channel::pickNext(Cycle decision_time)
 }
 
 Cycle
-Channel::serviceOne(const Pending& req)
+Channel::serviceOne(const Pending& req, LatencySplit& split)
 {
     const std::size_t gbank = req.gbank;
     Bank& bank = banks_[gbank];
@@ -256,6 +276,9 @@ Channel::serviceOne(const Pending& req)
         stats_.readQueueWait += queue_wait;
         stats_.readRefreshWait += refresh_wait;
         stats_.readServiceTime += service;
+        split.queueWait += queue_wait;
+        split.refreshWait += refresh_wait;
+        split.service += service;
         readLatency_.sample(static_cast<double>(data_end
                                                 - req.arrival));
         readQueueWaitHist_.sample(static_cast<double>(queue_wait));
@@ -297,7 +320,8 @@ Channel::serviceUntil(std::uint64_t seq)
         const Pending req = pending_[idx];
         pending_.erase(pending_.begin()
                        + static_cast<std::ptrdiff_t>(idx));
-        const Cycle completion = serviceOne(req);
+        LatencySplit unused;
+        const Cycle completion = serviceOne(req, unused);
         if (req.seq == seq)
             return completion;
         completed_[req.seq] = completion;
@@ -407,7 +431,8 @@ Channel::drainAll()
         const Pending req = pending_[idx];
         pending_.erase(pending_.begin()
                        + static_cast<std::ptrdiff_t>(idx));
-        completed_[req.seq] = serviceOne(req);
+        LatencySplit unused;
+        completed_[req.seq] = serviceOne(req, unused);
     }
 }
 

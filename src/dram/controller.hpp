@@ -100,6 +100,18 @@ struct DramStats
     void merge(const DramStats& other);
 };
 
+/**
+ * Read-latency split of the reads one call serviced (memory clocks):
+ * the DramStats readQueueWait / readRefreshWait / readServiceTime
+ * those reads added.
+ */
+struct LatencySplit
+{
+    Cycle queueWait = 0;
+    Cycle refreshWait = 0;
+    Cycle service = 0;
+};
+
 /** Row-buffer outcome counters of one bank (observability). */
 struct BankStats
 {
@@ -109,12 +121,11 @@ struct BankStats
 };
 
 /**
- * One DRAM channel. Requests are enqueued with monotonically
- * non-decreasing arrival times; serviceUntil() drains the pending queue
- * until a given request completes. In the coupled (synchronous) flow
- * the queue holds at most the requests of one burst batch, making the
- * schedule FCFS; the trace-driven flow enqueues whole traces and gets
- * genuine FR-FCFS reordering.
+ * One DRAM channel. The trace-driven flow enqueues whole traces and
+ * serviceUntil() drains the pending queue with FR-FCFS reordering
+ * until a given request completes. The coupled flow issues one burst
+ * at a time into an empty queue, so serviceArrival() services it on
+ * arrival, with the same stats enqueue() + serviceUntil() would record.
  */
 class Channel
 {
@@ -129,6 +140,14 @@ class Channel
      *  keep enqueue order), so "oldest" always means earliest. */
     std::uint64_t enqueue(const DecodedAddr& addr, bool write,
                           Cycle arrival);
+
+    /**
+     * Service one request arriving at an empty queue, straight away;
+     * returns its completion as serviceUntil() would and adds a read's
+     * latency split to `split`. Panics if requests are pending.
+     */
+    Cycle serviceArrival(const DecodedAddr& addr, bool write,
+                         Cycle arrival, LatencySplit& split);
 
     /** nextEventCycle() value when nothing is pending. */
     static constexpr Cycle kNoEvent = ~static_cast<Cycle>(0);
@@ -220,8 +239,12 @@ class Channel
     /** Index into pending_ of the next request to service. */
     std::size_t pickNext(Cycle decision_time);
 
-    /** Service one pending request; returns completion time. */
-    Cycle serviceOne(const Pending& req);
+    /** Check the bank, number the request and note its arrival. */
+    Pending admit(const DecodedAddr& addr, bool write, Cycle arrival);
+
+    /** Service one request; returns completion time and adds a
+     *  read's latency split to `split`. */
+    Cycle serviceOne(const Pending& req, LatencySplit& split);
 
     DramTiming timing_;
     std::uint32_t reorderWindow_;

@@ -39,7 +39,9 @@ TraceResult::bytesPerClock() const
 }
 
 DramSystem::DramSystem(const DramSystemConfig& cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), burst_(cfg.timing.burstBytes), nch_(cfg.channels),
+      cols_(cfg.timing.colsPerRow()), ranks_(cfg.ranks),
+      banks_(cfg.timing.banksPerRank), rows_(cfg.timing.rowsPerBank)
 {
     if (cfg_.channels == 0)
         fatal("DRAM system needs at least one channel");
@@ -72,47 +74,42 @@ channelHash(std::uint64_t tx)
 DecodedAddr
 DramSystem::decode(Addr byte_addr, std::uint32_t& channel) const
 {
-    const std::uint64_t tx = byte_addr / cfg_.timing.burstBytes;
-    const std::uint64_t cols = cfg_.timing.colsPerRow();
-    const std::uint64_t banks = cfg_.timing.banksPerRank;
-    const std::uint64_t ranks = cfg_.ranks;
-    const std::uint64_t nch = cfg_.channels;
-
+    const std::uint64_t tx = burst_.div(byte_addr);
     DecodedAddr out;
     std::uint64_t rest = tx;
     switch (cfg_.mapping) {
       case AddressMapping::RoBaRaCoCh:
-        channel = static_cast<std::uint32_t>(channelHash(rest) % nch);
-        rest /= nch;
-        out.col = rest % cols;
-        rest /= cols;
-        out.rank = static_cast<std::uint32_t>(rest % ranks);
-        rest /= ranks;
-        out.bank = static_cast<std::uint32_t>(rest % banks);
-        rest /= banks;
-        out.row = rest % cfg_.timing.rowsPerBank;
+        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
+        rest = nch_.div(rest);
+        out.col = cols_.mod(rest);
+        rest = cols_.div(rest);
+        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
+        rest = ranks_.div(rest);
+        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
+        rest = banks_.div(rest);
+        out.row = rows_.mod(rest);
         break;
       case AddressMapping::RoRaCoBaCh:
-        channel = static_cast<std::uint32_t>(channelHash(rest) % nch);
-        rest /= nch;
-        out.bank = static_cast<std::uint32_t>(rest % banks);
-        rest /= banks;
-        out.col = rest % cols;
-        rest /= cols;
-        out.rank = static_cast<std::uint32_t>(rest % ranks);
-        rest /= ranks;
-        out.row = rest % cfg_.timing.rowsPerBank;
+        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
+        rest = nch_.div(rest);
+        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
+        rest = banks_.div(rest);
+        out.col = cols_.mod(rest);
+        rest = cols_.div(rest);
+        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
+        rest = ranks_.div(rest);
+        out.row = rows_.mod(rest);
         break;
       case AddressMapping::RoRaBaChCo:
-        out.col = rest % cols;
-        rest /= cols;
-        channel = static_cast<std::uint32_t>(channelHash(rest) % nch);
-        rest /= nch;
-        out.bank = static_cast<std::uint32_t>(rest % banks);
-        rest /= banks;
-        out.rank = static_cast<std::uint32_t>(rest % ranks);
-        rest /= ranks;
-        out.row = rest % cfg_.timing.rowsPerBank;
+        out.col = cols_.mod(rest);
+        rest = cols_.div(rest);
+        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
+        rest = nch_.div(rest);
+        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
+        rest = banks_.div(rest);
+        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
+        rest = ranks_.div(rest);
+        out.row = rows_.mod(rest);
         break;
       default:
         channel = 0;
@@ -123,23 +120,28 @@ DramSystem::decode(Addr byte_addr, std::uint32_t& channel) const
 
 Cycle
 DramSystem::request(Addr byte_addr, std::uint64_t bytes, bool write,
-                    Cycle arrival)
+                    Cycle arrival, LatencySplit* split)
 {
+    // Each burst is serviced before the next is issued, so it always
+    // meets an empty channel queue.
+    LatencySplit read_split;
     Cycle completion = arrival;
     Addr addr = byte_addr;
     std::uint64_t remaining = std::max<std::uint64_t>(bytes, 1);
     while (remaining > 0) {
         std::uint32_t ch = 0;
         const DecodedAddr decoded = decode(addr, ch);
-        const std::uint64_t seq = channels_[ch].enqueue(decoded, write,
-                                                        arrival);
         completion = std::max(completion,
-                              channels_[ch].serviceUntil(seq));
+                              channels_[ch].serviceArrival(
+                                  decoded, write, arrival,
+                                  read_split));
         const std::uint64_t chunk = std::min<std::uint64_t>(
             remaining, cfg_.timing.burstBytes);
         addr += chunk;
         remaining -= chunk;
     }
+    if (split)
+        *split = read_split;
     return completion;
 }
 
@@ -169,15 +171,6 @@ DramSystem::runTrace(const std::vector<TraceEntry>& trace)
     result.stats = totalStats();
     result.makespan = result.stats.lastCompletion;
     return result;
-}
-
-Cycle
-DramSystem::nextEventCycle() const
-{
-    Cycle next = Channel::kNoEvent;
-    for (const auto& ch : channels_)
-        next = std::min(next, ch.nextEventCycle());
-    return next;
 }
 
 DramStats
@@ -294,24 +287,19 @@ DramMemory::toCore(Cycle mem) const
 Cycle
 DramMemory::issueRead(Addr addr, Count words, Cycle now)
 {
-    // In the coupled flow each channel queue holds only this request's
-    // bursts, so the delta of the system-wide component sums across
-    // the call is exactly this request's decomposition. The components
-    // stay in memory clocks: the CPI-stack layer uses them as
-    // apportionment weights, where only the ratios matter.
-    const DramStats before = system_.totalStats();
+    // The components stay in memory clocks: the CPI-stack layer uses
+    // them as apportionment weights, where only the ratios matter.
+    LatencySplit split;
     const Cycle done_mem = system_.request(
-        addr * wordBytes_, words * wordBytes_, false, toMem(now));
+        addr * wordBytes_, words * wordBytes_, false, toMem(now),
+        &split);
     const Cycle done = std::max(now + 1, toCore(done_mem));
-    const DramStats after = system_.totalStats();
     ++stats_.readRequests;
     stats_.readWords += words;
     stats_.totalReadLatency += done - now;
-    stats_.readQueueWait += after.readQueueWait - before.readQueueWait;
-    stats_.readRefresh +=
-        after.readRefreshWait - before.readRefreshWait;
-    stats_.readService +=
-        after.readServiceTime - before.readServiceTime;
+    stats_.readQueueWait += split.queueWait;
+    stats_.readRefresh += split.refreshWait;
+    stats_.readService += split.service;
     return done;
 }
 

@@ -9,6 +9,7 @@
 #ifndef SCALESIM_DRAM_SYSTEM_HH
 #define SCALESIM_DRAM_SYSTEM_HH
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -78,18 +79,15 @@ class DramSystem
 
     /**
      * Coupled request: `bytes` are split into bursts on consecutive
-     * addresses; returns the completion of the last burst, in memory
-     * clocks.
+     * addresses, each serviced on arrival at its channel; returns the
+     * completion of the last burst, in memory clocks. When `split` is
+     * given, it receives the summed latency split of the read bursts.
      */
     Cycle request(Addr byte_addr, std::uint64_t bytes, bool write,
-                  Cycle arrival);
+                  Cycle arrival, LatencySplit* split = nullptr);
 
     /** Ramulator-style batch simulation with FR-FCFS reordering. */
     TraceResult runTrace(const std::vector<TraceEntry>& trace);
-
-    /** Earliest pending arrival across channels (Channel::kNoEvent
-     *  when all queues are empty). */
-    Cycle nextEventCycle() const;
 
     /** Statistics summed across channels. */
     DramStats totalStats() const;
@@ -109,7 +107,37 @@ class DramSystem
                        const std::string& prefix) const;
 
   private:
+    /**
+     * x / d and x % d by shift and mask when d is a power of two, as
+     * in every built-in geometry: decode() runs once per burst and
+     * makes ten of them, each a 64-bit division otherwise.
+     */
+    class Divisor
+    {
+      public:
+        explicit Divisor(std::uint64_t d)
+            : d_(d), shift_(std::has_single_bit(d)
+                                ? std::countr_zero(d) : -1)
+        {
+        }
+        std::uint64_t
+        div(std::uint64_t x) const
+        {
+            return shift_ >= 0 ? x >> shift_ : x / d_;
+        }
+        std::uint64_t
+        mod(std::uint64_t x) const
+        {
+            return shift_ >= 0 ? x & (d_ - 1) : x % d_;
+        }
+
+      private:
+        std::uint64_t d_;
+        int shift_;
+    };
+
     DramSystemConfig cfg_;
+    Divisor burst_, nch_, cols_, ranks_, banks_, rows_;
     std::vector<Channel> channels_;
 };
 

@@ -6,9 +6,8 @@
 namespace scalesim::multicore
 {
 
-RoundRobinArbiter::RoundRobinArbiter(std::size_t ports,
-                                     bool scan_reverse)
-    : ports_(ports), scanReverse_(scan_reverse)
+RoundRobinArbiter::RoundRobinArbiter(std::size_t ports)
+    : ports_(ports)
 {
     if (ports_ == 0)
         fatal("arbiter needs at least one port");
@@ -17,37 +16,37 @@ RoundRobinArbiter::RoundRobinArbiter(std::size_t ports,
 std::size_t
 RoundRobinArbiter::grant(const std::vector<Cycle>& next, Cycle none)
 {
+    // One scan in priority order: from the port after the previous
+    // grantee, wrapping once. The first port at the minimum cycle
+    // wins the tie-break; every later port at that cycle waits.
     std::size_t best = kNone;
     Cycle best_cycle = 0;
-    std::size_t best_dist = 0;
+    std::uint64_t waiting = 0;
+    std::size_t i = nextPriority_;
     for (std::size_t s = 0; s < ports_; ++s) {
-        const std::size_t i = scanReverse_ ? ports_ - 1 - s : s;
-        if (next[i] == none)
-            continue;
-        const std::size_t dist = (i + ports_ - nextPriority_) % ports_;
-        if (best == kNone || next[i] < best_cycle
-            || (next[i] == best_cycle && dist < best_dist)) {
-            best = i;
-            best_cycle = next[i];
-            best_dist = dist;
+        const Cycle cycle = next[i];
+        if (cycle != none) {
+            if (best == kNone || cycle < best_cycle) {
+                best = i;
+                best_cycle = cycle;
+                waiting = 0;
+            } else if (cycle == best_cycle) {
+                ++waiting;
+            }
         }
+        if (++i == ports_)
+            i = 0;
     }
     if (best == kNone)
         return kNone;
 
-    // Contenders = ports that wanted the granted cycle too.
-    std::uint64_t waiting = 0;
-    for (std::size_t i = 0; i < ports_; ++i) {
-        if (i != best && next[i] != none && next[i] == best_cycle)
-            ++waiting;
-    }
     ++stats_.grants;
     stats_.arbConflicts += waiting;
     stats_.waiters.sample(static_cast<double>(waiting));
     SIM_CHECK_EQ(stats_.waiters.count, stats_.grants,
                  "exactly one contention sample per grant");
 
-    nextPriority_ = (best + 1) % ports_;
+    nextPriority_ = best + 1 == ports_ ? 0 : best + 1;
     return best;
 }
 
@@ -60,14 +59,16 @@ MemoryPort::issueRead(Addr addr, Count words, Cycle now)
     // wait at the shared serialization point is reclassified from
     // queue wait to port wait — that is the cross-core contention the
     // CPI stack surfaces as l2Wait.
-    const systolic::MemoryStats before = shared_.stats();
+    const systolic::MemoryStats& shared = shared_.stats();
+    const Cycle queue_before = shared.readQueueWait;
+    const Cycle refresh_before = shared.readRefresh;
+    const Cycle service_before = shared.readService;
     const Cycle done = shared_.issueRead(addr, words, now);
-    const systolic::MemoryStats after = shared_.stats();
     const Cycle wait = shared_.lastIssueWait();
     const Cycle latency = done - now;
-    const Cycle queue_delta = after.readQueueWait - before.readQueueWait;
-    const Cycle refresh_delta = after.readRefresh - before.readRefresh;
-    const Cycle service_delta = after.readService - before.readService;
+    const Cycle queue_delta = shared.readQueueWait - queue_before;
+    const Cycle refresh_delta = shared.readRefresh - refresh_before;
+    const Cycle service_delta = shared.readService - service_before;
     // The issue wait is reclassified from queue wait to port wait, but
     // only the overlap actually present in the backend's queue
     // accounting: when the backend reports less queue wait than the

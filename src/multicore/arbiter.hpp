@@ -42,15 +42,14 @@ struct ArbiterStats
  * from the port after the previous grantee.
  *
  * Selection is an argmin over the total-order key (cycle, cyclic
- * distance from the round-robin pointer), so the result is independent
- * of the order ports are scanned in — grant(scanReverse) exists purely
- * to let tests prove that.
+ * distance from the round-robin pointer). grant() finds it in one scan
+ * that visits the ports in that distance order, so the first port seen
+ * at the minimum cycle is the winner.
  */
 class RoundRobinArbiter
 {
   public:
-    explicit RoundRobinArbiter(std::size_t ports,
-                               bool scan_reverse = false);
+    explicit RoundRobinArbiter(std::size_t ports);
 
     /** Returned by grant() when every port is idle. */
     static constexpr std::size_t kNone = ~static_cast<std::size_t>(0);
@@ -66,7 +65,6 @@ class RoundRobinArbiter
 
   private:
     std::size_t ports_;
-    bool scanReverse_;
     /** Port after the previous grantee gets top tie-break priority. */
     std::size_t nextPriority_ = 0;
     ArbiterStats stats_;

@@ -90,6 +90,9 @@ MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
     const auto sc_starts = shareStarts(mapped.sc, cfg_.pc);
 
     MemoryConfig mem;
+    mem.ifmapOffset = cfg_.ifmapOffset;
+    mem.filterOffset = cfg_.filterOffset;
+    mem.ofmapOffset = cfg_.ofmapOffset;
     const systolic::OperandMap global(gemm, mem);
 
     const systolic::MemoryStats dram_before = dram_->stats();
@@ -147,7 +150,7 @@ MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
     // cursors advance in nondecreasing time and contention is FCFS in
     // simulated time rather than in core-enumeration order.
     if (!runs.empty()) {
-        RoundRobinArbiter arb(runs.size(), cfg_.arbScanReverse);
+        RoundRobinArbiter arb(runs.size());
         // nextEventCycle() depends only on the engine's own state (see
         // its contract), so stepping the granted engine can only move
         // that one entry — maintain next[] incrementally instead of

@@ -11,8 +11,9 @@
  * All cores' L1 engines are stepped against one shared timeline, a
  * round-robin arbiter granting one memory transaction at a time; L2
  * port and DRAM bus contention emerge from real per-cycle collisions
- * (the paper's concurrent-cores model). Results are deterministic and
- * independent of core enumeration order.
+ * (the paper's concurrent-cores model). Results are deterministic:
+ * the earliest transaction wins, and same-cycle ties rotate
+ * round-robin over the ports.
  */
 
 #ifndef SCALESIM_MULTICORE_TRACE_SIM_HH
@@ -60,12 +61,12 @@ struct MultiCoreTraceConfig
     /** Unread (see ContentionModel). */
     ContentionModel contention = ContentionModel::Shared;
     MultiCoreEngine engine = MultiCoreEngine::Serial;
-    /**
-     * Scan arbiter ports in reverse enumeration order. The grant is an
-     * argmin over a total-order key, so results must not change; the
-     * knob exists for tests to prove enumeration-order independence.
-     */
-    bool arbScanReverse = false;
+    /** Operand base addresses (words), as [architecture]
+     *  IfmapOffset/FilterOffset/OfmapOffset; shared-L2 line
+     *  boundaries depend on them. Defaults match MemoryConfig's. */
+    Addr ifmapOffset = MemoryConfig{}.ifmapOffset;
+    Addr filterOffset = MemoryConfig{}.filterOffset;
+    Addr ofmapOffset = MemoryConfig{}.ofmapOffset;
 };
 
 /** Outcome of one layer on the multi-core system. */

@@ -1,6 +1,7 @@
 #include "obs/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <ostream>
 
@@ -29,12 +30,19 @@ Histogram::sample(double value)
     ++count;
     sum += value;
     sumSq += value * value;
+    // Bucket i >= 1 holds [2^(i-1), 2^i) and the last one everything
+    // from 2^(kBuckets-2) up. For a whole number below that, the
+    // bucket is its bit width, with no log2.
+    constexpr double kTop = static_cast<double>(std::uint64_t{1}
+                                                << (kBuckets - 2));
     unsigned bucket = 0;
-    if (value >= 1.0) {
-        const double log2v = std::log2(value);
-        bucket = 1 + static_cast<unsigned>(log2v);
-        if (bucket >= kBuckets)
-            bucket = kBuckets - 1;
+    if (value >= kTop) {
+        bucket = kBuckets - 1;
+    } else if (value >= 1.0) {
+        const auto whole = static_cast<std::uint64_t>(value);
+        bucket = static_cast<double>(whole) == value
+            ? static_cast<unsigned>(std::bit_width(whole))
+            : 1 + static_cast<unsigned>(std::log2(value));
     }
     ++buckets[bucket];
 }

@@ -59,8 +59,8 @@ RequestQueue::RequestQueue(std::uint32_t capacity)
 void
 RequestQueue::drain(Cycle now)
 {
-    while (!inflight_.empty() && inflight_.top() <= now)
-        inflight_.pop();
+    while (!inflight_.empty() && inflight_.front() <= now)
+        inflight_.pop_front();
 }
 
 Cycle
@@ -69,21 +69,19 @@ RequestQueue::slotAvailable(Cycle now)
     drain(now);
     if (inflight_.size() < capacity_)
         return now;
-    return inflight_.top();
-}
-
-Cycle
-RequestQueue::reserve(Cycle now)
-{
-    const Cycle at = slotAvailable(now);
-    fullStalls_ += at - now;
-    return at;
+    return inflight_.front();
 }
 
 void
-RequestQueue::push(Cycle completion)
+RequestQueue::push(Cycle completion, Cycle stalled)
 {
-    inflight_.push(completion);
+    if (inflight_.empty() || inflight_.back() <= completion)
+        inflight_.push_back(completion);
+    else
+        inflight_.insert(std::upper_bound(inflight_.begin(),
+                                          inflight_.end(), completion),
+                         completion);
+    fullStalls_ += stalled;
 }
 
 } // namespace scalesim::systolic

@@ -10,8 +10,7 @@
 #ifndef SCALESIM_SYSTOLIC_MEMORY_HH
 #define SCALESIM_SYSTOLIC_MEMORY_HH
 
-#include <queue>
-#include <vector>
+#include <deque>
 
 #include "common/types.hpp"
 
@@ -145,15 +144,11 @@ class RequestQueue
     Cycle slotAvailable(Cycle now);
 
     /**
-     * Acquire issue permission for one request: returns the earliest
-     * cycle >= now it can enter the queue and charges the wait to
-     * fullStallCycles() exactly once. Call once per request, follow
-     * with push().
+     * Occupy a slot until `completion`. `stalled` is how long fullness
+     * delayed this request's issue (slotAvailable(want) - want for the
+     * cycle it wanted), charged to fullStallCycles() once per push.
      */
-    Cycle reserve(Cycle now);
-
-    /** Occupy a slot until `completion`. */
-    void push(Cycle completion);
+    void push(Cycle completion, Cycle stalled = 0);
 
     /** Retire entries completed at or before `now`. */
     void drain(Cycle now);
@@ -166,9 +161,10 @@ class RequestQueue
 
   private:
     std::uint32_t capacity_;
-    // Min-heap of in-flight completion times.
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<>>
-        inflight_;
+    // In-flight completion times, ascending. Completions mostly come
+    // back in issue order, so push() is usually an append and drain()
+    // pops the front.
+    std::deque<Cycle> inflight_;
     Cycle fullStalls_ = 0;
 };
 

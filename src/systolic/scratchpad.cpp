@@ -236,8 +236,7 @@ struct DoubleBufferedScratchpad::LayerRun
                                                      burst_limit);
                 burstWant = static_cast<Cycle>(std::ceil(nextIssue));
                 RequestQueue& queue = reads ? readQueue : writeQueue;
-                burstAt = std::max(queue.slotAvailable(burstWant),
-                                   burstWant);
+                burstAt = queue.slotAvailable(burstWant);
                 return true;
             }
             if (seg + 1 < span->segments) {
@@ -590,19 +589,22 @@ DoubleBufferedScratchpad::step()
     LayerRun& r = *run_;
     const bool reads = r.phase == LayerRun::Phase::FoldReads;
     RequestQueue& queue = reads ? r.readQueue : r.writeQueue;
-    const Cycle slot = queue.reserve(r.burstWant);
-    const Cycle at = std::max(slot, r.burstWant);
+    // positionBurst() found the issue slot in this engine's own queue,
+    // which nothing has touched since; the delay past the wanted cycle
+    // is the full-queue stall.
+    const Cycle at = r.burstAt;
+    const Cycle stalled = at - r.burstWant;
     if (reads) {
         const Cycle done = memory_.issueRead(r.burstAddr, r.burstWords,
                                              at);
-        queue.push(done);
+        queue.push(done, stalled);
         r.ready = std::max(r.ready, done);
         ++r.timing.dramReadRequests;
         r.timing.dramReadWords += r.burstWords;
     } else {
         const Cycle accepted = memory_.issueWrite(r.burstAddr,
                                                   r.burstWords, at);
-        queue.push(accepted);
+        queue.push(accepted, stalled);
         r.lastWriteIssue = std::max(r.lastWriteIssue, at);
         ++r.timing.dramWriteRequests;
         r.timing.dramWriteWords += r.burstWords;

@@ -3,15 +3,21 @@
  * Unit tests for the DRAM substrate: timing presets, row-buffer
  * outcomes and their latency ordering, bank-level parallelism, channel
  * scaling, FR-FCFS reordering, address mapping, refresh, pinned
- * controller goldens, and the clock-domain adapter.
+ * controller goldens, the coupled path's direct service against the
+ * queued one, and the clock-domain adapter.
  */
 
+#include <array>
+#include <cctype>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "dram/system.hpp"
 
 using namespace scalesim;
@@ -203,6 +209,88 @@ TEST(System, MappingVariants)
         EXPECT_LT(d.bank, cfg.timing.banksPerRank);
     }
     EXPECT_THROW(addressMappingFromString("bogus"), FatalError);
+}
+
+namespace
+{
+
+enum class Field { Ch, Col, Rank, Bank, Row };
+
+/** decode() by plain division, peeling `order` lowest field first. */
+DecodedAddr
+plainDecode(const DramSystemConfig& cfg, const std::vector<Field>& order,
+            Addr byte_addr, std::uint32_t& channel)
+{
+    const DramTiming& t = cfg.timing;
+    std::uint64_t rest = byte_addr / t.burstBytes;
+    DecodedAddr out;
+    for (const Field f : order) {
+        switch (f) {
+          case Field::Ch: {
+            const std::uint64_t h = rest ^ (rest >> 6) ^ (rest >> 12)
+                ^ (rest >> 20);
+            channel = static_cast<std::uint32_t>(h % cfg.channels);
+            rest /= cfg.channels;
+            break;
+          }
+          case Field::Col:
+            out.col = rest % t.colsPerRow();
+            rest /= t.colsPerRow();
+            break;
+          case Field::Rank:
+            out.rank = static_cast<std::uint32_t>(rest % cfg.ranks);
+            rest /= cfg.ranks;
+            break;
+          case Field::Bank:
+            out.bank = static_cast<std::uint32_t>(rest % t.banksPerRank);
+            rest /= t.banksPerRank;
+            break;
+          case Field::Row:
+            out.row = rest % t.rowsPerBank;
+            break;
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(System, DecodeMatchesPlainDivisionForAnyGeometry)
+{
+    // decode() shifts and masks by power-of-two field sizes and
+    // divides by the others; either way it must peel the same fields
+    // as plain division does.
+    using F = Field;
+    const std::pair<const char*, std::vector<Field>> mappings[] = {
+        {"RoBaRaCoCh", {F::Ch, F::Col, F::Rank, F::Bank, F::Row}},
+        {"RoRaCoBaCh", {F::Ch, F::Bank, F::Col, F::Rank, F::Row}},
+        {"RoRaBaChCo", {F::Col, F::Ch, F::Bank, F::Rank, F::Row}},
+    };
+    for (const auto& [name, order] : mappings) {
+        for (std::uint32_t geometry = 0; geometry < 5 * 3 * 2; ++geometry) {
+            DramSystemConfig cfg = config(
+                std::array<std::uint32_t, 5>{1, 2, 3, 4, 6}[geometry % 5]);
+            cfg.ranks = 1 + geometry / 5 % 3;
+            cfg.mapping = addressMappingFromString(name);
+            if (geometry >= 15) {
+                cfg.timing.banksPerRank = 12;
+                cfg.timing.rowsPerBank = 3000;
+            }
+            DramSystem sys(cfg);
+            for (Addr a = 0; a < (Addr{1} << 34); a = a * 3 + 4093) {
+                std::uint32_t want_ch = 0;
+                const DecodedAddr want = plainDecode(cfg, order, a,
+                                                     want_ch);
+                std::uint32_t ch = 99;
+                const DecodedAddr got = sys.decode(a, ch);
+                ASSERT_EQ(ch, want_ch) << name << " " << geometry;
+                ASSERT_EQ(got.col, want.col) << name << " " << geometry;
+                ASSERT_EQ(got.rank, want.rank) << name << " " << geometry;
+                ASSERT_EQ(got.bank, want.bank) << name << " " << geometry;
+                ASSERT_EQ(got.row, want.row) << name << " " << geometry;
+            }
+        }
+    }
 }
 
 TEST(Trace, FrFcfsReorderingHelpsInterleavedRows)
@@ -569,6 +657,169 @@ TEST(Engine, AbCoupledRequestFlowIdentical)
                 {228, 60, 280, 8, 0, 0, 14592, 3840, 58398, 52069, 0,
                  6329, 0, 2256},
                 "coupled flow");
+}
+
+namespace
+{
+
+/** Per-channel part of a stats dump (the dram.chN.* lines). */
+std::string
+channelDump(const obs::StatsRegistry& reg)
+{
+    std::ostringstream all;
+    reg.dump(all);
+    std::istringstream lines(all.str());
+    std::string out;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("dram.ch", 0) == 0 && line.size() > 7
+            && std::isdigit(static_cast<unsigned char>(line[7])))
+            out += line + "\n";
+    }
+    return out;
+}
+
+/** One coupled request of the direct-vs-queued stream. */
+struct CoupledRequest
+{
+    Addr addr;
+    std::uint64_t bytes;
+    bool write;
+    Cycle arrival;
+};
+
+/**
+ * Reads and writes of one to three bursts over 2 channels x 2 ranks:
+ * sequential runs (row hits), scattered addresses (misses and
+ * conflicts), and jumps that skip refresh windows or land inside one.
+ */
+std::vector<CoupledRequest>
+coupledStream(const DramTiming& t)
+{
+    Rng rng(0xd1ec7);
+    std::vector<CoupledRequest> out;
+    Cycle now = 0;
+    Addr seq_addr = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::uint64_t pick = rng.below(10);
+        if (pick == 0) {
+            // Skip whole refresh intervals, landing inside a window.
+            now = (now / t.tREFI + 1 + rng.below(3)) * t.tREFI
+                + rng.below(t.tRFC);
+        } else {
+            now += rng.below(40);
+        }
+        Addr addr;
+        if (pick < 6) {
+            addr = seq_addr;
+            seq_addr += t.burstBytes;
+        } else {
+            addr = rng.below(1u << 24) * t.burstBytes;
+        }
+        out.push_back({addr, t.burstBytes * rng.range(1, 3),
+                       rng.below(3) == 0, now});
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(Engine, CoupledDirectServiceMatchesQueuedService)
+{
+    // request() services each burst on arrival at an empty channel
+    // queue. Pushing the same bursts one at a time through enqueue()
+    // + serviceUntil() must give the same completions and the same
+    // per-channel stats dumps, histograms included.
+    DramSystemConfig cfg = config(2);
+    cfg.ranks = 2;
+    const DramTiming& t = cfg.timing;
+    DramSystem direct(cfg);
+    std::vector<Channel> queued;
+    for (std::uint32_t c = 0; c < cfg.channels; ++c) {
+        queued.emplace_back(t, cfg.ranks, cfg.reorderWindow,
+                            cfg.hitStreakCap, cfg.pagePolicy);
+    }
+    for (const CoupledRequest& req : coupledStream(t)) {
+        const DramStats before = direct.totalStats();
+        LatencySplit split;
+        const Cycle got = direct.request(req.addr, req.bytes, req.write,
+                                         req.arrival, &split);
+        const DramStats after = direct.totalStats();
+        // The returned split is exactly what the request added.
+        EXPECT_EQ(split.queueWait,
+                  after.readQueueWait - before.readQueueWait);
+        EXPECT_EQ(split.refreshWait,
+                  after.readRefreshWait - before.readRefreshWait);
+        EXPECT_EQ(split.service,
+                  after.readServiceTime - before.readServiceTime);
+
+        Cycle want = req.arrival;
+        for (std::uint64_t off = 0; off < req.bytes;
+             off += t.burstBytes) {
+            std::uint32_t ch = 0;
+            const DecodedAddr decoded = direct.decode(req.addr + off, ch);
+            Channel& channel = queued[ch];
+            want = std::max(want, channel.serviceUntil(channel.enqueue(
+                                      decoded, req.write, req.arrival)));
+        }
+        ASSERT_EQ(got, want) << "request at " << req.arrival;
+    }
+
+    obs::StatsRegistry direct_reg;
+    direct.registerStats(direct_reg, "dram");
+    obs::StatsRegistry queued_reg;
+    for (std::size_t c = 0; c < queued.size(); ++c)
+        queued[c].registerStats(queued_reg, format("dram.ch%zu", c));
+    const std::string direct_dump = channelDump(direct_reg);
+    EXPECT_EQ(direct_dump, channelDump(queued_reg));
+    EXPECT_NE(direct_dump.find("queueOccupancy"), std::string::npos);
+
+    // The stream reaches every row outcome and the refresh shadow.
+    const DramStats total = direct.totalStats();
+    EXPECT_GT(total.rowHits, 0u);
+    EXPECT_GT(total.rowMisses, 0u);
+    EXPECT_GT(total.rowConflicts, 0u);
+    EXPECT_GT(total.refreshes, 0u);
+    EXPECT_GT(total.readRefreshWait, 0u);
+    EXPECT_GT(total.writes, 0u);
+}
+
+TEST(Engine, ServiceArrivalRejectsAPendingQueue)
+{
+    // The direct path is only exact when nothing is queued ahead of
+    // the burst; a caller that mixes it with enqueue() is a bug.
+    Channel ch(timingPreset("DDR4_2400"), 1);
+    ch.enqueue(DecodedAddr{}, false, 0);
+    LatencySplit split;
+    EXPECT_DEATH(ch.serviceArrival(DecodedAddr{}, false, 10, split),
+                 "already pending");
+}
+
+TEST(DramMemory, LatencySplitIsTheSystemsSplit)
+{
+    // DramMemory takes each read's split from request() instead of
+    // diffing the channel stats; over a run the two must agree.
+    DramConfig dcfg;
+    dcfg.channels = 2;
+    dcfg.ranksPerChannel = 2;
+    DramMemory mem(dcfg, 2);
+    const DramTiming& t = mem.system().config().timing;
+    for (const CoupledRequest& req : coupledStream(t)) {
+        const Cycle now = req.arrival / 2;
+        const Count words = req.bytes / 2;
+        if (req.write)
+            mem.issueWrite(req.addr / 2, words, now);
+        else
+            mem.issueRead(req.addr / 2, words, now);
+    }
+    const DramStats sys = mem.system().totalStats();
+    const systolic::MemoryStats& split = mem.stats();
+    EXPECT_GT(split.readRefresh, 0u);
+    EXPECT_EQ(split.readQueueWait, sys.readQueueWait);
+    EXPECT_EQ(split.readRefresh, sys.readRefreshWait);
+    EXPECT_EQ(split.readService, sys.readServiceTime);
+    EXPECT_EQ(split.readQueueWait + split.readRefresh
+                  + split.readService,
+              sys.totalReadLatency);
 }
 
 TEST(Channel, NextEventCycleTracksEarliestArrival)

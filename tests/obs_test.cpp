@@ -15,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
@@ -77,6 +78,39 @@ TEST(Histogram, BucketZeroCoversSubUnitSamples)
     EXPECT_EQ(h.buckets[0], 3u);
     h.sample(1.0);
     EXPECT_EQ(h.buckets[1], 1u);
+}
+
+TEST(Histogram, WholeNumberBucketsMatchLog2Formula)
+{
+    // Whole numbers take their bucket from the bit width; it must be
+    // the bucket the log2 formula gives, clamp included. Fractional
+    // samples, which keep the log2 path, ride along.
+    auto formula = [](double v) {
+        if (v < 1.0)
+            return 0u;
+        const unsigned b = 1 + static_cast<unsigned>(std::log2(v));
+        return std::min(b, obs::Histogram::kBuckets - 1);
+    };
+    auto bucketOf = [](double v) {
+        obs::Histogram h;
+        h.sample(v);
+        for (unsigned b = 0; b < obs::Histogram::kBuckets; ++b) {
+            if (h.buckets[b])
+                return b;
+        }
+        return obs::Histogram::kBuckets;
+    };
+    std::vector<double> values;
+    for (std::uint64_t v = 0; v <= (1u << 16); ++v)
+        values.push_back(static_cast<double>(v));
+    for (int e = 1; e <= 40; ++e) {
+        const double p = std::ldexp(1.0, e);
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    values.insert(values.end(),
+                  {0.25, 0.99, 1.5, std::nextafter(8.0, 0.0)});
+    for (const double v : values)
+        ASSERT_EQ(bucketOf(v), formula(v)) << v;
 }
 
 TEST(Histogram, QuantilesInterpolateWithinBuckets)

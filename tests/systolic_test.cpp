@@ -198,14 +198,17 @@ TEST(RequestQueue, PollingDoesNotAccumulateStalls)
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(queue.slotAvailable(10), 100u);
     EXPECT_EQ(queue.fullStallCycles(), 0u);
-    // reserve() charges the delayed issue exactly once.
-    EXPECT_EQ(queue.reserve(10), 100u);
+    // The push that issues the request charges its delay exactly once.
+    const Cycle at = queue.slotAvailable(10);
+    EXPECT_EQ(at, 100u);
+    queue.push(300, at - 10);
     EXPECT_EQ(queue.fullStallCycles(), 90u);
-    // Further polls after the reservation still add nothing.
+    // Further polls after the push still add nothing.
     queue.slotAvailable(10);
     EXPECT_EQ(queue.fullStallCycles(), 90u);
-    // A reserve with a free slot costs nothing.
-    EXPECT_EQ(queue.reserve(260), 260u);
+    // An issue into a free slot costs nothing.
+    EXPECT_EQ(queue.slotAvailable(260), 260u);
+    queue.push(400, queue.slotAvailable(260) - 260);
     EXPECT_EQ(queue.fullStallCycles(), 90u);
 }
 
