@@ -421,19 +421,4 @@ Channel::registerStats(obs::StatsRegistry& reg,
                     1.0});
 }
 
-void
-Channel::drainAll()
-{
-    while (!pending_.empty()) {
-        const Cycle decision_time = std::max(pending_.front().arrival,
-                                             lastColCmd_);
-        const std::size_t idx = pickNext(decision_time);
-        const Pending req = pending_[idx];
-        pending_.erase(pending_.begin()
-                       + static_cast<std::ptrdiff_t>(idx));
-        LatencySplit unused;
-        completed_[req.seq] = serviceOne(req, unused);
-    }
-}
-
 } // namespace scalesim::dram

@@ -149,28 +149,10 @@ class Channel
     Cycle serviceArrival(const DecodedAddr& addr, bool write,
                          Cycle arrival, LatencySplit& split);
 
-    /** nextEventCycle() value when nothing is pending. */
-    static constexpr Cycle kNoEvent = ~static_cast<Cycle>(0);
-
-    /**
-     * Arrival of the earliest pending request, or kNoEvent when the
-     * queue is empty — the channel's next natural service instant for
-     * event-skipping co-simulation (the DRAM analogue of
-     * DoubleBufferedScratchpad::nextEventCycle). Depends only on this
-     * channel's own queue.
-     */
-    Cycle nextEventCycle() const
-    {
-        return pending_.empty() ? kNoEvent : pending_.front().arrival;
-    }
-
     /** Service pending requests until `seq` completes; returns its
      *  completion time (data arrival for reads, column-command issue
      *  for writes), in memory clocks. */
     Cycle serviceUntil(std::uint64_t seq);
-
-    /** Service everything currently pending. */
-    void drainAll();
 
     const DramStats& stats() const { return stats_; }
 

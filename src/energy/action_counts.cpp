@@ -17,6 +17,36 @@ namespace
 /** Number of banked row-buffer trackers in the repeat lookup. */
 constexpr std::uint32_t kTrackerBanks = 32;
 
+/**
+ * MRU lookup+update of one capacity-4 tracker bank `b` holding `n` live
+ * rows; true on a hit. Systolic lanes stride across tracker banks, so
+ * hit depth (and hit/miss itself) is data-dependent and unpredictable —
+ * a branchy MRU walk eats a mispredict per address. Instead compute the
+ * hit mask and the rotated bank state unconditionally; everything
+ * lowers to conditional moves.
+ */
+inline bool
+accessMru4(std::uint64_t* b, std::uint32_t& n, std::uint64_t row)
+{
+    const std::uint64_t r0 = b[0];
+    const std::uint64_t r1 = b[1];
+    const std::uint64_t r2 = b[2];
+    const std::uint64_t r3 = b[3];
+    const bool h0 = r0 == row && n > 0;
+    const bool h1 = r1 == row && n > 1;
+    const bool h2 = r2 == row && n > 2;
+    const bool h3 = r3 == row && n > 3;
+    const bool hit = h0 | h1 | h2 | h3;
+    // MRU rotate-to-front (or insert-evict on a miss): slot i keeps its
+    // value when the hit was above it, else takes its predecessor's.
+    b[0] = row;
+    b[1] = h0 ? r1 : r0;
+    b[2] = (h0 | h1) ? r2 : r1;
+    b[3] = (h0 | h1 | h2) ? r3 : r2;
+    n = hit ? n : (n < 4 ? n + 1 : 4);
+    return hit;
+}
+
 } // namespace
 
 void
@@ -55,6 +85,8 @@ ActionCountVisitor::RowTrackerSet::access(std::uint64_t bank,
                                           std::uint64_t row)
 {
     std::uint64_t* const base = rows.data() + bank * capacity;
+    if (capacity == 4)
+        return accessMru4(base, sizes[bank], row);
     const std::uint32_t n = sizes[bank];
     std::uint32_t i = 0;
     while (i < n && base[i] != row)
@@ -283,36 +315,12 @@ ActionCountVisitor::countAccesses(RowTrackerSet& trackers,
     std::uint32_t* const sizes = trackers.sizes.data();
     Count repeats = 0;
     if (cap == 4) {
-        // Hot path for the default bank size. Systolic lanes stride
-        // across tracker banks, so hit depth (and hit/miss itself) is
-        // data-dependent and unpredictable — a branchy MRU walk eats
-        // a mispredict per address. Instead compute the hit mask and
-        // the rotated bank state unconditionally; everything lowers
-        // to conditional moves.
+        // Hot path for the default bank size.
         for (Addr addr : addrs) {
             const std::uint64_t row =
                 shift != kNoRowShift ? addr >> shift : addr / row_size;
             const std::uint64_t bank = row % kTrackerBanks;
-            std::uint64_t* const b = rows + bank * 4;
-            const std::uint64_t r0 = b[0];
-            const std::uint64_t r1 = b[1];
-            const std::uint64_t r2 = b[2];
-            const std::uint64_t r3 = b[3];
-            const std::uint32_t n = sizes[bank];
-            const bool h0 = r0 == row && n > 0;
-            const bool h1 = r1 == row && n > 1;
-            const bool h2 = r2 == row && n > 2;
-            const bool h3 = r3 == row && n > 3;
-            const bool hit = h0 | h1 | h2 | h3;
-            // MRU rotate-to-front (or insert-evict on a miss): slot i
-            // keeps its value when the hit was above it, else takes
-            // its predecessor's.
-            b[0] = row;
-            b[1] = h0 ? r1 : r0;
-            b[2] = (h0 | h1) ? r2 : r1;
-            b[3] = (h0 | h1 | h2) ? r3 : r2;
-            sizes[bank] = hit ? n : (n < 4 ? n + 1 : 4);
-            repeats += hit;
+            repeats += accessMru4(rows + bank * 4, sizes[bank], row);
         }
     } else {
         for (Addr addr : addrs) {

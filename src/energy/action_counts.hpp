@@ -120,7 +120,7 @@ class ActionCountVisitor : public systolic::DemandVisitor
         std::vector<std::uint32_t> sizes; ///< live rows per bank
         std::uint32_t capacity = 4;
         void reset(std::uint32_t banks, std::uint32_t cap);
-        /** Classic MRU lookup+update; true when `row` was live. */
+        /** MRU lookup+update; true when `row` was live. */
         bool access(std::uint64_t bank, std::uint64_t row);
     };
 

@@ -1,6 +1,7 @@
 #include "layout/layout.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "check/contract.hpp"
@@ -114,6 +115,9 @@ BankConflictEvaluator::BankConflictEvaluator(
         fatal("layout model needs non-zero banks and ports");
     bandwidthPerBank_ = std::max<std::uint64_t>(
         1, cfg_.onChipBandwidth / cfg_.banks);
+    byPorts_ = Divider(cfg_.portsPerBank);
+    bankLines_.assign(cfg_.banks, 0);
+    bankStamp_.assign(cfg_.banks, 0);
     streams_[0].layout = layouts.ifmap;
     streams_[1].layout = layouts.filter;
     streams_[2].layout = layouts.ofmap;
@@ -137,6 +141,15 @@ BankConflictEvaluator::beginLayer(const systolic::FoldGrid& grid,
                 && map.rowWidth % l.colStep == 0
             ? l.colStep
             : l.rowStep * map.rowWidth;
+        map.byRowWidth = Divider(map.rowWidth);
+        map.byRowStep = Divider(l.rowStep);
+        map.byColStep = Divider(l.colStep);
+        map.linesPerRow = ceilDiv(l.cols, l.colStep);
+        map.bankOfCol.resize(l.wordsPerLine());
+        for (std::uint64_t col = 0; col < map.bankOfCol.size(); ++col) {
+            map.bankOfCol[col] = static_cast<std::uint32_t>(
+                (col / bandwidthPerBank_) % cfg_.banks);
+        }
     }
     idealCycles_ = grid.totalCycles();
     slowedCycles_ = 0;
@@ -147,46 +160,72 @@ BankConflictEvaluator::beginLayer(const systolic::FoldGrid& grid,
     costPool_.clear();
 }
 
+void
+BankConflictEvaluator::beginCount(std::size_t addrs)
+{
+    ++epoch_;
+    if (2 * addrs > lineSet_.size()) {
+        const std::size_t slots = std::bit_ceil(2 * addrs);
+        lineSet_.assign(slots, LineSlot{});
+        lineSetShift_ = 64 - static_cast<std::uint32_t>(
+            std::countr_zero(slots));
+    }
+}
+
 std::uint64_t
 BankConflictEvaluator::operandSlowdown(const StreamMap& map,
                                        std::span<const Addr> reads,
                                        std::span<const Addr> extra,
                                        std::uint64_t rho)
 {
-    scratch_.clear();
-    const Layout2D& layout = map.layout;
+    if (reads.empty() && extra.empty())
+        return 0;
+    beginCount(reads.size() + extra.size());
+    const std::uint64_t epoch = epoch_;
+    LineSlot* const set = lineSet_.data();
+    const std::size_t mask = lineSet_.size() - 1;
+    const std::uint32_t shift = lineSetShift_;
+    std::uint32_t* const bank_lines = bankLines_.data();
+    std::uint64_t* const bank_stamp = bankStamp_.data();
+    const std::uint32_t* const bank_of_col = map.bankOfCol.data();
+    const std::uint64_t row_step = map.layout.rowStep;
+    const std::uint64_t col_step = map.layout.colStep;
+    // The busiest bank's distinct lines so far.
+    std::uint32_t worst = 0;
     auto add = [&](Addr addr) {
+        // Layout2D::lineId / colId and the column's bank, with every
+        // division by a precomputed divider or table.
         const std::uint64_t off = addr + rho - map.base;
-        const std::uint64_t r = off / map.rowWidth;
-        const std::uint64_t c = off % map.rowWidth;
-        const std::uint64_t line = layout.lineId(r, c);
-        const std::uint64_t col = layout.colId(r, c);
-        const std::uint32_t bank = static_cast<std::uint32_t>(
-            (col / bandwidthPerBank_) % cfg_.banks);
-        scratch_.emplace_back(bank, line);
+        const std::uint64_t r = map.byRowWidth.div(off);
+        const std::uint64_t c = off - r * map.rowWidth;
+        const std::uint64_t r_tile = map.byRowStep.div(r);
+        const std::uint64_t c_tile = map.byColStep.div(c);
+        const std::uint64_t line = r_tile * map.linesPerRow + c_tile;
+        const std::uint32_t bank = bank_of_col[
+            (r - r_tile * row_step) * col_step + (c - c_tile * col_step)];
+        // Fibonacci hashing picks the first slot; a match must be the
+        // same (bank, line) pair.
+        std::size_t i = static_cast<std::size_t>(
+            ((line ^ (std::uint64_t{bank} << 32))
+             * 0x9e3779b97f4a7c15ull) >> shift);
+        while (set[i].stamp == epoch) {
+            if (set[i].line == line && set[i].bank == bank)
+                return;
+            i = (i + 1) & mask;
+        }
+        set[i] = {line, epoch, bank};
+        const std::uint32_t lines =
+            bank_stamp[bank] == epoch ? bank_lines[bank] + 1 : 1;
+        bank_stamp[bank] = epoch;
+        bank_lines[bank] = lines;
+        worst = std::max(worst, lines);
     };
     for (Addr a : reads)
         add(a);
     for (Addr a : extra)
         add(a);
-    if (scratch_.empty())
-        return 0;
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    // Count distinct lines per bank; the busiest bank dominates.
-    std::uint64_t worst = 0;
-    std::size_t i = 0;
-    while (i < scratch_.size()) {
-        const std::uint32_t bank = scratch_[i].first;
-        std::uint64_t lines = 0;
-        while (i < scratch_.size() && scratch_[i].first == bank) {
-            ++lines;
-            ++i;
-        }
-        worst = std::max(worst, lines);
-    }
-    return ceilDiv(worst, cfg_.portsPerBank);
+    // ceil(worst / ports).
+    return byPorts_.div(std::uint64_t{worst} + cfg_.portsPerBank - 1);
 }
 
 void

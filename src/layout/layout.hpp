@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/divider.hpp"
 #include "systolic/demand.hpp"
 
 namespace scalesim::layout
@@ -145,6 +146,12 @@ class BankConflictEvaluator : public systolic::DemandVisitor
      * Shifting off by `period` keeps every bank and moves every line by
      * the same amount: rowStep rows always do; colStep words do when a
      * line is a run of colStep words that tiles the row exactly.
+     *
+     * beginLayer precomputes the per-address work: exact dividers for
+     * the three runtime divisors, the lines per layout row, and the
+     * bank of each of a line's rowStep * colStep columns (at most
+     * onChipBandwidth of them), so an address costs multiplies and one
+     * table load.
      */
     struct StreamMap
     {
@@ -152,6 +159,11 @@ class BankConflictEvaluator : public systolic::DemandVisitor
         Addr base = 0;
         std::uint64_t rowWidth = 1;
         std::uint64_t period = 1;
+        Divider byRowWidth;
+        Divider byRowStep;
+        Divider byColStep;
+        std::uint64_t linesPerRow = 1;
+        std::vector<std::uint32_t> bankOfCol;
     };
 
     /**
@@ -195,14 +207,37 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     std::size_t cycleCosts(const systolic::FoldCacheEntry& entry,
                            std::uint32_t stream, std::int64_t delta);
 
+    /** One (bank, line) of the cycle under evaluation; live when its
+     *  stamp is the cycle's epoch. */
+    struct LineSlot
+    {
+        std::uint64_t line = 0;
+        std::uint64_t stamp = 0;
+        std::uint32_t bank = 0;
+    };
+
+    /**
+     * Start counting one cycle's `addrs` accesses: a fresh epoch, and a
+     * line set at most half full.
+     */
+    void beginCount(std::size_t addrs);
+
     LayoutModelConfig cfg_;
     std::array<StreamMap, 3> streams_; // ifmap, filter, ofmap
     std::uint64_t bandwidthPerBank_ = 1;
+    Divider byPorts_;
     Cycle slowedCycles_ = 0;
     Cycle idealCycles_ = 0;
     Count conflictCycles_ = 0;
-    // Scratch: (bank, line) pairs of the cycle under evaluation.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> scratch_;
+    // Distinct lines per bank of the cycle under evaluation: an
+    // open-addressed set of exact (bank, line) pairs and per-bank line
+    // counters, both valid only where stamped with the current epoch,
+    // so a new cycle clears nothing. A 64-bit epoch never wraps.
+    std::vector<LineSlot> lineSet_;
+    std::uint32_t lineSetShift_ = 64;
+    std::vector<std::uint32_t> bankLines_;
+    std::vector<std::uint64_t> bankStamp_;
+    std::uint64_t epoch_ = 0;
     // Per-layer cost vectors, pooled so steady-state replays allocate
     // nothing; cleared in beginLayer.
     std::unordered_map<CostKey, CostSpan, CostKeyHash> costIndex_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: types, Table-II mapping, CSV
- * and INI parsing, topology loading, built-in workloads, and the RNG.
+ * and INI parsing, topology loading, built-in workloads, the RNG, and
+ * the invariant divider.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/config.hpp"
 #include "common/csv.hpp"
+#include "common/divider.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
@@ -27,6 +29,63 @@ TEST(CeilDiv, Basics)
     EXPECT_EQ(ceilDiv(0, 7), 0u);
     EXPECT_EQ(ceilDiv(7, 7), 1u);
     EXPECT_EQ(ceilDiv(8, 7), 2u);
+}
+
+namespace
+{
+
+/** Divider d against the hardware quotient and remainder of n. */
+::testing::AssertionResult
+dividesExactly(const Divider& d, std::uint64_t n)
+{
+    const std::uint64_t q = n / d.divisor();
+    const std::uint64_t r = n % d.divisor();
+    if (d.div(n) == q && d.mod(n) == r)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << n << " / " << d.divisor() << ": got " << d.div(n) << " rem "
+        << d.mod(n) << ", want " << q << " rem " << r;
+}
+
+} // namespace
+
+TEST(Divider, ExactAroundMultiples)
+{
+    // Numerators k*d - 1, k*d and k*d + 1 for small k, near 2^32 and
+    // near 2^64 - 1: the points where a rounded reciprocal goes wrong.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    for (std::uint64_t d = 1; d <= 4096; ++d) {
+        const Divider div(d);
+        ASSERT_EQ(div.divisor(), d);
+        for (const std::uint64_t k0 :
+             {std::uint64_t{0}, (std::uint64_t{1} << 32) / d,
+              kMax / d - 3}) {
+            for (std::uint64_t j = 0; j < 4 && k0 + j <= kMax / d; ++j) {
+                const std::uint64_t n = (k0 + j) * d;
+                ASSERT_TRUE(dividesExactly(div, n));
+                ASSERT_TRUE(dividesExactly(div, n + 1));
+                ASSERT_TRUE(dividesExactly(div, n - 1)); // wraps at 0
+            }
+        }
+        ASSERT_TRUE(dividesExactly(div, kMax));
+    }
+}
+
+TEST(Divider, ExactOnRandomPairs)
+{
+    // Divisors and numerators of every bit width, up to 2^64 - 1.
+    Rng rng(0xd1u);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t d =
+            std::max<std::uint64_t>(1, rng.next() >> rng.below(64));
+        const std::uint64_t n = rng.next() >> rng.below(64);
+        ASSERT_TRUE(dividesExactly(Divider(d), n));
+    }
+}
+
+TEST(Divider, RejectsZero)
+{
+    EXPECT_DEATH(Divider(0), "division by zero");
 }
 
 TEST(Dataflow, RoundTrip)

@@ -822,22 +822,6 @@ TEST(DramMemory, LatencySplitIsTheSystemsSplit)
               sys.totalReadLatency);
 }
 
-TEST(Channel, NextEventCycleTracksEarliestArrival)
-{
-    const DramTiming t = timingPreset("DDR4_2400");
-    Channel ch(t, 1);
-    EXPECT_EQ(ch.nextEventCycle(), Channel::kNoEvent);
-    DecodedAddr a;
-    ch.enqueue(a, false, 5000);
-    EXPECT_EQ(ch.nextEventCycle(), 5000u);
-    // An earlier arrival enqueued later must surface at the front.
-    a.col = 1;
-    ch.enqueue(a, false, 200);
-    EXPECT_EQ(ch.nextEventCycle(), 200u);
-    ch.drainAll();
-    EXPECT_EQ(ch.nextEventCycle(), Channel::kNoEvent);
-}
-
 TEST(Channel, GappedArrivalsServiceEarliestFirst)
 {
     // Regression for the pickNext fallback: when no pending request

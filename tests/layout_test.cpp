@@ -3,15 +3,20 @@
  * Unit tests for on-chip data layout modeling: the line/col/bank index
  * equations, layout constructors, and the bank-conflict evaluator's
  * slowdown properties (>= 1, fewer conflicts with more banks/ports,
- * layout sensitivity), and golden A/B tests of the per-fold cost memo
- * against the per-address path.
+ * layout sensitivity), golden A/B tests of the per-fold cost memo
+ * against the per-address path, a brute-force reference of the
+ * per-cycle cost, and pinned whole-layer figures.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <tuple>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
+#include "common/workloads.hpp"
 #include "energy/action_counts.hpp"
 #include "layout/layout.hpp"
 #include "sparse/pattern.hpp"
@@ -437,4 +442,252 @@ TEST(LayoutMemo, TeeWithDecliningSinkStillFeedsItAddresses)
     EXPECT_EQ(cached_counts.ofmapReads, live_counts.ofmapReads);
     EXPECT_EQ(cached_counts.ofmapWrites, live_counts.ofmapWrites);
     EXPECT_EQ(cached_counts.activeCycles, live_counts.activeCycles);
+}
+
+namespace
+{
+
+/**
+ * Brute-force cost of one operand's accesses in one cycle, straight
+ * from the paper's definition: each address's (line, col) from
+ * Layout2D, its bank from the column, the distinct (bank, line) pairs,
+ * then the busiest bank's lines over its ports.
+ */
+std::uint64_t
+referenceCost(const Layout2D& layout, Addr base, std::uint64_t row_width,
+              const LayoutModelConfig& cfg,
+              std::initializer_list<std::span<const Addr>> spans)
+{
+    const std::uint64_t per_bank =
+        std::max<std::uint64_t>(1, cfg.onChipBandwidth / cfg.banks);
+    std::set<std::pair<std::uint64_t, std::uint64_t>> lines;
+    for (std::span<const Addr> span : spans) {
+        for (Addr addr : span) {
+            const std::uint64_t off = addr - base;
+            const std::uint64_t r = off / row_width;
+            const std::uint64_t c = off % row_width;
+            const std::uint64_t col = layout.colId(r, c);
+            lines.emplace((col / per_bank) % cfg.banks,
+                          layout.lineId(r, c));
+        }
+    }
+    std::map<std::uint64_t, std::uint64_t> per_bank_lines;
+    std::uint64_t worst = 0;
+    for (const auto& [bank, line] : lines)
+        worst = std::max(worst, ++per_bank_lines[bank]);
+    return ceilDiv(worst, cfg.portsPerBank);
+}
+
+/**
+ * Random addresses of a rows x row_width operand at `base`: uniform
+ * offsets, offsets at the edges of rows and of lines, and repeats of
+ * earlier addresses.
+ */
+std::vector<Addr>
+randomSpan(Rng& rng, const Layout2D& layout, Addr base,
+           std::uint64_t rows, std::uint64_t row_width)
+{
+    std::vector<Addr> span(rng.below(48));
+    for (std::size_t i = 0; i < span.size(); ++i) {
+        std::uint64_t r = rng.below(rows);
+        std::uint64_t c = rng.below(row_width);
+        switch (rng.below(5)) {
+          case 0: // row edges
+            c = rng.below(2) ? 0 : row_width - 1;
+            break;
+          case 1: // line edges along the row
+            c = std::min(row_width - 1,
+                         rng.below(ceilDiv(row_width, layout.colStep))
+                                 * layout.colStep
+                             + rng.below(2));
+            if (c > 0 && rng.below(2))
+                --c;
+            break;
+          case 2: // line edges across rows
+            r = std::min(rows - 1,
+                         rng.below(ceilDiv(rows, layout.rowStep))
+                             * layout.rowStep);
+            if (r > 0 && rng.below(2))
+                --r;
+            break;
+          case 3: // a repeat
+            if (i > 0) {
+                span[i] = span[rng.below(i)];
+                continue;
+            }
+            break;
+          default:
+            break;
+        }
+        span[i] = base + r * row_width + c;
+    }
+    return span;
+}
+
+} // namespace
+
+TEST(LayoutReference, CycleCostMatchesBruteForce)
+{
+    // A conv ifmap row (W * C = 14 * 24 words) and 300-word GEMM rows
+    // that lines of every tested width wrap or split unevenly.
+    const LayerSpec conv = LayerSpec::conv("c", 14, 14, 3, 3, 24, 19, 2);
+    const GemmDims gemm{23, 300, 130};
+    const std::pair<GemmDims, OperandMap> shapes[] = {
+        {conv.toGemm(), OperandMap::forLayer(conv, MemoryConfig{})},
+        {gemm, makeOperands(gemm)},
+    };
+    Rng rng(0x1a7u);
+    for (const auto& [dims, operands] : shapes) {
+        const FoldGrid grid(dims, Dataflow::OutputStationary, 8, 8);
+        for (LayoutScheme scheme : {LayoutScheme::RowMajor,
+                                    LayoutScheme::ColMajor,
+                                    LayoutScheme::Tiled}) {
+            for (std::uint32_t banks : {1u, 3u, 7u, 32u}) {
+                for (std::uint32_t bandwidth : {7u, 24u, 100u, 256u}) {
+                    for (std::uint32_t ports : {1u, 2u, 3u}) {
+                        SCOPED_TRACE(format("%s banks %u bw %u ports %u",
+                                            schemeName(scheme), banks,
+                                            bandwidth, ports));
+                        const LayoutModelConfig cfg =
+                            layoutCfg(banks, ports, bandwidth);
+                        const OperandLayouts layouts =
+                            OperandLayouts::forOperands(operands, cfg,
+                                                        scheme);
+                        BankConflictEvaluator eval(cfg, layouts);
+                        eval.beginLayer(grid, operands);
+                        for (Cycle clk = 0; clk < 40; ++clk) {
+                            const auto ifmap = randomSpan(
+                                rng, layouts.ifmap, operands.ifmapBase,
+                                operands.ifmapRows(),
+                                operands.ifmapRowWidth());
+                            const auto filter = randomSpan(
+                                rng, layouts.filter, operands.filterBase,
+                                dims.k, dims.n);
+                            const auto writes = randomSpan(
+                                rng, layouts.ofmap, operands.ofmapBase,
+                                dims.m, dims.n);
+                            // Accumulating folds read what they write.
+                            const auto reads = rng.below(2)
+                                ? writes
+                                : randomSpan(rng, layouts.ofmap,
+                                             operands.ofmapBase, dims.m,
+                                             dims.n);
+                            const std::uint64_t expected = std::max(
+                                {std::uint64_t{1},
+                                 referenceCost(layouts.ifmap,
+                                               operands.ifmapBase,
+                                               operands.ifmapRowWidth(),
+                                               cfg, {ifmap}),
+                                 referenceCost(layouts.filter,
+                                               operands.filterBase,
+                                               dims.n, cfg, {filter}),
+                                 referenceCost(layouts.ofmap,
+                                               operands.ofmapBase,
+                                               dims.n, cfg,
+                                               {reads, writes})});
+                            const Cycle before = eval.slowedCycles();
+                            eval.cycle(clk, ifmap, filter, reads, writes);
+                            ASSERT_EQ(eval.slowedCycles() - before,
+                                      expected)
+                                << "cycle " << clk;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** Slowed and conflict cycles of one layer. */
+struct GoldenCycles
+{
+    Cycle slowed = 0;
+    Count conflicts = 0;
+};
+
+/** One layer on a 32x32 array through the fold-cached demand pass. */
+GoldenCycles
+layerCycles(const LayerSpec& layer, Dataflow df,
+            const LayoutModelConfig& cfg, LayoutScheme scheme,
+            const KGatherMap* gather = nullptr)
+{
+    LayoutCase c;
+    c.gemm = layer.toGemm();
+    c.operands = OperandMap::forLayer(layer, MemoryConfig{});
+    c.df = df;
+    c.array = 32;
+    c.cfg = cfg;
+    c.scheme = scheme;
+    c.gather = gather;
+    const LayoutPass pass = c.run(true);
+    return {pass.slowed, pass.conflicts};
+}
+
+void
+expectGolden(const GoldenCycles& got, const GoldenCycles& want)
+{
+    EXPECT_EQ(got.slowed, want.slowed);
+    EXPECT_EQ(got.conflicts, want.conflicts);
+}
+
+} // namespace
+
+// The pinned figures below were captured from the sort-based evaluator
+// (std::sort + unique over (bank, line) pairs, hardware division per
+// address); the evaluator must reproduce them exactly.
+
+TEST(LayoutGolden, VitBaseFirstLayers)
+{
+    // The benchmark's setting: 32 banks, 256 words per cycle.
+    const Topology vit = workloads::byName("vit_base");
+    const GoldenCycles want[] = {
+        {567912, 142728},  // patch_embed
+        {1705176, 428472}, // attn_qkv
+        {26988, 6945},     // attn_scores
+        {15390, 3908},     // attn_context
+    };
+    for (std::size_t i = 0; i < std::size(want); ++i) {
+        SCOPED_TRACE(vit.layers[i].name);
+        expectGolden(layerCycles(vit.layers[i], Dataflow::OutputStationary,
+                                 layoutCfg(32, 2, 256),
+                                 LayoutScheme::RowMajor),
+                     want[i]);
+    }
+}
+
+TEST(LayoutGolden, StridedResNet18Conv)
+{
+    const LayerSpec layer = workloads::resnet18().layers[10]; // conv4_1a
+    ASSERT_EQ(layer.name, "conv4_1a");
+    const std::pair<LayoutScheme, GoldenCycles> want[] = {
+        {LayoutScheme::RowMajor, {236280, 59240}},
+        {LayoutScheme::ColMajor, {686336, 59232}},
+        {LayoutScheme::Tiled, {257936, 57080}},
+    };
+    for (const auto& [scheme, cycles] : want) {
+        SCOPED_TRACE(schemeName(scheme));
+        expectGolden(layerCycles(layer, Dataflow::OutputStationary,
+                                 layoutCfg(16, 2, 128), scheme),
+                     cycles);
+    }
+}
+
+TEST(LayoutGolden, SparseWsGather)
+{
+    const LayerSpec layer = LayerSpec::gemm("g", 96, 80, 128);
+    const auto pattern = sparse::SparsityPattern::layerWise(128, 2, 4);
+    const std::pair<LayoutScheme, GoldenCycles> want[] = {
+        {LayoutScheme::RowMajor, {6634, 1094}},
+        {LayoutScheme::ColMajor, {11160, 1096}},
+        {LayoutScheme::Tiled, {7424, 1061}},
+    };
+    for (const auto& [scheme, cycles] : want) {
+        SCOPED_TRACE(schemeName(scheme));
+        expectGolden(layerCycles(layer, Dataflow::WeightStationary,
+                                 layoutCfg(7, 1, 24), scheme, &pattern),
+                     cycles);
+    }
 }
