@@ -11,7 +11,10 @@
  *  2. Untimed, once per mode: the full trace-mode visitor stack
  *     (SramTraceWriter + CountingVisitor + ActionCountVisitor, what
  *     scalesim_cli -s drives) to verify cached and uncached runs
- *     agree on every access total and trace row count. The wall
+ *     agree on every access total and trace row count. In the cached
+ *     pass a class's capture fold, like every replayed fold, reaches
+ *     the visitors that decline replayFold (writer and counter) as a
+ *     replay of its arena, here at zero delta. The wall
  *     times of these verification passes are reported too
  *     (`fullStack*Seconds`) — visitor-side costs are identical in
  *     both modes, so the end-to-end win shrinks as consumers grow.

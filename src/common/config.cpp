@@ -184,7 +184,7 @@ IniFile::getUint(std::string_view section, std::string_view key,
 
 std::uint32_t
 IniFile::getUint32(std::string_view section, std::string_view key,
-                   std::uint32_t fallback) const
+                   std::uint32_t fallback, std::uint32_t max) const
 {
     const Entry* entry = find(section, key);
     if (!entry || entry->value.empty())
@@ -192,6 +192,10 @@ IniFile::getUint32(std::string_view section, std::string_view key,
     std::uint64_t value = getUint(section, key);
     if (value > std::numeric_limits<std::uint32_t>::max())
         badValue(section, key, *entry, "overflows a 32-bit integer");
+    if (value > max) {
+        badValue(section, key, *entry,
+                 format("exceeds the maximum of %u", max).c_str());
+    }
     return static_cast<std::uint32_t>(value);
 }
 
@@ -360,7 +364,8 @@ SimConfig::fromIni(const IniFile& ini)
     cfg.energy.rowSize = ini.getUint32("energy", "RowSize",
                                        cfg.energy.rowSize);
     cfg.energy.bankSize = ini.getUint32("energy", "BankSize",
-                                        cfg.energy.bankSize);
+                                        cfg.energy.bankSize,
+                                        EnergyConfig::kMaxBankSize);
     cfg.energy.frequencyGhz = ini.getDouble("energy", "FrequencyGhz",
                                             cfg.energy.frequencyGhz);
     cfg.energy.node = ini.getString("energy", "Node", cfg.energy.node);
@@ -417,6 +422,9 @@ SimConfig::validate() const
     if (energy.enabled) {
         if (energy.rowSize == 0 || energy.bankSize == 0)
             fatal("energy RowSize/BankSize must be non-zero");
+        if (energy.bankSize > EnergyConfig::kMaxBankSize)
+            fatal("energy BankSize %u exceeds the maximum of %u",
+                  energy.bankSize, EnergyConfig::kMaxBankSize);
         if (energy.frequencyGhz <= 0.0)
             fatal("FrequencyGhz must be positive");
     }

@@ -10,6 +10,7 @@
 #define SCALESIM_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -46,10 +47,15 @@ class IniFile
     /** getInt that additionally rejects negative values. */
     std::uint64_t getUint(std::string_view section, std::string_view key,
                           std::uint64_t fallback = 0) const;
-    /** getUint bounded to 32 bits (array dims, queue sizes, ...). */
-    std::uint32_t getUint32(std::string_view section,
-                            std::string_view key,
-                            std::uint32_t fallback = 0) const;
+    /**
+     * getUint bounded to 32 bits (array dims, queue sizes, ...) and to
+     * `max`; a larger value is fatal() naming the bound.
+     */
+    std::uint32_t getUint32(
+        std::string_view section, std::string_view key,
+        std::uint32_t fallback = 0,
+        std::uint32_t max = std::numeric_limits<std::uint32_t>::max())
+        const;
     double getDouble(std::string_view section, std::string_view key,
                      double fallback = 0.0) const;
     bool getBool(std::string_view section, std::string_view key,
@@ -221,6 +227,11 @@ struct EnergyConfig
     std::uint32_t rowSize = 32;
     /** 'bank size': row buffers per SRAM bank (reuse across cycles). */
     std::uint32_t bankSize = 4;
+    /**
+     * Largest accepted bankSize. The trace counter keeps 4 streams x 32
+     * banks x bankSize rows and steps each access in O(bankSize).
+     */
+    static constexpr std::uint32_t kMaxBankSize = 1024;
     /** Clock for power = energy / time. */
     double frequencyGhz = 1.0;
     /** Technology node tag used to select the energy table. */

@@ -18,33 +18,32 @@ namespace
 constexpr std::uint32_t kTrackerBanks = 32;
 
 /**
- * MRU lookup+update of one capacity-4 tracker bank `b` holding `n` live
- * rows; true on a hit. Systolic lanes stride across tracker banks, so
- * hit depth (and hit/miss itself) is data-dependent and unpredictable —
- * a branchy MRU walk eats a mispredict per address. Instead compute the
- * hit mask and the rotated bank state unconditionally; everything
- * lowers to conditional moves.
+ * MRU lookup+update of one capacity-4 tracker bank `b`; true on a hit.
+ * Empty slots hold the empty-row marker, which no row equals, so the
+ * step needs no bank size. Systolic lanes stride across tracker banks,
+ * so hit depth (and hit/miss itself) is data-dependent and
+ * unpredictable — a branchy MRU walk eats a mispredict per address.
+ * Instead compute the hit mask and the rotated bank state
+ * unconditionally; everything lowers to conditional moves.
  */
 inline bool
-accessMru4(std::uint64_t* b, std::uint32_t& n, std::uint64_t row)
+accessMru4(std::uint64_t* b, std::uint64_t row)
 {
     const std::uint64_t r0 = b[0];
     const std::uint64_t r1 = b[1];
     const std::uint64_t r2 = b[2];
     const std::uint64_t r3 = b[3];
-    const bool h0 = r0 == row && n > 0;
-    const bool h1 = r1 == row && n > 1;
-    const bool h2 = r2 == row && n > 2;
-    const bool h3 = r3 == row && n > 3;
-    const bool hit = h0 | h1 | h2 | h3;
+    const bool h0 = r0 == row;
+    const bool h1 = r1 == row;
+    const bool h2 = r2 == row;
+    const bool h3 = r3 == row;
     // MRU rotate-to-front (or insert-evict on a miss): slot i keeps its
     // value when the hit was above it, else takes its predecessor's.
     b[0] = row;
     b[1] = h0 ? r1 : r0;
     b[2] = (h0 | h1) ? r2 : r1;
     b[3] = (h0 | h1 | h2) ? r3 : r2;
-    n = hit ? n : (n < 4 ? n + 1 : 4);
-    return hit;
+    return h0 | h1 | h2 | h3;
 }
 
 } // namespace
@@ -76,8 +75,7 @@ ActionCountVisitor::RowTrackerSet::reset(std::uint32_t banks,
                                          std::uint32_t cap)
 {
     capacity = cap;
-    rows.assign(static_cast<std::size_t>(banks) * cap, 0);
-    sizes.assign(banks, 0);
+    rows.assign(static_cast<std::size_t>(banks) * cap, kEmptyRow);
 }
 
 bool
@@ -86,23 +84,23 @@ ActionCountVisitor::RowTrackerSet::access(std::uint64_t bank,
 {
     std::uint64_t* const base = rows.data() + bank * capacity;
     if (capacity == 4)
-        return accessMru4(base, sizes[bank], row);
-    const std::uint32_t n = sizes[bank];
-    std::uint32_t i = 0;
-    while (i < n && base[i] != row)
-        ++i;
-    if (i < n) {
-        // Hit: rotate [0, i] right by one, row becomes MRU.
-        std::copy_backward(base, base + i, base + i + 1);
-        base[0] = row;
-        return true;
-    }
-    // Miss: push to MRU, evicting the LRU entry when full.
-    const std::uint32_t keep = std::min(n, capacity - 1);
-    std::copy_backward(base, base + keep, base + keep + 1);
+        return accessMru4(base, row);
+    // Rotate [0, slot] right by one so `row` becomes MRU. On a miss the
+    // slot is the LRU one, so its row (or empty marker) falls off.
+    std::uint64_t* const last = base + capacity - 1;
+    std::uint64_t* const slot = std::find(base, last, row);
+    const bool hit = *slot == row;
+    std::copy_backward(base, slot, slot + 1);
     base[0] = row;
-    sizes[bank] = std::min(n + 1, capacity);
-    return false;
+    return hit;
+}
+
+std::uint32_t
+ActionCountVisitor::RowTrackerSet::size(std::uint64_t bank) const
+{
+    const auto base = rows.begin() + bank * capacity;
+    return static_cast<std::uint32_t>(
+        std::find(base, base + capacity, kEmptyRow) - base);
 }
 
 ActionCountVisitor::ActionCountVisitor(const EnergyConfig& cfg,
@@ -113,6 +111,9 @@ ActionCountVisitor::ActionCountVisitor(const EnergyConfig& cfg,
         fatal("energy RowSize must be non-zero");
     if (cfg_.bankSize == 0)
         fatal("energy BankSize must be non-zero");
+    if (cfg_.bankSize > EnergyConfig::kMaxBankSize)
+        fatal("energy BankSize %u exceeds the maximum of %u",
+              cfg_.bankSize, EnergyConfig::kMaxBankSize);
     // The per-address row lookup runs once per trace address; a
     // power-of-two row size (the default and every preset) turns the
     // division into a shift.
@@ -143,6 +144,14 @@ ActionCountVisitor::beginLayer(const systolic::FoldGrid& grid,
     rowPool_.clear();
 }
 
+void
+ActionCountVisitor::beginFold(std::uint64_t rf, std::uint64_t cf,
+                              Cycle /*fold_start*/)
+{
+    foldRf_ = rf;
+    foldCf_ = cf;
+}
+
 std::size_t
 ActionCountVisitor::SummaryKeyHash::operator()(const SummaryKey& k) const
 {
@@ -157,8 +166,38 @@ ActionCountVisitor::SummaryKeyHash::operator()(const SummaryKey& k) const
 std::uint64_t
 ActionCountVisitor::rowOf(Addr addr) const
 {
-    return rowShift_ != kNoRowShift ? addr >> rowShift_
-                                    : addr / cfg_.rowSize;
+    const std::uint64_t row = rowShift_ != kNoRowShift
+        ? addr >> rowShift_ : addr / cfg_.rowSize;
+    SIM_CHECK_NE(row, RowTrackerSet::kEmptyRow,
+                 "no address forms the empty-row marker");
+    return row;
+}
+
+template <typename OnStep>
+void
+ActionCountVisitor::step(RowTrackerSet& trackers,
+                         std::span<const Addr> addrs, std::uint64_t rho,
+                         OnStep on_step) const
+{
+    auto run = [&](auto access) {
+        for (Addr addr : addrs) {
+            const std::uint64_t row = rowOf(addr + rho);
+            const std::uint64_t bank = row % kTrackerBanks;
+            on_step(bank, row, access(bank, row));
+        }
+    };
+    // Hot path for the default bank size, its test hoisted out of the
+    // address loop.
+    if (trackers.capacity == 4) {
+        std::uint64_t* const rows = trackers.rows.data();
+        run([rows](std::uint64_t bank, std::uint64_t row) {
+            return accessMru4(rows + bank * 4, row);
+        });
+    } else {
+        run([&trackers](std::uint64_t bank, std::uint64_t row) {
+            return trackers.access(bank, row);
+        });
+    }
 }
 
 const ActionCountVisitor::StreamSummary&
@@ -183,20 +222,19 @@ ActionCountVisitor::summary(const systolic::FoldCacheEntry& entry,
     firstCount_.assign(kTrackerBanks, 0);
     StreamSummary s;
     s.addrs = addrs.size();
-    for (Addr addr : addrs) {
-        const std::uint64_t row = rowOf(addr + rho);
-        const std::uint64_t bank = row % kTrackerBanks;
-        if (summaryRows_.access(bank, row))
-            ++s.fixedRepeats;
-        else if (firstCount_[bank] < cap)
-            firstRows_[bank * cap + firstCount_[bank]++] = row;
-    }
+    step(summaryRows_, addrs, rho,
+         [&](std::uint64_t bank, std::uint64_t row, bool hit) {
+             if (hit)
+                 ++s.fixedRepeats;
+             else if (firstCount_[bank] < cap)
+                 firstRows_[bank * cap + firstCount_[bank]++] = row;
+         });
     s.firstBank = static_cast<std::uint32_t>(bankPool_.size());
     for (std::uint32_t bank = 0; bank < kTrackerBanks; ++bank) {
         const std::uint32_t n = firstCount_[bank];
         if (n == 0)
             continue;
-        SIM_CHECK_EQ(summaryRows_.sizes[bank], n,
+        SIM_CHECK_EQ(summaryRows_.size(bank), n,
                      "a bank keeps min(distinct rows, capacity) rows");
         bankPool_.push_back({bank, n, rowPool_.size()});
         const auto first = firstRows_.begin() + bank * cap;
@@ -241,15 +279,16 @@ ActionCountVisitor::applySummary(RowTrackerSet& trackers,
         const BankSummary& bs = bankPool_[s.firstBank + i];
         const std::uint64_t bank = (bs.bank + rotate) % kTrackerBanks;
         std::uint64_t* const live = trackers.rows.data() + bank * cap;
-        const std::uint32_t n_in = trackers.sizes[bank];
-        incoming_.assign(live, live + n_in);
+        incoming_.assign(live, live + trackers.size(bank));
 
         // First touches against the incoming rows.
-        std::copy(incoming_.begin(), incoming_.end(), probe_.rows.begin());
-        probe_.sizes[0] = n_in;
+        std::copy(live, live + cap, probe_.rows.begin());
         const std::uint64_t* const first = rowPool_.data() + bs.rows;
-        for (std::uint32_t j = 0; j < bs.distinct; ++j)
+        for (std::uint32_t j = 0; j < bs.distinct; ++j) {
+            SIM_CHECK_NE(first[j] + shift, RowTrackerSet::kEmptyRow,
+                         "a shifted row is never the empty-row marker");
             repeats += probe_.access(0, first[j] + shift);
+        }
 
         // Outgoing state: the in-fold MRU list, then (while the bank has
         // room) the incoming rows the fold did not touch, in order.
@@ -265,7 +304,7 @@ ActionCountVisitor::applySummary(RowTrackerSet& trackers,
                 live[n_out++] = row;
             }
         }
-        trackers.sizes[bank] = n_out;
+        std::fill(live + n_out, live + cap, RowTrackerSet::kEmptyRow);
     }
     repeat += repeats;
     random += s.addrs - repeats;
@@ -299,7 +338,8 @@ ActionCountVisitor::replayFold(const systolic::FoldCacheEntry& entry,
     }
     apply(ofmapWriteRows_, 2, entry.writes, deltas.ofmap,
           counts_.ofmapSram, false);
-    ++foldsSummarized_;
+    if (entry.rf != foldRf_ || entry.cf != foldCf_)
+        ++foldsSummarized_;
     return true;
 }
 
@@ -308,29 +348,11 @@ ActionCountVisitor::countAccesses(RowTrackerSet& trackers,
                                   std::span<const Addr> addrs,
                                   Count& random, Count& repeat)
 {
-    const std::uint64_t row_size = cfg_.rowSize;
-    const std::uint32_t shift = rowShift_;
-    const std::uint32_t cap = trackers.capacity;
-    std::uint64_t* const rows = trackers.rows.data();
-    std::uint32_t* const sizes = trackers.sizes.data();
     Count repeats = 0;
-    if (cap == 4) {
-        // Hot path for the default bank size.
-        for (Addr addr : addrs) {
-            const std::uint64_t row =
-                shift != kNoRowShift ? addr >> shift : addr / row_size;
-            const std::uint64_t bank = row % kTrackerBanks;
-            repeats += accessMru4(rows + bank * 4, sizes[bank], row);
-        }
-    } else {
-        for (Addr addr : addrs) {
-            const std::uint64_t row =
-                shift != kNoRowShift ? addr >> shift : addr / row_size;
-            const std::uint64_t bank = row % kTrackerBanks;
-            if (trackers.access(bank, row))
-                ++repeats;
-        }
-    }
+    step(trackers, addrs, 0,
+         [&repeats](std::uint64_t, std::uint64_t, bool hit) {
+             repeats += hit;
+         });
     repeat += repeats;
     random += addrs.size() - repeats;
 }

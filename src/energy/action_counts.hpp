@@ -87,6 +87,8 @@ class ActionCountVisitor : public systolic::DemandVisitor
 
     void beginLayer(const systolic::FoldGrid& grid,
                     const systolic::OperandMap& operands) override;
+    void beginFold(std::uint64_t rf, std::uint64_t cf,
+                   Cycle fold_start) override;
     void cycle(Cycle clk, std::span<const Addr> ifmap_reads,
                std::span<const Addr> filter_reads,
                std::span<const Addr> ofmap_reads,
@@ -94,8 +96,9 @@ class ActionCountVisitor : public systolic::DemandVisitor
     void endLayer(Cycle total_cycles) override;
 
     /**
-     * Count a replayed fold from per-fold stream summaries instead of
+     * Count a cached fold from per-fold stream summaries instead of
      * its addresses (see StreamSummary). Always consumes the fold.
+     * A class capture arrives here too, unshifted.
      */
     bool replayFold(const systolic::FoldCacheEntry& entry,
                     Cycle fold_start,
@@ -104,7 +107,10 @@ class ActionCountVisitor : public systolic::DemandVisitor
 
     const ActionCounts& counts() const { return counts_; }
 
-    /** Replayed folds counted through replayFold(), over all layers. */
+    /**
+     * Replayed folds counted through replayFold(), over all layers;
+     * class captures are not counted.
+     */
     Count foldsSummarized() const { return foldsSummarized_; }
 
   private:
@@ -116,14 +122,26 @@ class ActionCountVisitor : public systolic::DemandVisitor
      */
     struct RowTrackerSet
     {
-        std::vector<std::uint64_t> rows; ///< banks * capacity, MRU 1st
-        std::vector<std::uint32_t> sizes; ///< live rows per bank
+        /** Row held by an empty slot; rowOf() never forms it. */
+        static constexpr std::uint64_t kEmptyRow = ~std::uint64_t{0};
+
+        /** banks * capacity, MRU first; empty slots trail a bank. */
+        std::vector<std::uint64_t> rows;
         std::uint32_t capacity = 4;
         void reset(std::uint32_t banks, std::uint32_t cap);
         /** MRU lookup+update; true when `row` was live. */
         bool access(std::uint64_t bank, std::uint64_t row);
+        /** Live (non-empty) rows of `bank`. */
+        std::uint32_t size(std::uint64_t bank) const;
     };
 
+    /**
+     * Step each address of `addrs`, offset by `rho`, through
+     * `trackers`, calling on_step(bank, row, hit) after each.
+     */
+    template <typename OnStep>
+    void step(RowTrackerSet& trackers, std::span<const Addr> addrs,
+              std::uint64_t rho, OnStep on_step) const;
     void countAccesses(RowTrackerSet& trackers,
                        std::span<const Addr> addrs, Count& random,
                        Count& repeat);
@@ -217,6 +235,9 @@ class ActionCountVisitor : public systolic::DemandVisitor
     std::vector<std::uint32_t> firstCount_;
     std::vector<std::uint64_t> incoming_;
     RowTrackerSet probe_;
+    /** The fold announced by beginFold; a capture replays itself. */
+    std::uint64_t foldRf_ = 0;
+    std::uint64_t foldCf_ = 0;
     Count foldsSummarized_ = 0;
 
     double utilization_ = 0.0;

@@ -251,6 +251,14 @@ BankConflictEvaluator::cycle(Cycle /*clk*/,
         ++conflictCycles_;
 }
 
+void
+BankConflictEvaluator::beginFold(std::uint64_t rf, std::uint64_t cf,
+                                 Cycle /*fold_start*/)
+{
+    foldRf_ = rf;
+    foldCf_ = cf;
+}
+
 std::size_t
 BankConflictEvaluator::CostKeyHash::operator()(const CostKey& k) const
 {
@@ -318,7 +326,8 @@ BankConflictEvaluator::replayFold(const systolic::FoldCacheEntry& entry,
     SIM_CHECK_LE(cycles, slowed, "a replayed fold takes its cycles");
     slowedCycles_ += slowed;
     conflictCycles_ += conflicts;
-    ++foldsMemoized_;
+    if (entry.rf != foldRf_ || entry.cf != foldCf_)
+        ++foldsMemoized_;
     return true;
 }
 

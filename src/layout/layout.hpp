@@ -113,14 +113,17 @@ class BankConflictEvaluator : public systolic::DemandVisitor
 
     void beginLayer(const systolic::FoldGrid& grid,
                     const systolic::OperandMap& operands) override;
+    void beginFold(std::uint64_t rf, std::uint64_t cf,
+                   Cycle fold_start) override;
     void cycle(Cycle clk, std::span<const Addr> ifmap_reads,
                std::span<const Addr> filter_reads,
                std::span<const Addr> ofmap_reads,
                std::span<const Addr> ofmap_writes) override;
 
     /**
-     * Charge a replayed fold from memoized per-cycle costs instead of
-     * its addresses (see CostKey). Always consumes the fold.
+     * Charge a cached fold from memoized per-cycle costs instead of
+     * its addresses (see CostKey). Always consumes the fold. A class
+     * capture arrives here too, unshifted.
      */
     bool replayFold(const systolic::FoldCacheEntry& entry,
                     Cycle fold_start,
@@ -136,7 +139,10 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     /** Cycles in which at least one bank exceeded its ports. */
     Count conflictCycles() const { return conflictCycles_; }
 
-    /** Replayed folds charged through replayFold(), over all layers. */
+    /**
+     * Replayed folds charged through replayFold(), over all layers;
+     * class captures are not counted.
+     */
     Count foldsMemoized() const { return foldsMemoized_; }
 
   private:
@@ -242,6 +248,9 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     // nothing; cleared in beginLayer.
     std::unordered_map<CostKey, CostSpan, CostKeyHash> costIndex_;
     std::vector<std::uint32_t> costPool_;
+    /** The fold announced by beginFold; a capture replays itself. */
+    std::uint64_t foldRf_ = 0;
+    std::uint64_t foldCf_ = 0;
     Count foldsMemoized_ = 0;
 };
 

@@ -279,34 +279,35 @@ DemandGenerator::runCached(DemandVisitor& visitor) const
         for (std::uint64_t cf = 0; cf < grid_.colFolds(); ++cf) {
             visitor.beginFold(rf, cf, fold_start);
             ++cacheStats_.foldsTotal;
-            bool handled = false;
+            const bool accumulate = !os && rf > 0;
+            FoldCacheEntry* entry = nullptr;
+            ReplayDeltas deltas;
             std::uint64_t key = 0;
             if (grid_.tileRows(rf) == ctr && grid_.tileCols(cf) == ctc
                 && replayKey(rf, cf, key)) {
-                if (FoldCacheEntry* entry = cache.find(key)) {
-                    const bool accumulate = !os && rf > 0;
-                    const ReplayDeltas deltas = replayDeltas(*entry, rf,
-                                                             cf);
-                    if (!visitor.replayFold(*entry, fold_start, deltas,
-                                            accumulate)) {
-                        entry->replay(visitor, fold_start, deltas,
-                                      accumulate, scratch);
-                    }
+                entry = cache.find(key);
+                if (entry) {
+                    deltas = replayDeltas(*entry, rf, cf);
                     ++cacheStats_.foldsReplayed;
                     cacheStats_.addrsReplayed +=
                         entry->addrCount(accumulate);
-                    handled = true;
                 } else {
-                    FoldCacheEntry& fresh = cache.insert(key, rf, cf);
-                    FoldCaptureVisitor capture(visitor, fresh);
+                    // Capture the class's first fold silently; it then
+                    // reaches the visitor as a replay of itself at zero
+                    // shift, but still counts as live.
+                    entry = &cache.insert(key, rf, cf);
+                    FoldCaptureVisitor capture(*entry);
                     runFold(capture, rf, cf, fold_start);
                     ++cacheStats_.foldsLive;
-                    handled = true;
                 }
             }
-            if (!handled) {
+            if (!entry) {
                 runFold(visitor, rf, cf, fold_start);
                 ++cacheStats_.foldsLive;
+            } else if (!visitor.replayFold(*entry, fold_start, deltas,
+                                           accumulate)) {
+                entry->replay(visitor, fold_start, deltas, accumulate,
+                              scratch);
             }
             fold_start += fold_len;
             visitor.endFold(rf, cf, fold_start);

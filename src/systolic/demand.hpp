@@ -92,7 +92,9 @@ class DemandVisitor
      * to consume the fold without its addresses. The default returns
      * false, and the generator then sends the fold's cycles through
      * cycle() as for any other fold. Within one layer, `entry` is
-     * identified by its capture fold (entry.rf, entry.cf).
+     * identified by its capture fold (entry.rf, entry.cf). A class's
+     * capture fold arrives here too, with zero deltas: it is the call
+     * whose (entry.rf, entry.cf) is the fold beginFold announced.
      */
     virtual bool
     replayFold(const FoldCacheEntry& /*entry*/, Cycle /*fold_start*/,

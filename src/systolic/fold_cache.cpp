@@ -58,9 +58,10 @@ FoldCacheEntry::replay(DemandVisitor& visitor, Cycle fold_start,
 }
 
 void
-FoldCaptureVisitor::cycle(Cycle clk, std::span<const Addr> ifmap_reads,
+FoldCaptureVisitor::cycle(Cycle /*clk*/,
+                          std::span<const Addr> ifmap_reads,
                           std::span<const Addr> filter_reads,
-                          std::span<const Addr> ofmap_reads,
+                          std::span<const Addr> /*ofmap_reads*/,
                           std::span<const Addr> ofmap_writes)
 {
     auto append = [](FoldCacheEntry::Stream& stream,
@@ -72,8 +73,6 @@ FoldCaptureVisitor::cycle(Cycle clk, std::span<const Addr> ifmap_reads,
     append(entry_.ifmap, ifmap_reads);
     append(entry_.filter, filter_reads);
     append(entry_.writes, ofmap_writes);
-    inner_.cycle(clk, ifmap_reads, filter_reads, ofmap_reads,
-                 ofmap_writes);
 }
 
 } // namespace scalesim::systolic

@@ -11,10 +11,10 @@
  *
  * The cache captures one canonical fold per equivalence class into a
  * compact arena (flat Addr buffer plus per-cycle span offsets, no
- * per-cycle push_back/clear churn) and replays it for every other
- * fold of the class by adding the constant deltas, so every visitor
- * sees a bit-identical cycle/address sequence at a fraction of the
- * generation cost.
+ * per-cycle push_back/clear churn) and replays it for every fold of
+ * the class by adding the constant deltas — the capture fold itself
+ * at zero shift — so every visitor sees a bit-identical cycle/address
+ * sequence at a fraction of the generation cost.
  */
 
 #ifndef SCALESIM_SYSTOLIC_FOLD_CACHE_HH
@@ -86,16 +86,15 @@ struct FoldCacheEntry
 };
 
 /**
- * DemandVisitor that forwards every cycle to an inner visitor while
- * appending the spans to a FoldCacheEntry's arenas. Wrapped around
- * the live generator for the first fold of each equivalence class.
+ * DemandVisitor that appends every cycle's spans to a FoldCacheEntry's
+ * arenas. The live generator runs the first fold of each equivalence
+ * class into it; the generator then hands the captured fold to the
+ * real visitor as a zero-shift replay, like any other cached fold.
  */
 class FoldCaptureVisitor : public DemandVisitor
 {
   public:
-    FoldCaptureVisitor(DemandVisitor& inner, FoldCacheEntry& entry)
-        : inner_(inner), entry_(entry)
-    {}
+    explicit FoldCaptureVisitor(FoldCacheEntry& entry) : entry_(entry) {}
 
     void cycle(Cycle clk, std::span<const Addr> ifmap_reads,
                std::span<const Addr> filter_reads,
@@ -103,7 +102,6 @@ class FoldCaptureVisitor : public DemandVisitor
                std::span<const Addr> ofmap_writes) override;
 
   private:
-    DemandVisitor& inner_;
     FoldCacheEntry& entry_;
 };
 

@@ -356,6 +356,32 @@ TEST(SimConfig, RejectsRemovedDramEngineKey)
         "accepted");
 }
 
+TEST(SimConfig, RejectsOversizedBankSize)
+{
+    // The trace counter keeps 4 x 32 x BankSize tracker rows: a huge
+    // value must fail by name, not as std::bad_alloc at the first layer.
+    expectFatalContaining(
+        [] {
+            SimConfig::fromIni(IniFile::parseString(
+                "[energy]\nEnergyModel = true\nBankSize = 4000000000\n",
+                "big.cfg"));
+        },
+        "big.cfg:3: energy.BankSize: '4000000000' exceeds the maximum "
+        "of 1024");
+    const SimConfig at_bound = SimConfig::fromIni(IniFile::parseString(
+        "[energy]\nBankSize = 1024\n"));
+    EXPECT_EQ(at_bound.energy.bankSize, EnergyConfig::kMaxBankSize);
+
+    // Configs built in code hit the same bound in validate().
+    SimConfig cfg;
+    cfg.energy.enabled = true;
+    cfg.energy.bankSize = EnergyConfig::kMaxBankSize;
+    cfg.validate();
+    cfg.energy.bankSize = EnergyConfig::kMaxBankSize + 1;
+    expectFatalContaining([&] { cfg.validate(); },
+                          "BankSize 1025 exceeds the maximum of 1024");
+}
+
 TEST(SimConfig, RejectsUnknownEnumValuesWithFileAndLine)
 {
     // These used to escape fromIni as std::invalid_argument (aborting

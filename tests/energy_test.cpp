@@ -2,14 +2,21 @@
  * @file
  * Unit tests for the energy module: ERT node scaling, MAC/scratchpad/
  * SRAM action-count rules (§VII), trace-vs-analytical consistency,
- * repeated-access lookup behavior, and the energy/power model.
+ * repeated-access lookup behavior against an in-test LRU reference and
+ * pinned counts, and the energy/power model.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <list>
+
 #include "common/log.hpp"
+#include "common/rng.hpp"
+#include "common/workloads.hpp"
 #include "energy/action_counts.hpp"
 #include "energy/model.hpp"
+#include "sparse/pattern.hpp"
 #include "systolic/demand.hpp"
 
 using namespace scalesim;
@@ -317,4 +324,244 @@ TEST(Model, DramCommandEnergyComponents)
                      2 * ert.dramReadBurstPj + 3 * ert.dramWriteBurstPj);
     EXPECT_DOUBLE_EQ(model.dramCommandEnergyPj(0, 0, 0, 5),
                      5 * ert.dramRefreshPj);
+}
+
+namespace
+{
+
+/**
+ * Brute-force repeat lookup, independent of ActionCountVisitor's
+ * trackers: one LRU list of rows per bank, MRU at the front.
+ */
+class ReferenceRowLru
+{
+  public:
+    ReferenceRowLru(std::uint32_t row_size, std::uint32_t bank_size)
+        : rowSize_(row_size), bankSize_(bank_size)
+    {}
+
+    /** True when `addr`'s row is among its bank's last bankSize rows. */
+    bool
+    access(Addr addr)
+    {
+        const std::uint64_t row = addr / rowSize_;
+        std::list<std::uint64_t>& bank = banks_[row % banks_.size()];
+        for (auto it = bank.begin(); it != bank.end(); ++it) {
+            if (*it == row) {
+                bank.splice(bank.begin(), bank, it);
+                return true;
+            }
+        }
+        bank.push_front(row);
+        if (bank.size() > bankSize_)
+            bank.pop_back();
+        return false;
+    }
+
+  private:
+    std::uint32_t rowSize_;
+    std::uint32_t bankSize_;
+    std::array<std::list<std::uint64_t>, 32> banks_;
+};
+
+/** Repeat count of each stream the visitor tracks separately. */
+std::array<Count, 4>
+streamRepeats(const ActionCounts& c)
+{
+    return {c.ifmapSram.readRepeat, c.filterSram.readRepeat,
+            c.ofmapSram.readRepeat, c.ofmapSram.writeRepeat};
+}
+
+} // namespace
+
+TEST(ActionCountsReference, EveryAccessMatchesBruteForceLru)
+{
+    const GemmDims gemm{8, 8, 8};
+    const FoldGrid grid(gemm, Dataflow::OutputStationary, 8, 8);
+    const OperandMap operands = makeOperands(gemm);
+    for (std::uint32_t bank_size : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        for (std::uint32_t row_size : {1u, 3u, 24u, 32u}) {
+            SCOPED_TRACE(::testing::Message() << "RowSize " << row_size
+                                              << " BankSize "
+                                              << bank_size);
+            EnergyConfig cfg;
+            cfg.rowSize = row_size;
+            cfg.bankSize = bank_size;
+            ActionCountVisitor visitor(cfg);
+            visitor.beginLayer(grid, operands);
+            std::array<ReferenceRowLru, 4> ref{
+                ReferenceRowLru(row_size, bank_size),
+                ReferenceRowLru(row_size, bank_size),
+                ReferenceRowLru(row_size, bank_size),
+                ReferenceRowLru(row_size, bank_size)};
+            // Rows span a few times the tracked rows of all 32 banks, so
+            // banks fill, evict and re-hit; recent addresses recur.
+            const std::uint64_t rows = 32ull * (bank_size + 2);
+            Rng rng(1000 * bank_size + row_size);
+            std::array<std::vector<Addr>, 4> recent;
+            for (Cycle clk = 0; clk < 20000; ++clk) {
+                std::array<Addr, 4> addr{};
+                std::array<bool, 4> live{};
+                for (std::size_t s = 0; s < 4; ++s) {
+                    live[s] = rng.below(8) != 0;
+                    if (!recent[s].empty() && rng.below(2) == 0) {
+                        addr[s] = recent[s][rng.below(recent[s].size())];
+                    } else {
+                        // Far addresses too: 2^40 + a small offset.
+                        const Addr base = rng.below(4) == 0
+                            ? Addr{1} << 40 : 0;
+                        addr[s] = base + rng.below(rows * row_size);
+                    }
+                    if (recent[s].size() < 16)
+                        recent[s].push_back(addr[s]);
+                    else
+                        recent[s][rng.below(16)] = addr[s];
+                }
+                auto span = [&](std::size_t s) {
+                    return live[s] ? std::span<const Addr>(&addr[s], 1)
+                                   : std::span<const Addr>{};
+                };
+                const auto before = streamRepeats(visitor.counts());
+                visitor.cycle(clk, span(0), span(1), span(2), span(3));
+                const auto after = streamRepeats(visitor.counts());
+                for (std::size_t s = 0; s < 4; ++s) {
+                    const Count want = live[s] && ref[s].access(addr[s]);
+                    ASSERT_EQ(after[s] - before[s], want)
+                        << "stream " << s << " cycle " << clk;
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** The eight trace-counted SRAM figures of one layer. */
+struct GoldenSram
+{
+    Count ifmapReadRandom;
+    Count ifmapReadRepeat;
+    Count filterReadRandom;
+    Count filterReadRepeat;
+    Count ofmapReadRandom;
+    Count ofmapReadRepeat;
+    Count ofmapWriteRandom;
+    Count ofmapWriteRepeat;
+};
+
+/** One layer on a 32x32 array through the fold-cached demand pass. */
+ActionCounts
+layerCounts(const LayerSpec& layer, Dataflow df, std::uint32_t row_size,
+            std::uint32_t bank_size, const KGatherMap* gather = nullptr)
+{
+    DemandGenerator gen(layer.toGemm(), df, 32, 32,
+                        OperandMap::forLayer(layer, MemoryConfig{}),
+                        gather);
+    EnergyConfig cfg;
+    cfg.rowSize = row_size;
+    cfg.bankSize = bank_size;
+    ActionCountVisitor visitor(cfg);
+    gen.run(visitor);
+    return visitor.counts();
+}
+
+void
+expectGolden(const ActionCounts& got, const GoldenSram& want)
+{
+    EXPECT_EQ(got.ifmapSram.readRandom, want.ifmapReadRandom);
+    EXPECT_EQ(got.ifmapSram.readRepeat, want.ifmapReadRepeat);
+    EXPECT_EQ(got.filterSram.readRandom, want.filterReadRandom);
+    EXPECT_EQ(got.filterSram.readRepeat, want.filterReadRepeat);
+    EXPECT_EQ(got.ofmapSram.readRandom, want.ofmapReadRandom);
+    EXPECT_EQ(got.ofmapSram.readRepeat, want.ofmapReadRepeat);
+    EXPECT_EQ(got.ofmapSram.writeRandom, want.ofmapWriteRandom);
+    EXPECT_EQ(got.ofmapSram.writeRepeat, want.ofmapWriteRepeat);
+}
+
+/** (RowSize, BankSize) of each pinned row, in order. */
+constexpr std::pair<std::uint32_t, std::uint32_t> kGoldenShapes[] = {
+    {32, 4}, {24, 3}, {1, 1}};
+
+/** ResNet-18 conv1 and conv2_1a under `df`, one row per shape each. */
+void
+expectResNet18Golden(Dataflow df, const GoldenSram (&want)[2][3])
+{
+    const Topology r18 = workloads::resnet18();
+    for (std::size_t l = 0; l < 2; ++l) {
+        for (std::size_t i = 0; i < std::size(kGoldenShapes); ++i) {
+            const auto [row_size, bank_size] = kGoldenShapes[i];
+            SCOPED_TRACE(::testing::Message()
+                         << r18.layers[l].name << " RowSize " << row_size
+                         << " BankSize " << bank_size);
+            expectGolden(layerCounts(r18.layers[l], df, row_size,
+                                     bank_size),
+                         want[l][i]);
+        }
+    }
+}
+
+} // namespace
+
+// The pinned figures below were captured from the size-tracked MRU
+// counter, with class captures stepped address by address; the counter
+// must reproduce them exactly.
+
+TEST(EnergyGolden, ResNet18FirstLayersOs)
+{
+    const GoldenSram want[2][3] = {
+        {{9651, 3483363, 109368, 3390408, 0, 0, 23762, 736622},
+         {21364, 3471650, 218736, 3281040, 0, 0, 31683, 728701},
+         {3455958, 37056, 3499776, 0, 0, 0, 760384, 0}},
+        {{38216, 3321016, 105984, 3285504, 0, 0, 5832, 180792},
+         {55803, 3303429, 211968, 3179520, 0, 0, 7777, 178847},
+         {3359232, 0, 3391488, 0, 0, 0, 186624, 0}},
+    };
+    expectResNet18Golden(Dataflow::OutputStationary, want);
+}
+
+TEST(EnergyGolden, ResNet18FirstLayersWs)
+{
+    const GoldenSram want[2][3] = {
+        {{41286, 3451728, 294, 9114, 95048, 2946488, 118810, 3683110},
+         {55048, 3437966, 395, 9013, 190096, 2851440, 237620, 3564300},
+         {3492558, 456, 9408, 0, 3041536, 0, 3801920, 0}},
+        {{104976, 3254256, 1152, 35712, 99144, 3073464, 104976, 3254256},
+         {209952, 3149280, 1548, 35316, 198288, 2974320, 209952, 3149280},
+         {3359232, 0, 36864, 0, 3172608, 0, 3359232, 0}},
+    };
+    expectResNet18Golden(Dataflow::WeightStationary, want);
+}
+
+TEST(EnergyGolden, ResNet18FirstLayersIs)
+{
+    const GoldenSram want[2][3] = {
+        {{20643, 1725864, 294, 3499482, 95048, 2946488, 118810, 3683110},
+         {28259, 1718248, 393, 3499383, 126732, 2914804, 158415, 3643505},
+         {1746327, 180, 3499776, 0, 3041536, 0, 3801920, 0}},
+        {{52488, 1627128, 1152, 3390336, 99144, 3073464, 104976, 3254256},
+         {104976, 1574640, 1537, 3389951, 132209, 3040399, 139986, 3219246},
+         {1679616, 0, 3391488, 0, 3172608, 0, 3359232, 0}},
+    };
+    expectResNet18Golden(Dataflow::InputStationary, want);
+}
+
+TEST(EnergyGolden, SparseWsGather)
+{
+    // 2:4 structured sparsity: WS gathers the kept K rows of the ifmap.
+    const LayerSpec layer = LayerSpec::gemm("g", 96, 80, 128);
+    const auto pattern = sparse::SparsityPattern::layerWise(128, 2, 4);
+    const GoldenSram want[] = {
+        {1152, 17280, 160, 4960, 358, 7322, 691, 14669},
+        {1920, 16512, 222, 4898, 505, 7175, 1004, 14356},
+        {18432, 0, 5120, 0, 7680, 0, 15360, 0},
+    };
+    for (std::size_t i = 0; i < std::size(kGoldenShapes); ++i) {
+        const auto [row_size, bank_size] = kGoldenShapes[i];
+        SCOPED_TRACE(::testing::Message() << "RowSize " << row_size
+                                          << " BankSize " << bank_size);
+        expectGolden(layerCounts(layer, Dataflow::WeightStationary,
+                                 row_size, bank_size, &pattern),
+                     want[i]);
+    }
 }

@@ -409,3 +409,116 @@ INSTANTIATE_TEST_SUITE_P(
             + std::to_string(std::get<1>(tpi.param)) + "_b"
             + std::to_string(std::get<2>(tpi.param));
     });
+
+namespace
+{
+
+/** SRAM traces and action counts of one energy-on, traced pass. */
+struct TracedEnergyPass
+{
+    std::string traces[4]; ///< ifmap, filter, ofmap writes, ofmap reads
+    energy::ActionCounts actions;
+    Count foldsSummarized = 0;
+    FoldCacheStats cache;
+};
+
+/**
+ * The action counter consumes every cached fold, class captures
+ * included; the trace writer declines them, so it sees their cycles.
+ */
+TracedEnergyPass
+runTracedEnergy(const GemmDims& gemm, Dataflow df,
+                const OperandMap& operands, bool cached,
+                const EnergyConfig& ecfg,
+                const KGatherMap* gather = nullptr)
+{
+    DemandGenerator gen(gemm, df, 8, 8, operands, gather);
+    gen.setFoldCache(cached);
+    std::ostringstream ifmap, filter, ofmap, oread;
+    energy::ActionCountVisitor actions(ecfg);
+    SramTraceWriter writer(&ifmap, &filter, &ofmap, &oread);
+    TeeVisitor tee({&actions, &writer});
+    gen.run(tee);
+    return {{ifmap.str(), filter.str(), ofmap.str(), oread.str()},
+            actions.counts(), actions.foldsSummarized(),
+            gen.foldCacheStats()};
+}
+
+/** Cached vs uncached: byte-identical traces, identical counts. */
+TracedEnergyPass
+expectTracedEnergyEquivalent(const GemmDims& gemm, Dataflow df,
+                             const OperandMap& operands,
+                             const EnergyConfig& ecfg,
+                             const KGatherMap* gather = nullptr)
+{
+    const auto cached = runTracedEnergy(gemm, df, operands, true, ecfg,
+                                        gather);
+    const auto live = runTracedEnergy(gemm, df, operands, false, ecfg,
+                                      gather);
+    for (std::size_t s = 0; s < 4; ++s)
+        EXPECT_EQ(cached.traces[s], live.traces[s]) << "trace " << s;
+    EXPECT_FALSE(cached.traces[0].empty());
+    expectActionsEqual(cached.actions, live.actions);
+    EXPECT_EQ(cached.foldsSummarized, cached.cache.foldsReplayed);
+    return cached;
+}
+
+EnergyConfig
+oddTrackers()
+{
+    EnergyConfig ecfg;
+    ecfg.rowSize = 24;
+    ecfg.bankSize = 3;
+    return ecfg;
+}
+
+} // namespace
+
+TEST(CaptureAsReplay, ConvOsTracesMatchUncached)
+{
+    const LayerSpec layer = LayerSpec::conv("c", 14, 14, 3, 3, 8, 12, 1);
+    const auto cached = expectTracedEnergyEquivalent(
+        layer.toGemm(), Dataflow::OutputStationary, convOperands(layer),
+        EnergyConfig{});
+    EXPECT_GT(cached.cache.foldsReplayed, 0u);
+}
+
+TEST(CaptureAsReplay, WsAccumulatingGemmTracesMatchUncached)
+{
+    // K = 24 on 8 rows: row folds 1 and 2 accumulate, and their class
+    // capture carries the ofmap read stream.
+    const GemmDims gemm{32, 16, 24};
+    const auto cached = expectTracedEnergyEquivalent(
+        gemm, Dataflow::WeightStationary, makeOperands(gemm),
+        oddTrackers());
+    EXPECT_GT(cached.cache.foldsReplayed, 0u);
+    EXPECT_FALSE(cached.traces[3].empty());
+    EXPECT_GT(cached.actions.ofmapSram.reads(), 0u);
+}
+
+TEST(CaptureAsReplay, SparseWsGatherTracesMatchUncached)
+{
+    const GemmDims dense{48, 24, 32};
+    const auto pattern = sparse::SparsityPattern::layerWise(dense.k, 2, 4);
+    const auto cached = expectTracedEnergyEquivalent(
+        dense, Dataflow::WeightStationary, makeOperands(dense),
+        oddTrackers(), &pattern);
+    EXPECT_GT(cached.cache.foldsReplayed, 0u);
+}
+
+TEST(CaptureAsReplay, CaptureOnlyLayerMatchesUncached)
+{
+    // Sparse WS classes are row folds; with one column fold every fold
+    // is its class's capture and nothing is replayed.
+    const GemmDims dense{48, 8, 32};
+    const auto pattern = sparse::SparsityPattern::layerWise(dense.k, 2, 4);
+    for (const EnergyConfig& ecfg : {EnergyConfig{}, oddTrackers()}) {
+        const auto cached = expectTracedEnergyEquivalent(
+            dense, Dataflow::WeightStationary, makeOperands(dense), ecfg,
+            &pattern);
+        EXPECT_GT(cached.cache.foldsTotal, 1u);
+        EXPECT_EQ(cached.cache.foldsReplayed, 0u);
+        EXPECT_EQ(cached.cache.foldsLive, cached.cache.foldsTotal);
+        EXPECT_EQ(cached.foldsSummarized, 0u);
+    }
+}

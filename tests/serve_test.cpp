@@ -649,6 +649,20 @@ TEST(ServerProtocol, FractionalAndOversizedNumbersAreRejected)
                    "jobs");
 }
 
+TEST(ServerProtocol, OversizedBankSizeIsRejectedByName)
+{
+    Server server({});
+    const obs::JsonValue doc = response(server, R"({"type": "sweep",
+        "workload": "alexnet", "arrays": [32],
+        "config": {"energy": {"EnergyModel": true,
+                              "BankSize": 4000000000}}})");
+    ASSERT_NE(doc.find("ok"), nullptr);
+    EXPECT_FALSE(doc.find("ok")->boolean);
+    EXPECT_NE(doc.stringAt("error").find("energy.BankSize"),
+              std::string::npos)
+        << doc.stringAt("error");
+}
+
 TEST(ServerProtocol, ValidRequestSucceedsAfterRejectedNumbers)
 {
     Server server({});
