@@ -1,15 +1,18 @@
 /**
  * @file
  * Shared helpers for the paper-reproduction bench binaries: aligned
- * table printing and simple timers. Each bench regenerates one table
- * or figure of the SCALE-Sim v3 paper and prints the rows/series the
- * paper reports; EXPERIMENTS.md records paper-vs-measured shape.
+ * table printing, timers and a host-speed calibration loop. Each bench
+ * regenerates one table or figure of the SCALE-Sim v3 paper and prints
+ * the rows/series the paper reports; EXPERIMENTS.md records
+ * paper-vs-measured shape.
  */
 
 #ifndef SCALESIM_BENCH_UTIL_HH
 #define SCALESIM_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -88,6 +91,61 @@ class Timer
   private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_;
+};
+
+/**
+ * Seconds of a fixed loop owned by the bench, not by the simulator:
+ * dependent loads from a 32 KiB table chained through integer hashing.
+ * Its time tracks how fast the shared host runs at the moment, so a
+ * pass's wall time over the loop's time around it is a host-speed-free
+ * cost that code under test cannot change.
+ */
+inline double
+calibrationSeconds()
+{
+    constexpr std::size_t kWords = std::size_t{1} << 12;
+    constexpr int kSteps = 1 << 22;
+    static const std::vector<std::uint64_t> table = [] {
+        std::vector<std::uint64_t> t(kWords);
+        std::uint64_t x = 0x9e3779b97f4a7c15ull;
+        for (std::uint64_t& v : t)
+            v = x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return t;
+    }();
+    static volatile std::uint64_t sink = 0;
+    const Timer timer;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t i = 0;
+    for (int n = 0; n < kSteps; ++n) {
+        i = table[i & (kWords - 1)] ^ h;
+        h = (h ^ (i >> 7)) * 0x100000001b3ull;
+    }
+    sink = sink + h;
+    return timer.seconds();
+}
+
+/**
+ * Best of several passes, each timed between two calibration loops:
+ * `seconds` is the fastest wall time, `calibrated` the smallest wall
+ * time over the mean of the two loops around it.
+ */
+struct CalibratedBest
+{
+    double seconds = 1e30;
+    double calibrated = 1e30;
+
+    template <class Pass>
+    void
+    time(Pass&& pass)
+    {
+        const double before = calibrationSeconds();
+        const Timer timer;
+        pass();
+        const double wall = timer.seconds();
+        seconds = std::min(seconds, wall);
+        calibrated = std::min(
+            calibrated, wall / (0.5 * (before + calibrationSeconds())));
+    }
 };
 
 /**

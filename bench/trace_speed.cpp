@@ -1,23 +1,23 @@
 /**
  * @file
  * Trace-mode demand-generation speed microbenchmark for the
- * fold-replay cache. Two parts:
+ * fold-replay cache. Two parts, each run cached and uncached:
  *
- *  1. Timed: the per-cycle demand pass itself (DemandGenerator +
+ *  1. The per-cycle demand pass itself (DemandGenerator +
  *     CountingVisitor — the v2-equivalent trace generation that
- *     bench/table4_sim_overhead uses as its baseline), cached vs
- *     uncached, best-of-N. This is the work the cache replaces, and
- *     the `speedup` the JSON records.
- *  2. Untimed, once per mode: the full trace-mode visitor stack
- *     (SramTraceWriter + CountingVisitor + ActionCountVisitor, what
- *     scalesim_cli -s drives) to verify cached and uncached runs
- *     agree on every access total and trace row count. In the cached
- *     pass a class's capture fold, like every replayed fold, reaches
- *     the visitors that decline replayFold (writer and counter) as a
- *     replay of its arena, here at zero delta. The wall
- *     times of these verification passes are reported too
- *     (`fullStack*Seconds`) — visitor-side costs are identical in
- *     both modes, so the end-to-end win shrinks as consumers grow.
+ *     bench/table4_sim_overhead uses as its baseline), best-of-N.
+ *  2. The full trace-mode visitor stack (SramTraceWriter +
+ *     CountingVisitor + ActionCountVisitor, what scalesim_cli -s
+ *     drives); the cached stack is best-of-N, the uncached one runs
+ *     once. In the cached pass a class's capture fold, like every
+ *     replayed fold, reaches the visitors that decline replayFold
+ *     (writer and counter) as a replay of its arena, here at zero
+ *     delta.
+ *
+ * Cached and uncached runs must agree on every access total and trace
+ * row count. The JSON records the fold-cache counters and each cached
+ * pass's time over the calibration loops run around it
+ * (`cachedCalibrated`, `fullStackCachedCalibrated`), which CI gates.
  *
  *   trace_speed [workload] [output.json] [reps]
  *
@@ -36,7 +36,6 @@
 #include "common/workloads.hpp"
 #include "energy/action_counts.hpp"
 #include "systolic/demand.hpp"
-#include "systolic/simd.hpp"
 #include "systolic/trace_io.hpp"
 
 using namespace scalesim;
@@ -77,44 +76,30 @@ class NullBuffer : public std::streambuf
     int overflow(int c) override { return c; }
 };
 
-/** The timed kernel: the demand pass with a counting consumer. */
+/**
+ * One pass over every layer: the demand pass feeds a counting consumer
+ * only, the `full` stack adds every scalesim_cli -s consumer.
+ */
 PassTotals
-runDemandPass(const Topology& topo, const SimConfig& cfg, bool cached)
-{
-    PassTotals totals;
-    for (const auto& layer : topo.layers) {
-        const auto operands = OperandMap::forLayer(layer, cfg.memory);
-        DemandGenerator gen(layer.toGemm(), cfg.dataflow, cfg.arrayRows,
-                            cfg.arrayCols, operands);
-        gen.setFoldCache(cached);
-        CountingVisitor counter;
-        gen.run(counter);
-        totals.ifmapReads += counter.ifmapReads;
-        totals.filterReads += counter.filterReads;
-        totals.ofmapReads += counter.ofmapReads;
-        totals.ofmapWrites += counter.ofmapWrites;
-        totals.cache.merge(gen.foldCacheStats());
-    }
-    return totals;
-}
-
-/** The verification pass: full scalesim_cli -s visitor stack. */
-PassTotals
-runFullStack(const Topology& topo, const SimConfig& cfg, bool cached)
+runPass(const Topology& topo, const SimConfig& cfg, bool cached,
+        bool full)
 {
     PassTotals totals;
     NullBuffer sink;
-    std::ostream ifmap(&sink), filter(&sink), ofmap(&sink), oread(&sink);
+    std::ostream null(&sink);
     for (const auto& layer : topo.layers) {
         const auto operands = OperandMap::forLayer(layer, cfg.memory);
         DemandGenerator gen(layer.toGemm(), cfg.dataflow, cfg.arrayRows,
                             cfg.arrayCols, operands);
         gen.setFoldCache(cached);
-        SramTraceWriter writer(&ifmap, &filter, &ofmap, &oread);
+        SramTraceWriter writer(&null, &null, &null, &null);
         CountingVisitor counter;
         energy::ActionCountVisitor actions(cfg.energy);
         TeeVisitor tee({&writer, &counter, &actions});
-        gen.run(tee);
+        if (full)
+            gen.run(tee);
+        else
+            gen.run(counter);
         totals.ifmapReads += counter.ifmapReads;
         totals.filterReads += counter.filterReads;
         totals.ofmapReads += counter.ofmapReads;
@@ -153,17 +138,15 @@ main(int argc, char** argv)
               << "x" << cfg.arrayCols << " "
               << toString(cfg.dataflow) << "\n";
 
-    // Timed: the demand pass the cache accelerates.
+    // The demand pass the cache accelerates.
     double best_live = 1e30;
-    double best_cached = 1e30;
+    benchutil::CalibratedBest best_cached;
     PassTotals live, cached;
     for (std::int64_t rep = 0; rep < reps; ++rep) {
         benchutil::Timer t;
-        live = runDemandPass(topo, cfg, false);
+        live = runPass(topo, cfg, false, false);
         best_live = std::min(best_live, t.seconds());
-        t.reset();
-        cached = runDemandPass(topo, cfg, true);
-        best_cached = std::min(best_cached, t.seconds());
+        best_cached.time([&] { cached = runPass(topo, cfg, true, false); });
     }
     if (!cached.agrees(live)) {
         std::cerr << "FAIL: cached and uncached demand passes disagree "
@@ -171,20 +154,22 @@ main(int argc, char** argv)
         return 1;
     }
 
-    // Untimed equivalence check through every trace-mode consumer.
+    // Every trace-mode consumer.
     benchutil::Timer t;
-    const PassTotals full_live = runFullStack(topo, cfg, false);
+    const PassTotals full_live = runPass(topo, cfg, false, true);
     const double full_live_s = t.seconds();
-    t.reset();
-    const PassTotals full_cached = runFullStack(topo, cfg, true);
-    const double full_cached_s = t.seconds();
-    if (!full_cached.agrees(full_live)) {
-        std::cerr << "FAIL: cached and uncached full-stack runs "
-                     "disagree\n";
-        return 1;
+    benchutil::CalibratedBest full_cached;
+    for (std::int64_t rep = 0; rep < reps; ++rep) {
+        PassTotals full;
+        full_cached.time([&] { full = runPass(topo, cfg, true, true); });
+        if (!full.agrees(full_live)) {
+            std::cerr << "FAIL: cached and uncached full-stack runs "
+                         "disagree\n";
+            return 1;
+        }
     }
 
-    const double speedup = best_live / best_cached;
+    const double speedup = best_live / best_cached.seconds;
     const double replay_rate = cached.cache.foldsTotal
         ? static_cast<double>(cached.cache.foldsReplayed)
               / static_cast<double>(cached.cache.foldsTotal)
@@ -192,12 +177,14 @@ main(int argc, char** argv)
     std::cout << "  demand pass uncached: "
               << benchutil::fmt("%.3f", best_live)
               << " s\n  demand pass cached:   "
-              << benchutil::fmt("%.3f", best_cached)
-              << " s\n  speedup:              "
+              << benchutil::fmt("%.3f", best_cached.seconds) << " s ("
+              << benchutil::fmt("%.2f", best_cached.calibrated)
+              << " calibration loops)\n  speedup:              "
               << benchutil::fmt("%.2f", speedup) << "x\n  full stack:           "
               << benchutil::fmt("%.3f", full_live_s) << " s -> "
-              << benchutil::fmt("%.3f", full_cached_s)
-              << " s (visitor costs dominate)\n  replayed:             "
+              << benchutil::fmt("%.3f", full_cached.seconds) << " s ("
+              << benchutil::fmt("%.2f", full_cached.calibrated)
+              << " calibration loops)\n  replayed:             "
               << cached.cache.foldsReplayed << "/"
               << cached.cache.foldsTotal << " folds ("
               << benchutil::fmt("%.1f", 100.0 * replay_rate)
@@ -214,16 +201,19 @@ main(int argc, char** argv)
         << "  \"arrayCols\": " << cfg.arrayCols << ",\n"
         << "  \"dataflow\": \"" << toString(cfg.dataflow) << "\",\n"
         << "  \"reps\": " << reps << ",\n"
-        << "  \"simdBackend\": \"" << simd::backendName() << "\",\n"
         << "  \"uncachedSeconds\": "
         << benchutil::fmt("%.6f", best_live) << ",\n"
         << "  \"cachedSeconds\": "
-        << benchutil::fmt("%.6f", best_cached) << ",\n"
+        << benchutil::fmt("%.6f", best_cached.seconds) << ",\n"
+        << "  \"cachedCalibrated\": "
+        << benchutil::fmt("%.3f", best_cached.calibrated) << ",\n"
         << "  \"speedup\": " << benchutil::fmt("%.3f", speedup) << ",\n"
         << "  \"fullStackUncachedSeconds\": "
         << benchutil::fmt("%.6f", full_live_s) << ",\n"
         << "  \"fullStackCachedSeconds\": "
-        << benchutil::fmt("%.6f", full_cached_s) << ",\n"
+        << benchutil::fmt("%.6f", full_cached.seconds) << ",\n"
+        << "  \"fullStackCachedCalibrated\": "
+        << benchutil::fmt("%.3f", full_cached.calibrated) << ",\n"
         << "  \"foldsTotal\": " << cached.cache.foldsTotal << ",\n"
         << "  \"foldsReplayed\": " << cached.cache.foldsReplayed << ",\n"
         << "  \"foldsLive\": " << cached.cache.foldsLive << ",\n"

@@ -189,6 +189,10 @@ main(int argc, char** argv)
             mc.ifmapOffset = cfg.memory.ifmapOffset;
             mc.filterOffset = cfg.memory.filterOffset;
             mc.ofmapOffset = cfg.memory.ofmapOffset;
+            for (const std::string& name :
+                 systolic::multiCoreIgnoredFeatures(cfg))
+                warn("%s is not modeled by --multicore; ignored",
+                     name.c_str());
 
             inform("running %s (%zu layers) on a %" PRIu64 "x%" PRIu64
                    " grid of %ux%u %s arrays",

@@ -40,12 +40,6 @@ class ByteWriter
         buffer_.append(text.data(), text.size());
     }
 
-    void
-    putBytes(const void* data, std::size_t size)
-    {
-        buffer_.append(static_cast<const char*>(data), size);
-    }
-
     const std::string& buffer() const { return buffer_; }
     std::string take() { return std::move(buffer_); }
     std::size_t size() const { return buffer_.size(); }

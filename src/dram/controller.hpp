@@ -156,9 +156,6 @@ class Channel
 
     const DramStats& stats() const { return stats_; }
 
-    /** Earliest cycle the data bus frees up (for utilization calcs). */
-    Cycle busFree() const { return busFree_; }
-
     /** Per-bank row-buffer outcome counters (rank-major). */
     const std::vector<BankStats>& bankStats() const
     {

@@ -49,8 +49,6 @@ class TraceBuilder
     /** Free-form metadata recorded under the trace's `otherData`. */
     void addMetadata(std::string_view key, std::string_view value);
 
-    std::size_t eventCount() const { return events_.size(); }
-
     /** Serialize as a Chrome trace JSON object. */
     void write(std::ostream& out) const;
 

@@ -33,10 +33,6 @@ struct StorageReport
         return totalBits()
             ? static_cast<double>(originalBits) / totalBits() : 0.0;
     }
-    double originalMB() const
-    {
-        return static_cast<double>(originalBits) / 8.0 / 1024.0 / 1024.0;
-    }
     double totalMB() const
     {
         return static_cast<double>(totalBits()) / 8.0 / 1024.0 / 1024.0;

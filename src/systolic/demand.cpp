@@ -58,47 +58,16 @@ convKClass(const OperandMap& op, std::uint64_t k_lo)
     return row == 0 ? kNoClass : k_lo % row;
 }
 
-/** Ifmap address shift between two same-class m-bases. */
+/**
+ * Signed shift from address part `from` to `to`. Same-class fold bases
+ * move every ifmap address of the fold by one constant, so the shift
+ * of the whole fold is that of its base's row base (m) or column
+ * offset (k). Unsigned wraparound realizes negative shifts.
+ */
 std::int64_t
-ifmapShiftM(const OperandMap& op, std::uint64_t m_from,
-            std::uint64_t m_to)
+shift(std::uint64_t from, std::uint64_t to)
 {
-    if (!op.conv) {
-        return (static_cast<std::int64_t>(m_to)
-                - static_cast<std::int64_t>(m_from))
-            * static_cast<std::int64_t>(op.dims.k);
-    }
-    const std::uint64_t pixels = op.dims.m / op.batch;
-    const std::int64_t dimg = static_cast<std::int64_t>(m_to / pixels)
-        - static_cast<std::int64_t>(m_from / pixels);
-    // Same class => the in-image offsets differ by whole output rows.
-    const std::int64_t drow =
-        (static_cast<std::int64_t>(m_to % pixels)
-         - static_cast<std::int64_t>(m_from % pixels))
-        / static_cast<std::int64_t>(op.ofmapW);
-    return dimg
-        * static_cast<std::int64_t>(op.ifmapH * op.ifmapW * op.channels)
-        + drow
-        * static_cast<std::int64_t>(op.stride * op.ifmapW * op.channels);
-}
-
-/** Ifmap address shift between two same-class k-bases. */
-std::int64_t
-ifmapShiftK(const OperandMap& op, std::uint64_t k_from,
-            std::uint64_t k_to)
-{
-    if (!op.conv) {
-        return static_cast<std::int64_t>(k_to)
-            - static_cast<std::int64_t>(k_from);
-    }
-    // Same class => the bases differ by whole filter rows, each of
-    // which moves the window one ifmap row down.
-    const std::int64_t drows =
-        (static_cast<std::int64_t>(k_to)
-         - static_cast<std::int64_t>(k_from))
-        / static_cast<std::int64_t>(op.filterW * op.channels);
-    return drows
-        * static_cast<std::int64_t>(op.ifmapW * op.channels);
+    return static_cast<std::int64_t>(to - from);
 }
 
 } // namespace
@@ -119,30 +88,14 @@ DemandGenerator::DemandGenerator(const GemmDims& gemm, Dataflow df,
     // Operand addressing always uses the dense dimensions so gathered
     // ifmap reads land on real dense addresses.
     operands_.dims = denseGemm_;
-}
-
-void
-DemandGenerator::run(DemandVisitor& visitor) const
-{
-    cacheStats_ = {};
-    if (foldCache_ && grid_.numFolds() > 1) {
-        runCached(visitor);
-        return;
+    kOff_.resize(denseGemm_.k);
+    for (std::uint64_t k = 0; k < denseGemm_.k; ++k)
+        kOff_[k] = operands_.ifmapColOffset(k);
+    if (df == Dataflow::WeightStationary) {
+        mBase_.resize(denseGemm_.m);
+        for (std::uint64_t m = 0; m < denseGemm_.m; ++m)
+            mBase_[m] = operands_.ifmapRowBase(m);
     }
-    visitor.beginLayer(grid_, operands_);
-    Cycle fold_start = 0;
-    const Cycle fold_len = grid_.foldCycles();
-    for (std::uint64_t rf = 0; rf < grid_.rowFolds(); ++rf) {
-        for (std::uint64_t cf = 0; cf < grid_.colFolds(); ++cf) {
-            visitor.beginFold(rf, cf, fold_start);
-            runFold(visitor, rf, cf, fold_start);
-            ++cacheStats_.foldsTotal;
-            ++cacheStats_.foldsLive;
-            fold_start += fold_len;
-            visitor.endFold(rf, cf, fold_start);
-        }
-    }
-    visitor.endLayer(fold_start);
 }
 
 void
@@ -239,7 +192,8 @@ DemandGenerator::replayDeltas(const FoldCacheEntry& entry,
     switch (grid_.dataflow()) {
       case Dataflow::OutputStationary:
         // ifmap A[m, t], filter B[t, n], ofmap O[m, n].
-        d.ifmap = ifmapShiftM(operands_, entry.rf * rows, rf * rows);
+        d.ifmap = shift(operands_.ifmapRowBase(entry.rf * rows),
+                        operands_.ifmapRowBase(rf * rows));
         d.filter = dsc;
         d.ofmap = dsr * n + dsc;
         break;
@@ -247,14 +201,15 @@ DemandGenerator::replayDeltas(const FoldCacheEntry& entry,
         // ifmap A[t, k] (gathered k repeats across column folds),
         // filter B[k, n] stationary, ofmap O[t, n].
         d.ifmap = gather_
-            ? 0 : ifmapShiftK(operands_, entry.rf * rows, rf * rows);
+            ? 0 : shift(kOff_[entry.rf * rows], kOff_[rf * rows]);
         d.filter = dsr * n + dsc;
         d.ofmap = dsc;
         break;
       case Dataflow::InputStationary:
         // ifmap A[m, k] stationary, filter B[k, t], ofmap O[m, t].
-        d.ifmap = ifmapShiftM(operands_, entry.cf * cols, cf * cols)
-            + ifmapShiftK(operands_, entry.rf * rows, rf * rows);
+        d.ifmap = shift(operands_.ifmapRowBase(entry.cf * cols),
+                        operands_.ifmapRowBase(cf * cols))
+            + shift(kOff_[entry.rf * rows], kOff_[rf * rows]);
         d.filter = dsr * n;
         d.ofmap = dsc * n;
         break;
@@ -263,12 +218,15 @@ DemandGenerator::replayDeltas(const FoldCacheEntry& entry,
 }
 
 void
-DemandGenerator::runCached(DemandVisitor& visitor) const
+DemandGenerator::run(DemandVisitor& visitor) const
 {
+    cacheStats_ = {};
     visitor.beginLayer(grid_, operands_);
     const Cycle fold_len = grid_.foldCycles();
-    // Replay requires the candidate fold to have the canonical (first
-    // fold's) tile shape; ragged edge folds fall back to live.
+    // A single-fold layer has nothing to replay. Replay requires the
+    // candidate fold to have the canonical (first fold's) tile shape;
+    // ragged edge folds fall back to live.
+    const bool cached = foldCache_ && grid_.numFolds() > 1;
     const std::uint64_t ctr = grid_.tileRows(0);
     const std::uint64_t ctc = grid_.tileCols(0);
     const bool os = grid_.dataflow() == Dataflow::OutputStationary;
@@ -283,8 +241,8 @@ DemandGenerator::runCached(DemandVisitor& visitor) const
             FoldCacheEntry* entry = nullptr;
             ReplayDeltas deltas;
             std::uint64_t key = 0;
-            if (grid_.tileRows(rf) == ctr && grid_.tileCols(cf) == ctc
-                && replayKey(rf, cf, key)) {
+            if (cached && grid_.tileRows(rf) == ctr
+                && grid_.tileCols(cf) == ctc && replayKey(rf, cf, key)) {
                 entry = cache.find(key);
                 if (entry) {
                     deltas = replayDeltas(*entry, rf, cf);
@@ -331,6 +289,9 @@ DemandGenerator::runFoldOs(DemandVisitor& visitor, std::uint64_t rf,
     const std::uint32_t rows = grid_.arrayRows();
     const Cycle fold_len = grid_.foldCycles();
 
+    std::vector<Addr> row_base(tr);
+    for (std::uint64_t r = 0; r < tr; ++r)
+        row_base[r] = operands_.ifmapRowBase(rbase + r);
     std::vector<Addr> ifmap, filter, writes;
     ifmap.reserve(tr);
     filter.reserve(tc);
@@ -340,18 +301,14 @@ DemandGenerator::runFoldOs(DemandVisitor& visitor, std::uint64_t rf,
         ifmap.clear();
         filter.clear();
         writes.clear();
-        // Skewed A stream: row r consumes A[rbase+r][clk - r].
-        for (std::uint64_t r = 0; r < tr && r <= clk; ++r) {
-            const std::uint64_t t = clk - r;
-            if (t < t_extent)
-                ifmap.push_back(operands_.ifmapAddr(rbase + r, t));
-        }
-        // Skewed B stream: column c consumes B[clk - c][cbase+c].
-        for (std::uint64_t c = 0; c < tc && c <= clk; ++c) {
-            const std::uint64_t t = clk - c;
-            if (t < t_extent)
-                filter.push_back(operands_.filterAddr(t, cbase + c));
-        }
+        // Skewed streams: row r consumes A[rbase+r][clk - r] and
+        // column c consumes B[clk - c][cbase+c] while 0 <= t < T.
+        const std::uint64_t first = clk >= t_extent ? clk - t_extent + 1
+                                                    : 0;
+        for (std::uint64_t r = first; r < std::min(tr, clk + 1); ++r)
+            ifmap.push_back(row_base[r] + kOff_[clk - r]);
+        for (std::uint64_t c = first; c < std::min(tc, clk + 1); ++c)
+            filter.push_back(operands_.filterAddr(clk - c, cbase + c));
         // Diagonal drain after fill + stream: diagonal d = r + c leaves
         // at cycle (R + T - 1) + d.
         if (clk + 1 >= rows + t_extent) {
@@ -383,6 +340,11 @@ DemandGenerator::runFoldWs(DemandVisitor& visitor, std::uint64_t rf,
     const Cycle fold_len = grid_.foldCycles();
     const bool accumulate = rf > 0;
 
+    // Column offsets of the K rows this fold streams; sparse runs
+    // gather the original K rows.
+    std::vector<std::uint64_t> col_off(tr);
+    for (std::uint64_t r = 0; r < tr; ++r)
+        col_off[r] = kOff_[gather_ ? gather_->origK(kbase + r) : kbase + r];
     std::vector<Addr> ifmap, filter, oreads, writes;
     ifmap.reserve(tr);
     filter.reserve(tc);
@@ -404,17 +366,13 @@ DemandGenerator::runFoldWs(DemandVisitor& visitor, std::uint64_t rf,
             }
         }
         // Skewed ifmap stream: row r consumes A[t][k(r)] at
-        // clk = R + t + r; sparse runs gather the original K row.
+        // clk = R + t + r.
         if (clk >= rows) {
             const Cycle s = clk - rows;
-            for (std::uint64_t r = 0; r < tr && r <= s; ++r) {
-                const std::uint64_t t = s - r;
-                if (t < t_extent) {
-                    const std::uint64_t k = gather_
-                        ? gather_->origK(kbase + r) : kbase + r;
-                    ifmap.push_back(operands_.ifmapAddr(t, k));
-                }
-            }
+            const std::uint64_t first = s >= t_extent ? s - t_extent + 1
+                                                      : 0;
+            for (std::uint64_t r = first; r < std::min(tr, s + 1); ++r)
+                ifmap.push_back(mBase_[s - r] + col_off[r]);
         }
         // Output drain: O[t][cbase+c] leaves column c at
         // clk = 2R - 1 + t + c.
@@ -447,6 +405,9 @@ DemandGenerator::runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
     const Cycle fold_len = grid_.foldCycles();
     const bool accumulate = rf > 0;
 
+    std::vector<Addr> row_base(tc);
+    for (std::uint64_t c = 0; c < tc; ++c)
+        row_base[c] = operands_.ifmapRowBase(mbase + c);
     std::vector<Addr> ifmap, filter, oreads, writes;
     ifmap.reserve(tc);
     filter.reserve(tr);
@@ -462,7 +423,7 @@ DemandGenerator::runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
             // Ifmap preload: stationary tile element (k, m) = A[m][k].
             const std::uint64_t k = kbase + (tr - 1 - clk);
             for (std::uint64_t c = 0; c < tc; ++c)
-                ifmap.push_back(operands_.ifmapAddr(mbase + c, k));
+                ifmap.push_back(row_base[c] + kOff_[k]);
         }
         if (clk >= rows) {
             // Skewed filter stream: row r consumes B[k(r)][t].

@@ -3,8 +3,10 @@
  * Cycle-accurate demand generation. The generator walks a layer fold by
  * fold and emits, for every cycle, the SRAM addresses requested at the
  * array edge (ifmap/filter reads, ofmap reads/writes). Consumers
- * implement DemandVisitor; nothing is materialized, so memory stays
- * bounded by one cycle's worth of addresses (<= R + 2C entries).
+ * implement DemandVisitor; beyond per-layer ifmap address tables (K
+ * column offsets, plus M row bases under WS) nothing is materialized,
+ * so memory stays bounded by one cycle's worth of addresses
+ * (<= R + 2C entries).
  *
  * This is the v3 equivalent of SCALE-Sim's demand-matrix generation,
  * reorganized as a streaming producer so that the layout model, the
@@ -149,7 +151,6 @@ class DemandGenerator
     void runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
                    std::uint64_t cf, Cycle fold_start) const;
 
-    void runCached(DemandVisitor& visitor) const;
     /**
      * Fold-equivalence class of (rf, cf): two full folds with the same
      * key emit shift-identical streams. False when the ifmap mapping
@@ -166,6 +167,10 @@ class DemandGenerator
     FoldGrid grid_;
     OperandMap operands_;
     const KGatherMap* gather_;
+    /** ifmapColOffset(k) of every dense k. */
+    std::vector<std::uint64_t> kOff_;
+    /** ifmapRowBase(m) of every m; WS only, whose folds stream all M. */
+    std::vector<Addr> mBase_;
     bool foldCache_ = true;
     mutable FoldCacheStats cacheStats_;
 };

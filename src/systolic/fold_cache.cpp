@@ -1,7 +1,5 @@
 #include "systolic/fold_cache.hpp"
 
-#include "systolic/simd.hpp"
-
 namespace scalesim::systolic
 {
 
@@ -9,7 +7,7 @@ namespace
 {
 
 /**
- * Whole-arena shift: one SIMD add-constant pass instead of per-address
+ * Whole-arena shift: one add-constant pass instead of per-address
  * arithmetic inside the cycle loop. A zero delta aliases the arena
  * directly. Negative deltas arrive as two's-complement Addr and the
  * unsigned wraparound addition realizes the signed shift.
@@ -20,9 +18,10 @@ shifted(const FoldCacheEntry::Stream& stream, std::int64_t delta,
 {
     if (delta == 0)
         return stream.addrs;
+    const Addr d = static_cast<Addr>(delta);
     buf.resize(stream.addrs.size());
-    simd::addConstant(stream.addrs.data(), buf.data(),
-                      stream.addrs.size(), static_cast<Addr>(delta));
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = stream.addrs[i] + d;
     return buf;
 }
 

@@ -67,27 +67,39 @@ struct OperandMap
     static OperandMap forLayer(const LayerSpec& layer,
                                const MemoryConfig& mem);
 
+    /**
+     * im2col splits into a part per output pixel and a part per
+     * reduction index: output pixel m = (img, oh, ow) reads the window
+     * anchored at (oh*stride, ow*stride) of image img, and reduction
+     * index k = (kh, kw, c) is the offset (kh, kw, c) inside every
+     * window. A GEMM reads row m, column k of a row-major M x K matrix.
+     */
     Addr
     ifmapAddr(std::uint64_t m, std::uint64_t k) const
     {
+        return ifmapRowBase(m) + ifmapColOffset(k);
+    }
+    Addr
+    ifmapRowBase(std::uint64_t m) const
+    {
         if (!conv)
-            return ifmapBase + m * dims.k + k;
-        // im2col: output pixel m = (img, oh, ow); reduction index
-        // k = (kh, kw, c); the window element lives at
-        // (oh*stride + kh, ow*stride + kw, c) of image img.
+            return ifmapBase + m * dims.k;
         const std::uint64_t pixels = dims.m / batch;
         const std::uint64_t img = m / pixels;
-        const std::uint64_t m_im = m % pixels;
-        const std::uint64_t oh = m_im / ofmapW;
-        const std::uint64_t ow = m_im % ofmapW;
-        const std::uint64_t kh = k / (filterW * channels);
-        const std::uint64_t rem = k % (filterW * channels);
-        const std::uint64_t kw = rem / channels;
-        const std::uint64_t c = rem % channels;
-        const std::uint64_t h = oh * stride + kh;
-        const std::uint64_t w = ow * stride + kw;
+        const std::uint64_t oh = (m % pixels) / ofmapW;
+        const std::uint64_t ow = (m % pixels) % ofmapW;
         return ifmapBase + img * ifmapH * ifmapW * channels
-            + (h * ifmapW + w) * channels + c;
+            + (oh * stride * ifmapW + ow * stride) * channels;
+    }
+    std::uint64_t
+    ifmapColOffset(std::uint64_t k) const
+    {
+        if (!conv)
+            return k;
+        const std::uint64_t kh = k / (filterW * channels);
+        const std::uint64_t kw = (k % (filterW * channels)) / channels;
+        const std::uint64_t c = k % channels;
+        return (kh * ifmapW + kw) * channels + c;
     }
     Addr filterAddr(std::uint64_t k, std::uint64_t n) const
     {

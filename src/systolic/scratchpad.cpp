@@ -28,6 +28,21 @@ scratchpadConfig(const SimConfig& cfg)
     return spad;
 }
 
+std::vector<std::string>
+multiCoreIgnoredFeatures(const SimConfig& cfg)
+{
+    std::vector<std::string> names;
+    if (cfg.dram.enabled)
+        names.emplace_back("[memory] DramModel");
+    if (cfg.layout.enabled)
+        names.emplace_back("[layout] LayoutModel");
+    if (cfg.energy.enabled)
+        names.emplace_back("[energy] EnergyModel");
+    if (cfg.sparsity.enabled)
+        names.emplace_back("[sparsity] SparsitySupport");
+    return names;
+}
+
 TileCache::TileCache(std::uint64_t capacity_words)
     : capacity_(capacity_words)
 {

@@ -68,6 +68,13 @@ struct ScratchpadConfig
  */
 ScratchpadConfig scratchpadConfig(const SimConfig& cfg);
 
+/**
+ * `[section] Key` of every enabled feature that the multi-core trace
+ * path ignores: the DRAM timing, layout and energy models, and
+ * layer-wise sparsity. Empty when none is on.
+ */
+std::vector<std::string> multiCoreIgnoredFeatures(const SimConfig& cfg);
+
 /** One fold's compute interval, relative to the layer's start cycle. */
 struct FoldSpan
 {

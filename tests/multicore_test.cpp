@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/log.hpp"
 #include "multicore/nop.hpp"
 #include "multicore/system.hpp"
 #include "multicore/trace_sim.hpp"
+#include "systolic/scratchpad.hpp"
 
 using namespace scalesim;
 using namespace scalesim::multicore;
@@ -368,6 +372,24 @@ TEST(TraceSim, MakespanBelowSingleCore)
     MultiCoreTraceSimulator m(multi);
     MultiCoreTraceSimulator s(single);
     EXPECT_LT(m.runLayer(layer).makespan, s.runLayer(layer).makespan);
+}
+
+TEST(TraceSim, IgnoredFeaturesNamedWhenOnNoneWhenOff)
+{
+    SimConfig cfg;
+    for (const bool on : {true, false}) {
+        cfg.dram.enabled = on;
+        cfg.layout.enabled = on;
+        cfg.energy.enabled = on;
+        cfg.sparsity.enabled = on;
+        const std::vector<std::string> want = on
+            ? std::vector<std::string>{"[memory] DramModel",
+                                       "[layout] LayoutModel",
+                                       "[energy] EnergyModel",
+                                       "[sparsity] SparsitySupport"}
+            : std::vector<std::string>{};
+        EXPECT_EQ(systolic::multiCoreIgnoredFeatures(cfg), want);
+    }
 }
 
 TEST(MeshNop, HopGeometry)
