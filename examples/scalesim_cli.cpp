@@ -166,29 +166,26 @@ main(int argc, char** argv)
                   interval_arg.c_str());
         }
 
+        cfg.validate();
+
         if (!multicore_grid.empty()) {
             // Trace-level multi-core path: partition each layer over a
             // PrxPc grid of arrays sharing an L2 and the DRAM bus.
-            multicore::MultiCoreTraceConfig mc;
+            std::uint64_t pr = 0;
+            std::uint64_t pc = 0;
             const std::string_view grid = multicore_grid;
             const std::size_t cross = grid.find('x');
             if (cross == std::string_view::npos
-                || parseUint64(grid.substr(0, cross), mc.pr)
+                || parseUint64(grid.substr(0, cross), pr)
                        != NumberParse::Ok
-                || parseUint64(grid.substr(cross + 1), mc.pc)
+                || parseUint64(grid.substr(cross + 1), pc)
                        != NumberParse::Ok
-                || mc.pr == 0 || mc.pc == 0) {
+                || pr == 0 || pc == 0) {
                 fatal("--multicore expects PRxPC (e.g. 2x2), got '%s'",
                       multicore_grid.c_str());
             }
-            mc.arrayRows = cfg.arrayRows;
-            mc.arrayCols = cfg.arrayCols;
-            mc.dataflow = cfg.dataflow;
-            mc.dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle;
-            mc.l1 = systolic::scratchpadConfig(cfg);
-            mc.ifmapOffset = cfg.memory.ifmapOffset;
-            mc.filterOffset = cfg.memory.filterOffset;
-            mc.ofmapOffset = cfg.memory.ofmapOffset;
+            const multicore::MultiCoreTraceConfig mc =
+                multicore::multiCoreTraceConfig(cfg, pr, pc);
             for (const std::string& name :
                  systolic::multiCoreIgnoredFeatures(cfg))
                 warn("%s is not modeled by --multicore; ignored",
@@ -291,7 +288,7 @@ main(int argc, char** argv)
         report("COMPUTE_REPORT.csv", &core::RunResult::writeComputeReport);
         report("BANDWIDTH_REPORT.csv",
                &core::RunResult::writeBandwidthReport);
-        if (cfg.sparsity.enabled || cfg.sparsity.optimizedMapping)
+        if (cfg.sparsity.enabled)
             report("SPARSE_REPORT.csv", &core::RunResult::writeSparseReport);
         if (cfg.energy.enabled) {
             report("ENERGY_REPORT.csv", &core::RunResult::writeEnergyReport);

@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
@@ -82,7 +84,7 @@ IniFile::parseString(const std::string& text, const std::string& name)
         if (key.empty())
             fatal("%s:%d: empty key", name.c_str(), line_no);
         ini.sections_[canonical(section)][canonical(key)] =
-            Entry{value, line_no};
+            Entry{value, line_no, section + "." + key};
     }
     return ini;
 }
@@ -102,7 +104,8 @@ void
 IniFile::set(std::string_view section, std::string_view key,
              const std::string& value)
 {
-    sections_[canonical(section)][canonical(key)] = Entry{value, 0};
+    sections_[canonical(section)][canonical(key)] = Entry{
+        value, 0, std::string(section) + "." + std::string(key)};
 }
 
 const IniFile::Entry*
@@ -126,14 +129,32 @@ IniFile::badValue(std::string_view section, std::string_view key,
 }
 
 void
-IniFile::rejectRemovedKey(std::string_view section, std::string_view key,
-                          const char* why) const
+IniFile::fail(std::string_view section, std::string_view key,
+              const std::string& what) const
 {
-    if (const Entry* entry = find(section, key)) {
-        const std::string what =
-            std::string("is no longer accepted: the key was removed ")
-            + why;
-        badValue(section, key, *entry, what.c_str());
+    const Entry* entry = find(section, key);
+    badValue(section, key, entry ? *entry : Entry{}, what.c_str());
+}
+
+void
+IniFile::rejectUnknownKeys(
+    const std::vector<std::pair<std::string_view, std::string_view>>&
+        known) const
+{
+    std::set<std::pair<std::string, std::string>> names;
+    for (const auto& [section, key] : known)
+        names.emplace(canonical(section), canonical(key));
+    const Entry* first = nullptr;
+    for (const auto& [section, keys] : sections_) {
+        for (const auto& [key, entry] : keys) {
+            if (!names.count({section, key})
+                && (!first || entry.line < first->line))
+                first = &entry;
+        }
+    }
+    if (first) {
+        fatal("%s:%d: %s: unknown key", name_.c_str(), first->line,
+              first->name.c_str());
     }
 }
 
@@ -184,7 +205,7 @@ IniFile::getUint(std::string_view section, std::string_view key,
 
 std::uint32_t
 IniFile::getUint32(std::string_view section, std::string_view key,
-                   std::uint32_t fallback, std::uint32_t max) const
+                   std::uint32_t fallback) const
 {
     const Entry* entry = find(section, key);
     if (!entry || entry->value.empty())
@@ -192,10 +213,6 @@ IniFile::getUint32(std::string_view section, std::string_view key,
     std::uint64_t value = getUint(section, key);
     if (value > std::numeric_limits<std::uint32_t>::max())
         badValue(section, key, *entry, "overflows a 32-bit integer");
-    if (value > max) {
-        badValue(section, key, *entry,
-                 format("exceeds the maximum of %u", max).c_str());
-    }
     return static_cast<std::uint32_t>(value);
 }
 
@@ -261,139 +278,107 @@ sparseRepFromString(std::string_view text)
                                 + std::string(text));
 }
 
+namespace
+{
+
+/** Keys the simulator no longer reads, and why each was removed. */
+constexpr const char* kRemovedKeys[][3] = {
+    {"memory", "DramEngine", "because the DRAM controller has one engine"},
+    {"multicore", "Engine", "because multi-core co-stepping is serial"},
+    {"multicore", "Jobs", "because multi-core co-stepping is serial"},
+};
+
+/** Read one table row from `ini`, keeping the default when absent. */
+template <class T>
+void
+readField(const IniFile& ini, const ConfigField<T>& f)
+{
+    T& v = f.value;
+    if constexpr (std::is_same_v<T, std::string>) {
+        v = ini.getString(f.section, f.key, v);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = ini.getBool(f.section, f.key, v);
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        v = ini.getUint32(f.section, f.key, v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        v = ini.getUint(f.section, f.key, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = ini.getDouble(f.section, f.key, v);
+    } else {
+        const std::string raw = ini.getString(f.section, f.key);
+        if (raw.empty())
+            return;
+        const char* expected =
+            "a sparse representation (dense|csr|csc|ellpack_block)";
+        try {
+            if constexpr (std::is_same_v<T, Dataflow>) {
+                expected = "a dataflow (os|ws|is)";
+                v = dataflowFromString(raw);
+            } else if constexpr (std::is_same_v<T, SimMode>) {
+                expected = "a mode (trace|analytical)";
+                v = simModeFromString(raw);
+            } else {
+                v = sparseRepFromString(raw);
+            }
+        } catch (const std::invalid_argument&) {
+            ini.fail(f.section, f.key, std::string("is not ") + expected);
+        }
+    }
+}
+
+/** Call `fail(field, what)` for a row of `cfg` that breaks its bounds
+    while its feature switch is on. */
+template <class Fail>
+void
+checkBounds(const SimConfig& cfg, Fail fail)
+{
+    forEachField(cfg, [&](const auto& f) {
+        using V = std::remove_cvref_t<decltype(f.value)>;
+        if constexpr (std::is_arithmetic_v<V> && !std::is_same_v<V, bool>) {
+            if (!f.gateOn())
+                return;
+            if (f.has(kNonZero) && !(f.value > 0)) {
+                fail(f, std::is_integral_v<V> ? "must be non-zero"
+                                              : "must be positive");
+            }
+            if (f.value > f.max)
+                fail(f, "exceeds the maximum of " + std::to_string(f.max));
+        }
+    });
+}
+
+} // namespace
+
 SimConfig
 SimConfig::fromIni(const IniFile& ini)
 {
-    SimConfig cfg;
-    cfg.runName = ini.getString("general", "run_name", cfg.runName);
-
-    cfg.arrayRows = ini.getUint32("architecture", "ArrayHeight",
-                                  cfg.arrayRows);
-    cfg.arrayCols = ini.getUint32("architecture", "ArrayWidth",
-                                  cfg.arrayCols);
-    if (cfg.arrayRows == 0 || cfg.arrayCols == 0)
-        fatal("array dimensions must be non-zero");
-
-    cfg.dataflow = ini.getEnum("architecture", "Dataflow", cfg.dataflow,
-                               dataflowFromString, "a dataflow (os|ws|is)");
-    cfg.mode = ini.getEnum("general", "mode", cfg.mode, simModeFromString,
-                           "a mode (trace|analytical)");
-    cfg.audit = ini.getBool("general", "Audit", cfg.audit);
-    cfg.intervalCycles = ini.getUint("general", "IntervalCycles",
-                                     cfg.intervalCycles);
-
-    cfg.memory.ifmapSramKb = ini.getUint(
-        "architecture", "IfmapSramSzkB", cfg.memory.ifmapSramKb);
-    cfg.memory.filterSramKb = ini.getUint(
-        "architecture", "FilterSramSzkB", cfg.memory.filterSramKb);
-    cfg.memory.ofmapSramKb = ini.getUint(
-        "architecture", "OfmapSramSzkB", cfg.memory.ofmapSramKb);
-    cfg.memory.ifmapOffset = ini.getUint(
-        "architecture", "IfmapOffset", cfg.memory.ifmapOffset);
-    cfg.memory.filterOffset = ini.getUint(
-        "architecture", "FilterOffset", cfg.memory.filterOffset);
-    cfg.memory.ofmapOffset = ini.getUint(
-        "architecture", "OfmapOffset", cfg.memory.ofmapOffset);
-    cfg.memory.wordBytes = ini.getUint32(
-        "architecture", "WordBytes", cfg.memory.wordBytes);
-    cfg.memory.bandwidthWordsPerCycle = ini.getDouble(
-        "architecture", "Bandwidth", cfg.memory.bandwidthWordsPerCycle);
-    cfg.memory.burstWords = ini.getUint32(
-        "architecture", "BurstWords", cfg.memory.burstWords);
-    cfg.memory.issuePerCycle = ini.getUint32(
-        "architecture", "IssuePerCycle", cfg.memory.issuePerCycle);
-    cfg.memory.prefetchDepth = ini.getUint32(
-        "architecture", "PrefetchDepth", cfg.memory.prefetchDepth);
-    cfg.memory.im2colAddressing = ini.getBool(
-        "architecture", "Im2colAddressing",
-        cfg.memory.im2colAddressing);
-    cfg.memory.recordFoldSpans = ini.getBool(
-        "architecture", "RecordFoldSpans",
-        cfg.memory.recordFoldSpans);
-    cfg.foldCache = ini.getBool("architecture", "FoldCache",
-                                cfg.foldCache);
-    cfg.simdLanes = ini.getUint32("architecture", "SimdLanes",
-                                  cfg.simdLanes);
-    cfg.simdLatencyPerOp = ini.getUint32(
-        "architecture", "SimdLatency", cfg.simdLatencyPerOp);
-
-    cfg.sparsity.enabled = ini.getBool("sparsity", "SparsitySupport",
-                                       cfg.sparsity.enabled);
-    cfg.sparsity.optimizedMapping = ini.getBool(
-        "sparsity", "OptimizedMapping", cfg.sparsity.optimizedMapping);
-    cfg.sparsity.rep = ini.getEnum(
-        "sparsity", "SparseRep", cfg.sparsity.rep, sparseRepFromString,
-        "a sparse representation (dense|csr|csc|ellpack_block)");
-    cfg.sparsity.blockSize = ini.getUint32(
-        "sparsity", "BlockSize", cfg.sparsity.blockSize);
-    cfg.sparsity.seed = ini.getUint("sparsity", "Seed",
-                                    cfg.sparsity.seed);
-
-    cfg.dram.enabled = ini.getBool("memory", "DramModel",
-                                   cfg.dram.enabled);
-    cfg.dram.tech = ini.getString("memory", "Tech", cfg.dram.tech);
-    ini.rejectRemovedKey("memory", "DramEngine",
-                         "because the DRAM controller has one engine");
-    cfg.dram.channels = ini.getUint32("memory", "Channels",
-                                      cfg.dram.channels);
-    cfg.dram.ranksPerChannel = ini.getUint32(
-        "memory", "Ranks", cfg.dram.ranksPerChannel);
-    cfg.dram.readQueueSize = ini.getUint32(
-        "memory", "ReadQueueSize", cfg.dram.readQueueSize);
-    cfg.dram.writeQueueSize = ini.getUint32(
-        "memory", "WriteQueueSize", cfg.dram.writeQueueSize);
-    cfg.dram.coreClockMhz = ini.getDouble("memory", "CoreClockMhz",
-                                          cfg.dram.coreClockMhz);
-
-    for (const char* key : {"Engine", "Jobs"}) {
-        ini.rejectRemovedKey("multicore", key,
-                             "because multi-core co-stepping is serial");
+    for (const auto& [section, key, why] : kRemovedKeys) {
+        if (ini.has(section, key)) {
+            ini.fail(section, key,
+                     std::string("is no longer accepted: the key was "
+                                 "removed ") + why);
+        }
     }
-
-    cfg.layout.enabled = ini.getBool("layout", "LayoutModel",
-                                     cfg.layout.enabled);
-    cfg.layout.banks = ini.getUint32("layout", "Banks",
-                                     cfg.layout.banks);
-    cfg.layout.portsPerBank = ini.getUint32(
-        "layout", "PortsPerBank", cfg.layout.portsPerBank);
-    cfg.layout.onChipBandwidth = ini.getUint32(
-        "layout", "OnChipBandwidth", cfg.layout.onChipBandwidth);
-
-    cfg.energy.enabled = ini.getBool("energy", "EnergyModel",
-                                     cfg.energy.enabled);
-    cfg.energy.rowSize = ini.getUint32("energy", "RowSize",
-                                       cfg.energy.rowSize);
-    cfg.energy.bankSize = ini.getUint32("energy", "BankSize",
-                                        cfg.energy.bankSize,
-                                        EnergyConfig::kMaxBankSize);
-    cfg.energy.frequencyGhz = ini.getDouble("energy", "FrequencyGhz",
-                                            cfg.energy.frequencyGhz);
-    cfg.energy.node = ini.getString("energy", "Node", cfg.energy.node);
+    SimConfig cfg;
+    std::vector<std::pair<std::string_view, std::string_view>> known;
+    forEachField(cfg, [&](const auto& f) {
+        known.emplace_back(f.section, f.key);
+    });
+    ini.rejectUnknownKeys(known);
+    forEachField(cfg, [&](const auto& f) { readField(ini, f); });
+    checkBounds(cfg, [&](const auto& f, const std::string& what) {
+        ini.fail(f.section, f.key, what);
+    });
     return cfg;
 }
 
 void
 SimConfig::validate() const
 {
-    if (arrayRows == 0 || arrayCols == 0)
-        fatal("array dimensions must be non-zero (%ux%u)", arrayRows,
-              arrayCols);
-    if (simdLanes == 0)
-        fatal("SimdLanes must be non-zero");
-    if (memory.wordBytes == 0)
-        fatal("WordBytes must be non-zero");
-    if (memory.burstWords == 0)
-        fatal("BurstWords must be non-zero");
-    if (memory.issuePerCycle == 0)
-        fatal("IssuePerCycle must be non-zero");
-    if (memory.prefetchDepth == 0)
-        fatal("PrefetchDepth must be non-zero");
-    if (memory.bandwidthWordsPerCycle <= 0.0)
-        fatal("Bandwidth must be positive");
-    if (memory.ifmapSramKb == 0 || memory.filterSramKb == 0
-        || memory.ofmapSramKb == 0) {
-        fatal("SRAM sizes must be non-zero");
-    }
+    checkBounds(*this, [](const auto& f, const std::string& what) {
+        fatal("%s.%s %.17g %s", f.section, f.key,
+              static_cast<double>(f.value), what.c_str());
+    });
     // Operand regions must not overlap (addresses are word-granular
     // and region extents are workload-dependent, so require distinct,
     // ordered bases with generous gaps).
@@ -405,29 +390,6 @@ SimConfig::validate() const
     if (sparsity.optimizedMapping && sparsity.blockSize < 2)
         fatal("row-wise sparsity needs BlockSize >= 2 (got %u)",
               sparsity.blockSize);
-    if (dram.enabled) {
-        if (dram.channels == 0)
-            fatal("DRAM needs at least one channel");
-        if (dram.readQueueSize == 0 || dram.writeQueueSize == 0)
-            fatal("request queues must be non-empty");
-        if (dram.coreClockMhz <= 0.0)
-            fatal("CoreClockMhz must be positive");
-    }
-    if (layout.enabled) {
-        if (layout.banks == 0 || layout.portsPerBank == 0)
-            fatal("layout model needs non-zero banks and ports");
-        if (layout.onChipBandwidth == 0)
-            fatal("OnChipBandwidth must be non-zero");
-    }
-    if (energy.enabled) {
-        if (energy.rowSize == 0 || energy.bankSize == 0)
-            fatal("energy RowSize/BankSize must be non-zero");
-        if (energy.bankSize > EnergyConfig::kMaxBankSize)
-            fatal("energy BankSize %u exceeds the maximum of %u",
-                  energy.bankSize, EnergyConfig::kMaxBankSize);
-        if (energy.frequencyGhz <= 0.0)
-            fatal("FrequencyGhz must be positive");
-    }
 }
 
 SimConfig

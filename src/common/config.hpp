@@ -10,12 +10,14 @@
 #define SCALESIM_COMMON_CONFIG_HH
 
 #include <cstdint>
-#include <limits>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "common/types.hpp"
 
 namespace scalesim
@@ -47,56 +49,35 @@ class IniFile
     /** getInt that additionally rejects negative values. */
     std::uint64_t getUint(std::string_view section, std::string_view key,
                           std::uint64_t fallback = 0) const;
-    /**
-     * getUint bounded to 32 bits (array dims, queue sizes, ...) and to
-     * `max`; a larger value is fatal() naming the bound.
-     */
-    std::uint32_t getUint32(
-        std::string_view section, std::string_view key,
-        std::uint32_t fallback = 0,
-        std::uint32_t max = std::numeric_limits<std::uint32_t>::max())
-        const;
+    /** getUint bounded to 32 bits (array dims, queue sizes, ...). */
+    std::uint32_t getUint32(std::string_view section, std::string_view key,
+                            std::uint32_t fallback = 0) const;
     double getDouble(std::string_view section, std::string_view key,
                      double fallback = 0.0) const;
     bool getBool(std::string_view section, std::string_view key,
                  bool fallback = false) const;
-    /**
-     * Parse with `parse`, a *FromString that throws
-     * std::invalid_argument; a value it rejects is fatal() as
-     * `file:line: section.key: 'value' is not <expected>`.
-     */
-    template <typename T, typename Parse>
-    T
-    getEnum(std::string_view section, std::string_view key, T fallback,
-            Parse parse, const char* expected) const
-    {
-        const Entry* entry = find(section, key);
-        if (!entry || entry->value.empty())
-            return fallback;
-        try {
-            return parse(entry->value);
-        } catch (const std::invalid_argument&) {
-            badValue(section, key, *entry,
-                     (std::string("is not ") + expected).c_str());
-        }
-    }
-
     void set(std::string_view section, std::string_view key,
              const std::string& value);
 
-    /** fatal() as `file:line: section.key: ...` when a key the
-        simulator no longer reads is set, saying `why`. */
-    void rejectRemovedKey(std::string_view section, std::string_view key,
-                          const char* why) const;
+    /** fatal() as `file:line: section.key: 'value' <what>`. */
+    [[noreturn]] void fail(std::string_view section, std::string_view key,
+                           const std::string& what) const;
 
-    /** Source label used in error messages (path or "<string>"). */
-    const std::string& source() const { return name_; }
+    /**
+     * fatal() as `file:line: section.key: unknown key`, naming the
+     * entry as written, at the first line whose section and key are
+     * not among `known`.
+     */
+    void rejectUnknownKeys(
+        const std::vector<std::pair<std::string_view, std::string_view>>&
+            known) const;
 
   private:
     struct Entry
     {
         std::string value;
         int line = 0; ///< 0 when set programmatically
+        std::string name; ///< "section.key" as written
     };
 
     const Entry* find(std::string_view section,
@@ -191,7 +172,7 @@ struct SparsityConfig
     std::uint64_t seed = 0xC0FFEEull;
 };
 
-/** [memory]/[dram] section knobs (paper §V). */
+/** [memory] section knobs (paper §V). */
 struct DramConfig
 {
     /** Enables the detailed DRAM model (Ramulator substitute). */
@@ -287,13 +268,18 @@ struct SimConfig
     }
 
     /**
-     * Check the configuration for inconsistencies (zero dimensions,
-     * empty queues, bad clocks, ...); fatal() with a precise message
-     * on the first violation.
+     * Check every field against its bounds in the field table
+     * (forEachField), then the ordering of the operand offsets and
+     * BlockSize >= 2 under OptimizedMapping; fatal() on the first
+     * violation.
      */
     void validate() const;
 
-    /** Build a typed config from a parsed INI file. */
+    /**
+     * Build a typed config from a parsed INI file, one field-table row
+     * per key. A removed or unknown key, a malformed value or one out
+     * of its row's bounds is fatal() as `file:line: section.key: ...`.
+     */
     static SimConfig fromIni(const IniFile& ini);
 
     /** Load from a .cfg path. */
@@ -305,6 +291,132 @@ struct SimConfig
     /** Google-TPU-like preset used by the paper's memory study (§V-C). */
     static SimConfig tpuMemoryStudy();
 };
+
+/** Flags of one SimConfig field-table row (see forEachField). */
+enum ConfigFieldFlag : unsigned
+{
+    /** The value must be non-zero; for a double, positive. */
+    kNonZero = 1u << 0,
+    /** The value can change a layer's results, so it joins the serve
+        cache key (serve::layerCacheKey). */
+    kPayload = 1u << 1,
+    /** The multi-core trace path honours the value; a payload row
+        without it is named by systolic::multiCoreIgnoredFeatures. */
+    kMultiCore = 1u << 2,
+};
+
+/** One row of the SimConfig field table: an INI key and its member. */
+template <class T>
+struct ConfigField
+{
+    const char* section;
+    const char* key;
+    T& value;
+    unsigned flags;
+    /** Feature switch the field belongs to: its bounds hold only while
+        the switch is on. nullptr when the field stands alone. */
+    const bool* gate;
+    /** Largest accepted value of an integer field. */
+    std::uint64_t max;
+
+    bool has(unsigned flag) const { return (flags & flag) != 0; }
+    bool gateOn() const { return !gate || *gate; }
+};
+
+/**
+ * The SimConfig field table: calls `visit(ConfigField<T>)` once per
+ * INI key, in a fixed order. SimConfig::fromIni, the per-field checks
+ * of SimConfig::validate, serve::layerCacheKey and
+ * systolic::multiCoreIgnoredFeatures all derive from it, so a new knob
+ * is one row here.
+ */
+template <class Cfg, class Visit>
+void
+forEachField(Cfg&& c, Visit&& visit)
+{
+    constexpr unsigned NZ = kNonZero, P = kPayload, MC = kMultiCore;
+    const auto row = [&](const char* section, const char* key, auto& value,
+                         unsigned flags, const bool* gate = nullptr,
+                         std::uint64_t max = ~std::uint64_t{0}) {
+        visit(ConfigField<std::remove_reference_t<decltype(value)>>{
+            section, key, value, flags, gate, max});
+    };
+    const char* g = "general";
+    row(g, "run_name", c.runName, 0);
+    row(g, "mode", c.mode, P);
+    row(g, "Audit", c.audit, 0);
+    row(g, "IntervalCycles", c.intervalCycles, 0);
+
+    const char* a = "architecture";
+    auto& m = c.memory;
+    row(a, "ArrayHeight", c.arrayRows, NZ | P | MC);
+    row(a, "ArrayWidth", c.arrayCols, NZ | P | MC);
+    row(a, "Dataflow", c.dataflow, P | MC);
+    row(a, "IfmapSramSzkB", m.ifmapSramKb, NZ | P | MC);
+    row(a, "FilterSramSzkB", m.filterSramKb, NZ | P | MC);
+    row(a, "OfmapSramSzkB", m.ofmapSramKb, NZ | P | MC);
+    row(a, "IfmapOffset", m.ifmapOffset, P | MC);
+    row(a, "FilterOffset", m.filterOffset, P | MC);
+    row(a, "OfmapOffset", m.ofmapOffset, P | MC);
+    row(a, "WordBytes", m.wordBytes, NZ | P | MC);
+    row(a, "Bandwidth", m.bandwidthWordsPerCycle, NZ | P | MC);
+    row(a, "BurstWords", m.burstWords, NZ | P | MC);
+    row(a, "IssuePerCycle", m.issuePerCycle, NZ | P | MC);
+    row(a, "PrefetchDepth", m.prefetchDepth, NZ | P | MC);
+    // Multi-core always addresses ifmaps im2col-expanded.
+    row(a, "Im2colAddressing", m.im2colAddressing, P);
+    row(a, "RecordFoldSpans", m.recordFoldSpans, 0);
+    row(a, "FoldCache", c.foldCache, P);
+    row(a, "SimdLanes", c.simdLanes, NZ | P);
+    row(a, "SimdLatency", c.simdLatencyPerOp, P);
+
+    const bool* dram = &c.dram.enabled;
+    row("memory", "DramModel", c.dram.enabled, P);
+    row("memory", "Tech", c.dram.tech, P, dram);
+    row("memory", "Channels", c.dram.channels, NZ | P, dram);
+    row("memory", "Ranks", c.dram.ranksPerChannel, NZ | P, dram);
+    // The scratchpad's request queues exist with or without DRAM.
+    row("memory", "ReadQueueSize", c.dram.readQueueSize, NZ | P | MC);
+    row("memory", "WriteQueueSize", c.dram.writeQueueSize, NZ | P | MC);
+    row("memory", "CoreClockMhz", c.dram.coreClockMhz, NZ | P, dram);
+
+    const bool* layout = &c.layout.enabled;
+    row("layout", "LayoutModel", c.layout.enabled, P);
+    row("layout", "Banks", c.layout.banks, NZ | P, layout);
+    row("layout", "PortsPerBank", c.layout.portsPerBank, NZ | P, layout);
+    row("layout", "OnChipBandwidth", c.layout.onChipBandwidth, NZ | P,
+        layout);
+
+    const bool* energy = &c.energy.enabled;
+    row("energy", "EnergyModel", c.energy.enabled, P);
+    row("energy", "RowSize", c.energy.rowSize, NZ | P, energy);
+    row("energy", "BankSize", c.energy.bankSize, NZ | P, energy,
+        EnergyConfig::kMaxBankSize);
+    row("energy", "FrequencyGhz", c.energy.frequencyGhz, NZ | P, energy);
+    row("energy", "Node", c.energy.node, P, energy);
+
+    const bool* sparsity = &c.sparsity.enabled;
+    row("sparsity", "SparsitySupport", c.sparsity.enabled, P);
+    row("sparsity", "OptimizedMapping", c.sparsity.optimizedMapping, P,
+        sparsity);
+    row("sparsity", "SparseRep", c.sparsity.rep, P, sparsity);
+    row("sparsity", "BlockSize", c.sparsity.blockSize, P, sparsity);
+    row("sparsity", "Seed", c.sparsity.seed, P, sparsity);
+}
+
+/** Feed one field's value to `h`: strings length-prefixed, bools and
+    enums as one byte, numbers as their byte image. */
+template <class T>
+void
+mixField(Fnv1a& h, const T& value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        h.mixString(value);
+    else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>)
+        h.mix(static_cast<std::uint8_t>(value));
+    else
+        h.mix(value);
+}
 
 } // namespace scalesim
 

@@ -7,6 +7,19 @@
 namespace scalesim::multicore
 {
 
+MultiCoreTraceConfig
+multiCoreTraceConfig(const SimConfig& cfg, std::uint64_t pr,
+                     std::uint64_t pc)
+{
+    return {.pr = pr, .pc = pc, .arrayRows = cfg.arrayRows,
+            .arrayCols = cfg.arrayCols, .dataflow = cfg.dataflow,
+            .l1 = systolic::scratchpadConfig(cfg), .l2 = {},
+            .dramWordsPerCycle = cfg.memory.bandwidthWordsPerCycle,
+            .ifmapOffset = cfg.memory.ifmapOffset,
+            .filterOffset = cfg.memory.filterOffset,
+            .ofmapOffset = cfg.memory.ofmapOffset};
+}
+
 MultiCoreTraceSimulator::MultiCoreTraceSimulator(
     const MultiCoreTraceConfig& cfg)
     : cfg_(cfg)

@@ -69,6 +69,12 @@ struct MultiCoreTraceConfig
     Addr ofmapOffset = MemoryConfig{}.ofmapOffset;
 };
 
+/** The multi-core counterpart of systolic::scratchpadConfig: a PR x PC
+    grid built from the kMultiCore rows of a run configuration. */
+MultiCoreTraceConfig multiCoreTraceConfig(const SimConfig& cfg,
+                                          std::uint64_t pr,
+                                          std::uint64_t pc);
+
 /** Outcome of one layer on the multi-core system. */
 struct MultiCoreTraceResult
 {

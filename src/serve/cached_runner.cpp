@@ -1,5 +1,7 @@
 #include "serve/cached_runner.hpp"
 
+#include <type_traits>
+
 #include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/serialize.hpp"
@@ -11,7 +13,7 @@ namespace
 {
 
 /** Bump on any change to the key schema or payload encoding. */
-constexpr std::uint64_t kCacheSchemaVersion = 1;
+constexpr std::uint64_t kCacheSchemaVersion = 2;
 
 void
 mixLayer(Fnv1a& h, const LayerSpec& layer)
@@ -45,61 +47,18 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
     Fnv1a h;
     h.mix(kCacheSchemaVersion);
 
-    // Config slice that affects one layer's timing/energy. runName,
-    // audit and intervalCycles are deliberately absent: none of them
-    // change an instance's numbers.
-    h.mix(cfg.arrayRows);
-    h.mix(cfg.arrayCols);
-    h.mix(static_cast<std::uint8_t>(cfg.dataflow));
-    h.mix(static_cast<std::uint8_t>(cfg.mode));
-    h.mix(static_cast<std::uint8_t>(cfg.foldCache));
-    h.mix(cfg.simdLanes);
-    h.mix(cfg.simdLatencyPerOp);
-
-    h.mix(cfg.memory.ifmapSramKb);
-    h.mix(cfg.memory.filterSramKb);
-    h.mix(cfg.memory.ofmapSramKb);
-    h.mix(cfg.memory.ifmapOffset);
-    h.mix(cfg.memory.filterOffset);
-    h.mix(cfg.memory.ofmapOffset);
-    h.mix(cfg.memory.wordBytes);
-    h.mix(cfg.memory.bandwidthWordsPerCycle);
-    h.mix(cfg.memory.burstWords);
-    h.mix(cfg.memory.issuePerCycle);
-    h.mix(cfg.memory.prefetchDepth);
-    h.mix(static_cast<std::uint8_t>(cfg.memory.im2colAddressing));
-
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.enabled));
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.optimizedMapping));
-    h.mix(static_cast<std::uint8_t>(cfg.sparsity.rep));
-    h.mix(cfg.sparsity.blockSize);
-    h.mix(cfg.sparsity.seed);
-
-    h.mix(static_cast<std::uint8_t>(cfg.dram.enabled));
-    h.mixString(cfg.dram.tech);
-    h.mix(cfg.dram.channels);
-    h.mix(cfg.dram.ranksPerChannel);
-    h.mix(cfg.dram.readQueueSize);
-    h.mix(cfg.dram.writeQueueSize);
-    h.mix(cfg.dram.coreClockMhz);
-
-    h.mix(static_cast<std::uint8_t>(cfg.layout.enabled));
-    h.mix(cfg.layout.banks);
-    h.mix(cfg.layout.portsPerBank);
-    h.mix(cfg.layout.onChipBandwidth);
-
-    h.mix(static_cast<std::uint8_t>(cfg.energy.enabled));
-    h.mix(cfg.energy.rowSize);
-    h.mix(cfg.energy.bankSize);
-    h.mix(cfg.energy.frequencyGhz);
-    h.mixString(cfg.energy.node);
+    // Every payload row of the SimConfig field table, in table order.
+    forEachField(cfg, [&](const auto& f) {
+        if (f.has(kPayload))
+            mixField(h, f.value);
+    });
 
     mixLayer(h, layer);
 
     // SparseLayerModel seeds its per-row N:M pattern with the layer
     // position, so under sparsity identical shapes at different
     // indices are genuinely different evaluations.
-    if (cfg.sparsity.enabled || cfg.sparsity.optimizedMapping)
+    if (cfg.sparsity.enabled)
         h.mix(layer_index);
 
     return h.digest();
@@ -108,60 +67,83 @@ layerCacheKey(const SimConfig& cfg, const LayerSpec& layer,
 namespace
 {
 
+/** Call `visit` on each of `fields` in order. */
+template <class Visit, class... Fields>
 void
-putCpi(ByteWriter& out, const obs::CpiStack& cpi)
+each(Visit& visit, Fields&... fields)
 {
-    out.put(cpi.compute);
-    out.put(cpi.vectorUnit);
-    out.put(cpi.drain);
-    out.put(cpi.bandwidth);
-    out.put(cpi.prefetchMiss);
-    out.put(cpi.l2Wait);
-    out.put(cpi.dramQueue);
-    out.put(cpi.dramService);
-    out.put(cpi.refresh);
-}
-
-void
-getCpi(ByteReader& in, obs::CpiStack& cpi)
-{
-    cpi.compute = in.get<std::uint64_t>();
-    cpi.vectorUnit = in.get<std::uint64_t>();
-    cpi.drain = in.get<std::uint64_t>();
-    cpi.bandwidth = in.get<std::uint64_t>();
-    cpi.prefetchMiss = in.get<std::uint64_t>();
-    cpi.l2Wait = in.get<std::uint64_t>();
-    cpi.dramQueue = in.get<std::uint64_t>();
-    cpi.dramService = in.get<std::uint64_t>();
-    cpi.refresh = in.get<std::uint64_t>();
-}
-
-void
-putSram(ByteWriter& out, const energy::SramActionCounts& s)
-{
-    out.put(s.readRandom);
-    out.put(s.readRepeat);
-    out.put(s.writeRandom);
-    out.put(s.writeRepeat);
-    out.put(s.idle);
-}
-
-void
-getSram(ByteReader& in, energy::SramActionCounts& s)
-{
-    s.readRandom = in.get<Count>();
-    s.readRepeat = in.get<Count>();
-    s.writeRandom = in.get<Count>();
-    s.writeRepeat = in.get<Count>();
-    s.idle = in.get<Count>();
+    (visit(fields), ...);
 }
 
 /**
- * Encode one layer's isolated evaluation: the LayerResult (minus its
- * display name/repetitions, patched at hit time), the DRAM stats of
- * the isolated run, and the component stats registry snapshot.
- * Doubles are stored as bit patterns — the round trip is lossless, so
- * cached and freshly simulated results are bit-identical.
+ * Visit, in wire order, every field the payload stores for one layer's
+ * isolated evaluation: the LayerResult (minus its display
+ * name/repetitions, patched at hit time) and the DRAM stats of the
+ * isolated run. `sparse()` runs where the optional sparse report goes.
+ * Encoder and decoder both walk this one list, so they cannot drift.
+ */
+template <class Result, class Dram, class Visit, class Sparse>
+void
+payloadFields(Result& r, Dram& ds, Visit&& v, Sparse&& sparse)
+{
+    const auto cpi = [&](auto& c) {
+        each(v, c.compute, c.vectorUnit, c.drain, c.bandwidth,
+             c.prefetchMiss, c.l2Wait, c.dramQueue, c.dramService,
+             c.refresh);
+    };
+    const auto sram = [&](auto& s) {
+        each(v, s.readRandom, s.readRepeat, s.writeRandom, s.writeRepeat,
+             s.idle);
+    };
+    each(v, r.denseGemm.m, r.denseGemm.n, r.denseGemm.k,
+         r.effectiveGemm.m, r.effectiveGemm.n, r.effectiveGemm.k,
+         r.computeCycles, r.simdCycles, r.totalCycles, r.stallCycles,
+         r.utilization, r.speedup, r.mappingEfficiency, r.layoutSlowdown);
+    cpi(r.cpi);
+
+    auto& t = r.timing;
+    each(v, t.computeCycles, t.totalCycles, t.stallCycles,
+         t.prefetchStallCycles, t.drainStallCycles,
+         t.bandwidthStallCycles);
+    cpi(t.cpi);
+    each(v, t.folds, t.dramReadWords, t.dramWriteWords,
+         t.dramReadRequests, t.dramWriteRequests, t.avgReadLatency,
+         t.readQueueStalls, t.writeQueueStalls);
+
+    sparse();
+
+    auto& a = r.actions;
+    each(v, a.macRandom, a.macConstant, a.macGated, a.ifmapSpadRead,
+         a.ifmapSpadWrite, a.weightSpadRead, a.weightSpadWrite,
+         a.psumSpadRead, a.psumSpadWrite);
+    sram(a.ifmapSram);
+    sram(a.filterSram);
+    sram(a.ofmapSram);
+    each(v, a.vectorOps, a.dramReadWords, a.dramWriteWords, a.nocWords,
+         a.cycles);
+
+    auto& e = r.energyBreakdown;
+    each(v, e.peArray, e.glb, e.noc, e.dram, e.staticE, r.powerW);
+
+    each(v, ds.reads, ds.writes, ds.rowHits, ds.rowMisses,
+         ds.rowConflicts, ds.refreshes, ds.readBytes, ds.writeBytes,
+         ds.totalReadLatency, ds.readQueueWait, ds.readRefreshWait,
+         ds.readServiceTime, ds.firstArrival, ds.lastCompletion);
+}
+
+template <class Report, class Visit>
+void
+sparseFields(Report& s, Visit& v)
+{
+    each(v, s.representation, s.ratioN, s.ratioM, s.denseK,
+         s.compressedK, s.originalFilterBits, s.newFilterBits,
+         s.metadataBits);
+}
+
+/**
+ * Encode one layer's evaluation plus the component stats registry
+ * snapshot. Doubles are stored as bit patterns — the round trip is
+ * lossless, so cached and freshly simulated results are bit-identical.
  */
 std::string
 encodeLayerPayload(const core::LayerResult& r,
@@ -169,93 +151,18 @@ encodeLayerPayload(const core::LayerResult& r,
                    const obs::StatsRegistry& comp)
 {
     ByteWriter out;
-    out.put(r.denseGemm.m);
-    out.put(r.denseGemm.n);
-    out.put(r.denseGemm.k);
-    out.put(r.effectiveGemm.m);
-    out.put(r.effectiveGemm.n);
-    out.put(r.effectiveGemm.k);
-    out.put(r.computeCycles);
-    out.put(r.simdCycles);
-    out.put(r.totalCycles);
-    out.put(r.stallCycles);
-    out.put(r.utilization);
-    out.put(r.speedup);
-    out.put(r.mappingEfficiency);
-    out.put(r.layoutSlowdown);
-    putCpi(out, r.cpi);
-
-    const systolic::LayerTiming& t = r.timing;
-    out.put(t.computeCycles);
-    out.put(t.totalCycles);
-    out.put(t.stallCycles);
-    out.put(t.prefetchStallCycles);
-    out.put(t.drainStallCycles);
-    out.put(t.bandwidthStallCycles);
-    putCpi(out, t.cpi);
-    out.put(t.folds);
-    out.put(t.dramReadWords);
-    out.put(t.dramWriteWords);
-    out.put(t.dramReadRequests);
-    out.put(t.dramWriteRequests);
-    out.put(t.avgReadLatency);
-    out.put(t.readQueueStalls);
-    out.put(t.writeQueueStalls);
-
-    out.put(static_cast<std::uint8_t>(r.sparse.has_value()));
-    if (r.sparse) {
-        const sparse::SparseLayerReport& s = *r.sparse;
-        out.putString(s.representation);
-        out.put(s.ratioN);
-        out.put(s.ratioM);
-        out.put(s.denseK);
-        out.put(s.compressedK);
-        out.put(s.originalFilterBits);
-        out.put(s.newFilterBits);
-        out.put(s.metadataBits);
-    }
-
-    const energy::ActionCounts& a = r.actions;
-    out.put(a.macRandom);
-    out.put(a.macConstant);
-    out.put(a.macGated);
-    out.put(a.ifmapSpadRead);
-    out.put(a.ifmapSpadWrite);
-    out.put(a.weightSpadRead);
-    out.put(a.weightSpadWrite);
-    out.put(a.psumSpadRead);
-    out.put(a.psumSpadWrite);
-    putSram(out, a.ifmapSram);
-    putSram(out, a.filterSram);
-    putSram(out, a.ofmapSram);
-    out.put(a.vectorOps);
-    out.put(a.dramReadWords);
-    out.put(a.dramWriteWords);
-    out.put(a.nocWords);
-    out.put(a.cycles);
-
-    out.put(r.energyBreakdown.peArray);
-    out.put(r.energyBreakdown.glb);
-    out.put(r.energyBreakdown.noc);
-    out.put(r.energyBreakdown.dram);
-    out.put(r.energyBreakdown.staticE);
-    out.put(r.powerW);
-
-    out.put(ds.reads);
-    out.put(ds.writes);
-    out.put(ds.rowHits);
-    out.put(ds.rowMisses);
-    out.put(ds.rowConflicts);
-    out.put(ds.refreshes);
-    out.put(ds.readBytes);
-    out.put(ds.writeBytes);
-    out.put(ds.totalReadLatency);
-    out.put(ds.readQueueWait);
-    out.put(ds.readRefreshWait);
-    out.put(ds.readServiceTime);
-    out.put(ds.firstArrival);
-    out.put(ds.lastCompletion);
-
+    const auto put = [&](const auto& field) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                     std::string>)
+            out.putString(field);
+        else
+            out.put(field);
+    };
+    payloadFields(r, ds, put, [&] {
+        out.put(static_cast<std::uint8_t>(r.sparse.has_value()));
+        if (r.sparse)
+            sparseFields(*r.sparse, put);
+    });
     comp.serialize(out);
     return out.take();
 }
@@ -265,93 +172,20 @@ decodeLayerPayload(const std::string& payload, core::LayerResult& r,
                    dram::DramStats& ds, obs::StatsRegistry& comp)
 {
     ByteReader in(payload);
-    r.denseGemm.m = in.get<std::uint64_t>();
-    r.denseGemm.n = in.get<std::uint64_t>();
-    r.denseGemm.k = in.get<std::uint64_t>();
-    r.effectiveGemm.m = in.get<std::uint64_t>();
-    r.effectiveGemm.n = in.get<std::uint64_t>();
-    r.effectiveGemm.k = in.get<std::uint64_t>();
-    r.computeCycles = in.get<Cycle>();
-    r.simdCycles = in.get<Cycle>();
-    r.totalCycles = in.get<Cycle>();
-    r.stallCycles = in.get<Cycle>();
-    r.utilization = in.get<double>();
-    r.speedup = in.get<double>();
-    r.mappingEfficiency = in.get<double>();
-    r.layoutSlowdown = in.get<double>();
-    getCpi(in, r.cpi);
-
-    systolic::LayerTiming& t = r.timing;
-    t.computeCycles = in.get<Cycle>();
-    t.totalCycles = in.get<Cycle>();
-    t.stallCycles = in.get<Cycle>();
-    t.prefetchStallCycles = in.get<Cycle>();
-    t.drainStallCycles = in.get<Cycle>();
-    t.bandwidthStallCycles = in.get<Cycle>();
-    getCpi(in, t.cpi);
-    t.folds = in.get<Count>();
-    t.dramReadWords = in.get<std::uint64_t>();
-    t.dramWriteWords = in.get<std::uint64_t>();
-    t.dramReadRequests = in.get<Count>();
-    t.dramWriteRequests = in.get<Count>();
-    t.avgReadLatency = in.get<double>();
-    t.readQueueStalls = in.get<Cycle>();
-    t.writeQueueStalls = in.get<Cycle>();
-
-    if (in.get<std::uint8_t>() != 0) {
-        sparse::SparseLayerReport s;
-        s.representation = in.getString();
-        s.ratioN = in.get<std::uint32_t>();
-        s.ratioM = in.get<std::uint32_t>();
-        s.denseK = in.get<std::uint64_t>();
-        s.compressedK = in.get<std::uint64_t>();
-        s.originalFilterBits = in.get<std::uint64_t>();
-        s.newFilterBits = in.get<std::uint64_t>();
-        s.metadataBits = in.get<std::uint64_t>();
-        r.sparse = std::move(s);
-    }
-
-    energy::ActionCounts& a = r.actions;
-    a.macRandom = in.get<Count>();
-    a.macConstant = in.get<Count>();
-    a.macGated = in.get<Count>();
-    a.ifmapSpadRead = in.get<Count>();
-    a.ifmapSpadWrite = in.get<Count>();
-    a.weightSpadRead = in.get<Count>();
-    a.weightSpadWrite = in.get<Count>();
-    a.psumSpadRead = in.get<Count>();
-    a.psumSpadWrite = in.get<Count>();
-    getSram(in, a.ifmapSram);
-    getSram(in, a.filterSram);
-    getSram(in, a.ofmapSram);
-    a.vectorOps = in.get<Count>();
-    a.dramReadWords = in.get<Count>();
-    a.dramWriteWords = in.get<Count>();
-    a.nocWords = in.get<Count>();
-    a.cycles = in.get<Cycle>();
-
-    r.energyBreakdown.peArray = in.get<double>();
-    r.energyBreakdown.glb = in.get<double>();
-    r.energyBreakdown.noc = in.get<double>();
-    r.energyBreakdown.dram = in.get<double>();
-    r.energyBreakdown.staticE = in.get<double>();
-    r.powerW = in.get<double>();
-
-    ds.reads = in.get<Count>();
-    ds.writes = in.get<Count>();
-    ds.rowHits = in.get<Count>();
-    ds.rowMisses = in.get<Count>();
-    ds.rowConflicts = in.get<Count>();
-    ds.refreshes = in.get<Count>();
-    ds.readBytes = in.get<std::uint64_t>();
-    ds.writeBytes = in.get<std::uint64_t>();
-    ds.totalReadLatency = in.get<Cycle>();
-    ds.readQueueWait = in.get<Cycle>();
-    ds.readRefreshWait = in.get<Cycle>();
-    ds.readServiceTime = in.get<Cycle>();
-    ds.firstArrival = in.get<Cycle>();
-    ds.lastCompletion = in.get<Cycle>();
-
+    const auto get = [&](auto& field) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            field = in.getString();
+        else
+            field = in.get<T>();
+    };
+    payloadFields(r, ds, get, [&] {
+        if (in.get<std::uint8_t>() != 0) {
+            sparse::SparseLayerReport s;
+            sparseFields(s, get);
+            r.sparse = std::move(s);
+        }
+    });
     if (!comp.deserialize(in))
         return false;
     return in.atEnd();

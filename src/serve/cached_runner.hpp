@@ -13,16 +13,15 @@
  * design points, and layer-isolated evaluation ranks them identically
  * while letting warm sweeps skip simulation entirely.
  *
- * The cache key is a 64-bit FNV-1a digest over a version tag, the
- * config slice that affects per-layer timing/energy (array geometry,
- * dataflow, mode, fold cache, SIMD, all [memory]/[sparsity]/[dram]/
- * [layout]/[energy] knobs), and the canonical layer shape. runName,
- * audit, interval sampling, the layer's display name, and its
- * repetition count are deliberately excluded — they never change one
- * instance's numbers (name/repetitions are patched onto the cached
- * result at hit time). The layer index joins
- * the key only when sparsity is enabled, because SparseLayerModel
- * seeds its per-row pattern with the layer position.
+ * The cache key is a 64-bit FNV-1a digest over a version tag, every
+ * kPayload row of the SimConfig field table (forEachField), and the
+ * canonical layer shape. runName, audit, interval sampling, fold-span
+ * recording, the layer's display name, and its repetition count are
+ * deliberately excluded — they never change one instance's numbers
+ * (name/repetitions are patched onto the cached result at hit time).
+ * The layer index joins the key only when sparsity is enabled,
+ * because SparseLayerModel seeds its per-row pattern with the layer
+ * position.
  *
  * Byte-identity contract: for a fixed config and topology, the runner
  * produces bit-identical RunResults (stats dumps included) whether

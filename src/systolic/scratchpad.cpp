@@ -31,15 +31,22 @@ scratchpadConfig(const SimConfig& cfg)
 std::vector<std::string>
 multiCoreIgnoredFeatures(const SimConfig& cfg)
 {
+    // Each row's value as a digest, to compare with the default's.
+    std::vector<std::uint64_t> defaults;
+    forEachField(SimConfig{}, [&](const auto& f) {
+        Fnv1a h;
+        mixField(h, f.value);
+        defaults.push_back(h.digest());
+    });
     std::vector<std::string> names;
-    if (cfg.dram.enabled)
-        names.emplace_back("[memory] DramModel");
-    if (cfg.layout.enabled)
-        names.emplace_back("[layout] LayoutModel");
-    if (cfg.energy.enabled)
-        names.emplace_back("[energy] EnergyModel");
-    if (cfg.sparsity.enabled)
-        names.emplace_back("[sparsity] SparsitySupport");
+    std::size_t row = 0;
+    forEachField(cfg, [&](const auto& f) {
+        Fnv1a h;
+        mixField(h, f.value);
+        if (h.digest() != defaults[row++] && f.has(kPayload)
+            && !f.has(kMultiCore) && f.gateOn())
+            names.push_back(std::string("[") + f.section + "] " + f.key);
+    });
     return names;
 }
 
@@ -249,7 +256,7 @@ struct DoubleBufferedScratchpad::LayerRun
             if (seg < span->segments && segRemaining > 0) {
                 burstWords = std::min<std::uint64_t>(segRemaining,
                                                      burst_limit);
-                burstWant = static_cast<Cycle>(std::ceil(nextIssue));
+                burstWant = static_cast<Cycle>(nextIssue);
                 RequestQueue& queue = reads ? readQueue : writeQueue;
                 burstAt = queue.slotAvailable(burstWant);
                 return true;
@@ -624,7 +631,9 @@ DoubleBufferedScratchpad::step()
         ++r.timing.dramWriteRequests;
         r.timing.dramWriteWords += r.burstWords;
     }
-    r.nextIssue = static_cast<double>(at) + r.pace;
+    // IssuePerCycle slots per cycle: a burst issued late restarts the
+    // slot clock at its cycle, one issued on time keeps its fraction.
+    r.nextIssue = std::max(r.nextIssue, static_cast<double>(at)) + r.pace;
     r.burstAddr += r.burstWords;
     r.segRemaining -= r.burstWords;
     advance();

@@ -69,9 +69,10 @@ struct ScratchpadConfig
 ScratchpadConfig scratchpadConfig(const SimConfig& cfg);
 
 /**
- * `[section] Key` of every enabled feature that the multi-core trace
- * path ignores: the DRAM timing, layout and energy models, and
- * layer-wise sparsity. Empty when none is on.
+ * `[section] Key` of every payload row of the SimConfig field table
+ * that the multi-core trace path does not honour, whose value differs
+ * from the default and whose feature switch is on: e.g. the DRAM
+ * timing, layout and energy models and sparsity. Empty at defaults.
  */
 std::vector<std::string> multiCoreIgnoredFeatures(const SimConfig& cfg);
 

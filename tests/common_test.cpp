@@ -405,6 +405,53 @@ TEST(SimConfig, RejectsUnknownEnumValuesWithFileAndLine)
               SimMode::Trace);
 }
 
+TEST(SimConfig, RejectsUnknownKeysWithFileAndLine)
+{
+    // Misspelled keys and sections used to be skipped silently, so the
+    // run went ahead on the defaults.
+    const auto parse = [](const char* text) {
+        SimConfig::fromIni(IniFile::parseString(text, "bad.cfg"));
+    };
+    expectFatalContaining(
+        [&] { parse("[architecture]\nArrayHeight = 8\nBurstWord = 16\n"); },
+        "bad.cfg:3: architecture.BurstWord: unknown key");
+    expectFatalContaining(
+        [&] { parse("[memory]\nDramModle = true\n"); },
+        "bad.cfg:2: memory.DramModle: unknown key");
+    expectFatalContaining(
+        [&] { parse("; typo\n[archtecture]\nArrayHeight = 8\n"); },
+        "bad.cfg:3: archtecture.ArrayHeight: unknown key");
+    // Matching stays case- and underscore-insensitive.
+    EXPECT_EQ(SimConfig::fromIni(IniFile::parseString(
+                                     "[ARCHITECTURE]\narray_height = 8\n"))
+                  .arrayRows,
+              8u);
+}
+
+TEST(SimConfig, RejectsOutOfBoundValuesWithFileAndLine)
+{
+    const auto parse = [](const char* text) {
+        return SimConfig::fromIni(IniFile::parseString(text, "bad.cfg"));
+    };
+    expectFatalContaining(
+        [&] { parse("[architecture]\nArrayHeight = 0\n"); },
+        "bad.cfg:2: architecture.ArrayHeight: '0' must be non-zero");
+    expectFatalContaining(
+        [&] { parse("[memory]\nDramModel = true\nChannels = 0\n"); },
+        "bad.cfg:3: memory.Channels: '0' must be non-zero");
+    expectFatalContaining(
+        [&] { parse("[energy]\nEnergyModel = on\nFrequencyGhz = -1\n"); },
+        "bad.cfg:3: energy.FrequencyGhz: '-1' must be positive");
+    // A bound gated by a feature switch holds only while it is on.
+    EXPECT_EQ(parse("[memory]\nChannels = 0\n").dram.channels, 0u);
+
+    // Configs built in code hit the same table in validate().
+    SimConfig cfg;
+    cfg.memory.wordBytes = 0;
+    expectFatalContaining([&] { cfg.validate(); },
+                          "architecture.WordBytes 0 must be non-zero");
+}
+
 TEST(SparseRatio, Parsing)
 {
     EXPECT_EQ(parseSparsityRatio("2:4"), std::make_pair(2u, 4u));

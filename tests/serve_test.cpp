@@ -155,6 +155,16 @@ TEST(CacheKey, SparsityPatternDiscriminates)
               layerCacheKey(dense, smallTopology().layers[0], 7));
 }
 
+TEST(CacheKey, OptimizedMappingAloneDoesNotSplitByIndex)
+{
+    // SparseLayerModel applies no sparsity unless SparsitySupport is
+    // on, so OptimizedMapping alone leaves identical layers identical.
+    SimConfig cfg = baseConfig();
+    cfg.sparsity.optimizedMapping = true;
+    const LayerSpec layer = smallTopology().layers[0];
+    EXPECT_EQ(layerCacheKey(cfg, layer, 0), layerCacheKey(cfg, layer, 7));
+}
+
 TEST(CacheKey, CosmeticConfigFieldsDoNotDiscriminate)
 {
     const SimConfig cfg = baseConfig();
@@ -647,6 +657,20 @@ TEST(ServerProtocol, FractionalAndOversizedNumbersAreRejected)
                    R"({"type": "sweep", "workload": "resnet18",
                        "arrays": [32], "jobs": -2})",
                    "jobs");
+}
+
+TEST(ServerProtocol, MisspelledOverlayKeyIsRejectedByName)
+{
+    Server server({});
+    const obs::JsonValue doc = response(server, R"({"type": "run",
+        "workload": "alexnet",
+        "config": {"architecture": {"BurstWord": 16}}})");
+    ASSERT_NE(doc.find("ok"), nullptr);
+    EXPECT_FALSE(doc.find("ok")->boolean);
+    EXPECT_NE(doc.stringAt("error").find("architecture.BurstWord: "
+                                         "unknown key"),
+              std::string::npos)
+        << doc.stringAt("error");
 }
 
 TEST(ServerProtocol, OversizedBankSizeIsRejectedByName)
