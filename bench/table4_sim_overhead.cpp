@@ -5,9 +5,10 @@
  * configuration, for AlexNet, ResNet-18, ViT-L and ViT-S.
  *
  * Baseline = trace-driven demand generation + scratchpad/bandwidth
- * timing (what SCALE-Sim v2 does). Features measured: multi-core
- * partition exploration, 2:4 and 1:4 sparsity, energy (Accelergy
- * substitute), detailed DRAM (Ramulator substitute), and layout.
+ * timing (what SCALE-Sim v2 does). Features measured: the
+ * trace-level multi-core run on a 4x4 grid of 32x32 cores, 2:4 and
+ * 1:4 sparsity, energy (Accelergy substitute), detailed DRAM
+ * (Ramulator substitute), and layout.
  * Expected shape: sparsity < 1x (compressed runs are faster), every
  * other feature >= ~1x. Which feature costs most depends on how each
  * consumer handles replayed folds, not on the paper's ordering.
@@ -25,7 +26,6 @@
 #include "common/profiler.hpp"
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
-#include "multicore/system.hpp"
 #include "systolic/demand.hpp"
 
 using namespace scalesim;
@@ -33,116 +33,64 @@ using namespace scalesim;
 namespace
 {
 
-SimConfig
-tpuConfig()
+/**
+ * Charge v2's trace generation, a GEMM-addressed demand pass over every
+ * layer (gathered when the layer's sparsity applies), to `profiler`.
+ */
+void
+chargeDemandPass(SimProfiler& profiler, const Topology& topo,
+                 const SimConfig& cfg)
 {
-    SimConfig cfg = SimConfig::tpuV2Like();
-    cfg.mode = SimMode::Trace;
-    return cfg;
-}
-
-/** v2-equivalent baseline: demand generation + timing, no features. */
-SimProfile
-baselineProfile(const Topology& topo)
-{
-    SimProfiler profiler;
-    const SimConfig cfg = tpuConfig();
-    // The plain simulator skips the demand pass without consumers;
-    // drive it explicitly to mirror v2's trace generation.
     benchutil::Timer demand_timer;
     for (const auto& layer : topo.layers) {
+        const sparse::SparseLayerModel model(layer, cfg.sparsity);
         const GemmDims gemm = layer.toGemm();
         const systolic::OperandMap operands(gemm, cfg.memory);
-        systolic::DemandGenerator gen(gemm, cfg.dataflow, cfg.arrayRows,
-                                      cfg.arrayCols, operands);
+        systolic::DemandGenerator gen(
+            gemm, cfg.dataflow, cfg.arrayRows, cfg.arrayCols, operands,
+            model.active() ? &model.pattern() : nullptr);
         systolic::CountingVisitor counter;
         gen.run(counter);
     }
     profiler.chargeExternal(SimPhase::DemandGen,
                             demand_timer.seconds());
-    core::Simulator timing_sim(cfg);
-    profiler.merge(timing_sim.run(topo).profile);
-    return profiler.snapshot();
 }
 
+/**
+ * One point of the table: the v2-equivalent baseline ("baseline":
+ * demand generation + timing, no features) or one feature.
+ */
 SimProfile
-featureProfile(const Topology& topo, const char* feature)
+pointProfile(Topology topo, const std::string& what)
 {
     SimProfiler profiler;
-    const std::string what(feature);
+    SimConfig cfg = SimConfig::tpuV2Like();
+    cfg.mode = SimMode::Trace;
     if (what == "multicore") {
-        benchutil::Timer search_timer;
-        multicore::TensorCoreConfig core;
-        core.arrayRows = core.arrayCols = 32;
-        for (auto scheme : {multicore::PartitionScheme::Spatial,
-                            multicore::PartitionScheme::SpatioTemporal1,
-                            multicore::PartitionScheme::SpatioTemporal2
-                           }) {
-            auto cfg = multicore::MultiCoreConfig::homogeneous(
-                core, 4, 4, scheme);
-            multicore::MultiCoreSimulator sim(cfg);
-            for (const auto& layer : topo.layers) {
-                const GemmDims gemm = layer.toGemm();
-                multicore::enumeratePartitions(gemm,
-                                               Dataflow::
-                                                   WeightStationary,
-                                               32, 32, 16, scheme);
-                sim.runGemm(gemm, Dataflow::WeightStationary);
-            }
-        }
-        profiler.chargeOther(search_timer.seconds());
-        // Plus the baseline timing pass the run still performs.
-        core::Simulator sim(tpuConfig());
-        profiler.merge(sim.run(topo).profile);
+        // The trace-level run on a 4x4 grid of 32x32 cores.
+        cfg.arrayRows = cfg.arrayCols = 32;
+        profiler.merge(core::runMultiCore(cfg, 4, 4, topo).profile);
         return profiler.snapshot();
     }
-    SimConfig cfg = tpuConfig();
     if (what == "sparse24" || what == "sparse14") {
         cfg.sparsity.enabled = true;
-        Topology annotated = workloads::withUniformSparsity(
+        topo = workloads::withUniformSparsity(
             topo, what == "sparse24" ? 2 : 1, 4);
-        benchutil::Timer demand_timer;
-        for (const auto& layer : annotated.layers) {
-            sparse::SparseLayerModel model(layer, cfg.sparsity);
-            const systolic::OperandMap operands(layer.toGemm(),
-                                                cfg.memory);
-            systolic::DemandGenerator gen(
-                layer.toGemm(), cfg.dataflow, cfg.arrayRows,
-                cfg.arrayCols, operands,
-                model.active() ? &model.pattern() : nullptr);
-            systolic::CountingVisitor counter;
-            gen.run(counter);
-        }
-        profiler.chargeExternal(SimPhase::DemandGen,
-                                demand_timer.seconds());
-        core::Simulator sim(cfg);
-        profiler.merge(sim.run(annotated).profile);
-        return profiler.snapshot();
-    }
-    if (what == "energy") {
+    } else if (what == "energy") {
         cfg.energy.enabled = true;
     } else if (what == "dram") {
         cfg.dram.enabled = true;
-        // DRAM runs atop the baseline's demand generation.
-        benchutil::Timer demand_timer;
-        for (const auto& layer : topo.layers) {
-            const GemmDims gemm = layer.toGemm();
-            const systolic::OperandMap operands(gemm, cfg.memory);
-            systolic::DemandGenerator gen(gemm, cfg.dataflow,
-                                          cfg.arrayRows, cfg.arrayCols,
-                                          operands);
-            systolic::CountingVisitor counter;
-            gen.run(counter);
-        }
-        profiler.chargeExternal(SimPhase::DemandGen,
-                                demand_timer.seconds());
     } else if (what == "layout") {
         cfg.layout.enabled = true;
         cfg.layout.banks = 32;
         cfg.layout.onChipBandwidth = 256;
     }
-    core::Simulator sim(cfg);
-    profiler.merge(sim.run(topo).profile);
+    // The plain simulator skips the demand pass without consumers, so
+    // the baseline and the sparse and DRAM runs, which build on v2's
+    // trace generation, drive it here.
+    if (!cfg.energy.enabled && !cfg.layout.enabled)
+        chargeDemandPass(profiler, topo, cfg);
+    profiler.merge(core::Simulator(cfg).run(topo).profile);
     return profiler.snapshot();
 }
 
@@ -175,8 +123,8 @@ main(int argc, char** argv)
         const int w = static_cast<int>(i) / kPerWorkload;
         const int f = static_cast<int>(i) % kPerWorkload;
         const Topology topo = workloads::byName(workload_names[w]);
-        profiles[i] = f == 0 ? baselineProfile(topo)
-                             : featureProfile(topo, features[f - 1]);
+        profiles[i] = pointProfile(topo, f == 0 ? "baseline"
+                                                : features[f - 1]);
     });
     const double wall_seconds = wall.seconds();
 

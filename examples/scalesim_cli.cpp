@@ -18,7 +18,6 @@
  */
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -28,13 +27,10 @@
 #include <utility>
 #include <vector>
 
-#include "check/audit.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
-#include "multicore/trace_sim.hpp"
-#include "obs/stats.hpp"
 
 using namespace scalesim;
 
@@ -151,14 +147,6 @@ main(int argc, char** argv)
             cfg.foldCache = false;
         if (audit)
             cfg.audit = true;
-        auto write_stats = [&](const obs::StatsRegistry& reg) {
-            if (!stats_path.empty())
-                writeOutput(stats_path, reg, &obs::StatsRegistry::dump);
-            if (!stats_json_path.empty()) {
-                writeOutput(stats_json_path, reg,
-                            &obs::StatsRegistry::dumpJson);
-            }
-        };
         if (!interval_arg.empty()
             && parseUint64(interval_arg, cfg.intervalCycles)
                    != NumberParse::Ok) {
@@ -168,11 +156,11 @@ main(int argc, char** argv)
 
         cfg.validate();
 
+        // --multicore PRxPC: partition each layer over a PRxPC grid of
+        // arrays sharing an L2 and the DRAM bus (pr == 0: one core).
+        std::uint64_t pr = 0;
+        std::uint64_t pc = 0;
         if (!multicore_grid.empty()) {
-            // Trace-level multi-core path: partition each layer over a
-            // PrxPc grid of arrays sharing an L2 and the DRAM bus.
-            std::uint64_t pr = 0;
-            std::uint64_t pc = 0;
             const std::string_view grid = multicore_grid;
             const std::size_t cross = grid.find('x');
             if (cross == std::string_view::npos
@@ -184,83 +172,18 @@ main(int argc, char** argv)
                 fatal("--multicore expects PRxPC (e.g. 2x2), got '%s'",
                       multicore_grid.c_str());
             }
-            const multicore::MultiCoreTraceConfig mc =
-                multicore::multiCoreTraceConfig(cfg, pr, pc);
-            for (const std::string& name :
-                 systolic::multiCoreIgnoredFeatures(cfg))
-                warn("%s is not modeled by --multicore; ignored",
-                     name.c_str());
-
-            inform("running %s (%zu layers) on a %" PRIu64 "x%" PRIu64
-                   " grid of %ux%u %s arrays",
-                   topo.name.c_str(), topo.layers.size(), mc.pr, mc.pc,
-                   cfg.arrayRows, cfg.arrayCols,
-                   toString(cfg.dataflow).c_str());
-
-            multicore::MultiCoreTraceSimulator mcs(mc);
-            obs::StatsRegistry reg;
-            check::InvariantAuditor auditor;
-            Cycle makespan = 0;
-            std::uint64_t conflicts = 0;
-            std::uint64_t dram_read = 0;
-            std::uint64_t dram_write = 0;
-            for (std::size_t li = 0; li < topo.layers.size(); ++li) {
-                const auto& layer = topo.layers[li];
-                const auto res = mcs.runLayer(layer);
-                const std::uint64_t reps = layer.repetitions;
-                const std::string scope = "mc.l" + std::to_string(li);
-                res.registerStats(reg, scope);
-                if (audit) {
-                    auditor.auditArbiter(res, mc.useL2, scope);
-                    for (std::size_t c = 0; c < res.perCore.size();
-                         ++c) {
-                        const std::string core_scope = scope
-                            + ".core" + std::to_string(c);
-                        auditor.auditStallAccounting(res.perCore[c],
-                                                     core_scope);
-                        auditor.auditCpiStack(
-                            res.perCore[c].cpi,
-                            res.perCore[c].totalCycles, core_scope);
-                    }
-                }
-                makespan += res.makespan * reps;
-                conflicts += res.arb.arbConflicts * reps;
-                dram_read += res.dramReadWords * reps;
-                dram_write += res.dramWriteWords * reps;
-                std::cout << layer.name << ": makespan "
-                          << res.makespan << " cycles, dram "
-                          << res.dramReadWords << "r/"
-                          << res.dramWriteWords << "w words, arb conflicts "
-                          << res.arb.arbConflicts << "\n";
+            if (write_traces || cfg.intervalCycles > 0) {
+                warn("-s/--interval are single-core outputs; ignored "
+                     "with --multicore");
             }
-            std::cout << "total makespan:   " << makespan
-                      << " cycles\n"
-                      << "dram read words:  " << dram_read << "\n"
-                      << "dram write words: " << dram_write << "\n"
-                      << "arb conflicts:    " << conflicts << "\n";
-            if (audit) {
-                auditor.report().registerStats(reg);
-                std::cout << "audit checks:     "
-                          << auditor.report().checks() << ", "
-                          << auditor.report().violations().size()
-                          << " violation(s)\n";
-                auditor.report().writeReport(std::cerr);
-            }
-
-            write_stats(reg);
-            if (!json_path.empty() || !trace_path.empty()
-                || write_traces || cfg.intervalCycles > 0) {
-                warn("--json/--trace/-s/--interval are single-core "
-                     "outputs; ignored with --multicore");
-            }
-            return audit && !auditor.report().clean() ? 2 : 0;
         }
+        const bool single_core = pr == 0;
 
         // -s: the run streams its traces straight into these files.
         std::filesystem::create_directories(out_dir);
         std::vector<std::ofstream> trace_files;
         core::TraceStreams traces;
-        if (write_traces) {
+        if (write_traces && single_core) {
             for (const char* name : {"IFMAP_SRAM_TRACE.csv",
                                      "FILTER_SRAM_TRACE.csv",
                                      "OFMAP_SRAM_TRACE.csv",
@@ -271,38 +194,49 @@ main(int argc, char** argv)
                       &trace_files[3], &trace_files[4]};
         }
 
-        inform("running %s (%zu layers) on a %ux%u %s array",
-               topo.name.c_str(), topo.layers.size(), cfg.arrayRows,
-               cfg.arrayCols, toString(cfg.dataflow).c_str());
-        const core::RunResult run = core::Simulator(cfg, traces).run(topo);
+        const std::string on_grid = single_core ? ""
+                                                : multicore_grid + " grid of ";
+        inform("running %s (%zu layers) on a %s%ux%u %s array%s",
+               topo.name.c_str(), topo.layers.size(), on_grid.c_str(),
+               cfg.arrayRows, cfg.arrayCols,
+               toString(cfg.dataflow).c_str(), single_core ? "" : "s");
+        const core::RunResult run = single_core
+            ? core::Simulator(cfg, traces).run(topo)
+            : core::runMultiCore(cfg, pr, pc, topo);
         for (std::ofstream& file : trace_files) {
             if (!file.flush())
                 fatal("cannot write the traces in %s", out_dir.c_str());
         }
-        if (write_traces)
+        if (!trace_files.empty())
             inform("wrote SRAM and memory traces to %s", out_dir.c_str());
 
-        auto report = [&](const char* name, auto writer) {
-            writeOutput(out_dir + "/" + name, run, writer);
+        auto output = [&](const std::string& path, auto writer) {
+            if (!path.empty())
+                writeOutput(path, run, writer);
         };
-        report("COMPUTE_REPORT.csv", &core::RunResult::writeComputeReport);
-        report("BANDWIDTH_REPORT.csv",
+        // Reports go to out_dir, for the models that ran: the multi-core
+        // run has neither sparsity nor energy.
+        const std::string dir = out_dir + "/";
+        const bool energy = cfg.energy.enabled && single_core;
+        output(dir + "COMPUTE_REPORT.csv",
+               &core::RunResult::writeComputeReport);
+        output(dir + "BANDWIDTH_REPORT.csv",
                &core::RunResult::writeBandwidthReport);
-        if (cfg.sparsity.enabled)
-            report("SPARSE_REPORT.csv", &core::RunResult::writeSparseReport);
-        if (cfg.energy.enabled) {
-            report("ENERGY_REPORT.csv", &core::RunResult::writeEnergyReport);
-            report("POWER_REPORT.csv", &core::RunResult::writePowerReport);
+        if (cfg.sparsity.enabled && single_core) {
+            output(dir + "SPARSE_REPORT.csv",
+                   &core::RunResult::writeSparseReport);
         }
-
-        // Observability outputs go to explicit paths (not out_dir).
-        write_stats(run.stats);
-        if (!json_path.empty())
-            writeOutput(json_path, run, &core::RunResult::writeJson);
-        if (!trace_path.empty()) {
-            writeOutput(trace_path, run,
-                        &core::RunResult::writeChromeTrace);
+        if (energy) {
+            output(dir + "ENERGY_REPORT.csv",
+                   &core::RunResult::writeEnergyReport);
+            output(dir + "POWER_REPORT.csv",
+                   &core::RunResult::writePowerReport);
         }
+        // Observability outputs go to explicit paths.
+        output(stats_path, &core::RunResult::writeStats);
+        output(stats_json_path, &core::RunResult::writeStatsJson);
+        output(json_path, &core::RunResult::writeJson);
+        output(trace_path, &core::RunResult::writeChromeTrace);
 
         if (!run.intervals.empty()) {
             const std::string series = out_dir + "/INTERVAL_";
@@ -318,7 +252,7 @@ main(int argc, char** argv)
         std::cout << "total cycles:   " << run.totalCycles << "\n"
                   << "compute cycles: " << run.computeCycles << "\n"
                   << "stall cycles:   " << run.stallCycles << "\n";
-        if (cfg.energy.enabled) {
+        if (energy) {
             std::cout << "energy (mJ):    "
                       << run.totalEnergy.totalMj() << "\n"
                       << "avg power (W):  " << run.avgPowerW << "\n"

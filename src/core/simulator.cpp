@@ -6,6 +6,7 @@
 #include "common/csv.hpp"
 #include "common/log.hpp"
 #include "multicore/tensor_core.hpp"
+#include "multicore/trace_sim.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "systolic/demand.hpp"
@@ -297,6 +298,36 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
     return result;
 }
 
+namespace
+{
+
+/**
+ * Re-sum a run's layers independently of RunResult::addLayer's running
+ * accumulation, so drift between the two bookkeeping paths is caught,
+ * and check that the run's CPI stack sums to its cycles.
+ */
+void
+auditRunTotals(check::InvariantAuditor& auditor, const RunResult& run)
+{
+    Cycle sum_total = 0, sum_compute = 0, sum_stall = 0;
+    std::uint64_t sum_read = 0, sum_write = 0;
+    for (const auto& l : run.layers) {
+        const std::uint64_t reps = l.repetitions;
+        sum_total += l.totalCycles * reps;
+        sum_compute += l.computeCycles * reps;
+        sum_stall += l.stallCycles * reps;
+        sum_read += l.timing.dramReadWords * reps;
+        sum_write += l.timing.dramWriteWords * reps;
+    }
+    auditor.auditRunTotals(run.totalCycles, run.computeCycles,
+                           run.stallCycles, run.dramReadWords,
+                           run.dramWriteWords, sum_total, sum_compute,
+                           sum_stall, sum_read, sum_write, "run");
+    auditor.auditCpiStack(run.cpiTotals, run.totalCycles, "run");
+}
+
+} // namespace
+
 RunResult
 Simulator::run(const Topology& topology)
 {
@@ -369,25 +400,7 @@ Simulator::run(const Topology& topology)
         run.dramStats = dram_->system().totalStats();
     run.profile = profiler_.snapshot();
     if (auditor_) {
-        // Re-sum the per-layer results independently of the running
-        // accumulation above, so drift between the two bookkeeping
-        // paths is caught.
-        Cycle sum_total = 0, sum_compute = 0, sum_stall = 0;
-        std::uint64_t sum_read = 0, sum_write = 0;
-        for (const auto& l : run.layers) {
-            const std::uint64_t reps = l.repetitions;
-            sum_total += l.totalCycles * reps;
-            sum_compute += l.computeCycles * reps;
-            sum_stall += l.stallCycles * reps;
-            sum_read += l.timing.dramReadWords * reps;
-            sum_write += l.timing.dramWriteWords * reps;
-        }
-        auditor_->auditRunTotals(run.totalCycles, run.computeCycles,
-                                 run.stallCycles, run.dramReadWords,
-                                 run.dramWriteWords, sum_total,
-                                 sum_compute, sum_stall, sum_read,
-                                 sum_write, "run");
-        auditor_->auditCpiStack(run.cpiTotals, run.totalCycles, "run");
+        auditRunTotals(*auditor_, run);
         auditor_->auditFoldCacheConservation(foldCacheStats_, "run");
         auditor_->auditMemoryTraffic(scratchpad_->totals(),
                                      memory_->stats(), "run");
@@ -398,6 +411,84 @@ Simulator::run(const Topology& topology)
     }
     run.registerStats(run.stats);
     registerStats(run.stats);
+    return run;
+}
+
+RunResult
+runMultiCore(const SimConfig& cfg, std::uint64_t pr, std::uint64_t pc,
+             const Topology& topology)
+{
+    cfg.validate();
+    const multicore::MultiCoreTraceConfig mc =
+        multicore::multiCoreTraceConfig(cfg, pr, pc);
+    multicore::MultiCoreTraceSimulator sim(mc);
+    for (const std::string& name : systolic::multiCoreIgnoredFeatures(cfg))
+        warn("%s is not modeled by the multi-core run; ignored",
+             name.c_str());
+
+    RunResult run;
+    run.runName = cfg.runName;
+    run.workload = topology.name;
+    std::optional<check::InvariantAuditor> auditor;
+    if (cfg.audit)
+        auditor.emplace();
+    SimProfiler profiler;
+    const double pes = static_cast<double>(pr * pc * cfg.numPes());
+    std::uint64_t conflicts = 0;
+    for (std::size_t i = 0; i < topology.layers.size(); ++i) {
+        const LayerSpec& spec = topology.layers[i];
+        const auto start = SimProfiler::clock::now();
+        const multicore::MultiCoreTraceResult res = sim.runLayer(spec);
+        const double seconds = std::chrono::duration<double>(
+            SimProfiler::clock::now() - start).count();
+        profiler.charge(SimPhase::Scratchpad, seconds);
+        profiler.chargeLayer(seconds);
+        const std::string scope = "mc.l" + std::to_string(i);
+        res.registerStats(run.stats, scope);
+        if (auditor) {
+            auditor->auditArbiter(res, mc.useL2, scope);
+            for (std::size_t c = 0; c < res.perCore.size(); ++c) {
+                const std::string core = scope + ".core"
+                    + std::to_string(c);
+                auditor->auditStallAccounting(res.perCore[c], core);
+                auditor->auditCpiStack(res.perCore[c].cpi,
+                                       res.perCore[c].totalCycles, core);
+            }
+        }
+        conflicts += res.arb.arbConflicts * spec.repetitions;
+
+        // The slowest core sets the layer's time; on a tie the lowest
+        // index, as std::max_element keeps the first maximum.
+        LayerResult layer;
+        layer.name = spec.name;
+        layer.repetitions = spec.repetitions;
+        layer.denseGemm = layer.effectiveGemm = spec.toGemm();
+        layer.timing = *std::max_element(
+            res.perCore.begin(), res.perCore.end(),
+            [](const auto& a, const auto& b) {
+                return a.totalCycles < b.totalCycles;
+            });
+        layer.timing.dramReadWords = res.dramReadWords;
+        layer.timing.dramWriteWords = res.dramWriteWords;
+        layer.computeCycles = layer.timing.computeCycles;
+        layer.totalCycles = layer.timing.totalCycles;
+        layer.stallCycles = layer.timing.stallCycles;
+        layer.cpi = layer.timing.cpi;
+        layer.utilization = static_cast<double>(layer.denseGemm.macs())
+            / std::max(1.0, static_cast<double>(layer.totalCycles) * pes);
+        run.addLayer(std::move(layer), false);
+    }
+    run.stats.addScalar("mc.arbConflicts",
+                        "same-cycle shared L2/DRAM port collisions, "
+                        "weighted by repetitions",
+                        static_cast<double>(conflicts));
+    run.profile = profiler.snapshot();
+    if (auditor) {
+        auditRunTotals(*auditor, run);
+        run.audited = true;
+        run.audit = auditor->report();
+    }
+    run.registerStats(run.stats);
     return run;
 }
 

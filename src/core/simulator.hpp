@@ -123,7 +123,7 @@ struct RunResult
     /**
      * Hierarchical stats of this run: sim.* run totals plus every
      * component's registered counters (dram.*, spad.*, sparse.*,
-     * energy.*). Populated by Simulator::run; deterministic for a
+     * energy.*). Populated by every run; deterministic for a
      * given (config, topology) so parallel-sweep dumps are
      * byte-identical to sequential ones.
      */
@@ -133,8 +133,8 @@ struct RunResult
      * Fold one layer into the run totals: cycles, DRAM words and the
      * CPI stack weighted by its repetitions and, with `energy`, its
      * energy breakdown scaled likewise plus one power sample per
-     * instance. Both run semantics (the coupled Simulator::run and the
-     * layer-isolated cached runner) aggregate through here.
+     * instance. Every run (the coupled Simulator::run, the
+     * layer-isolated cached runner and runMultiCore) aggregates here.
      */
     void addLayer(LayerResult layer, bool energy);
 
@@ -279,6 +279,17 @@ class Simulator
     /** Set by run(); triggers a reset() at the next run() call. */
     bool ranOnce_ = false;
 };
+
+/**
+ * Simulate a whole topology on a pr x pc grid of the config's arrays
+ * over a shared L2 (multicore::multiCoreTraceConfig). Each layer takes
+ * its cycles, timing and CPI stack from the slowest core and its DRAM
+ * words from the backing memory. Stats hold every layer's `mc.l<i>.*`,
+ * the repetition-weighted `mc.arbConflicts` and the sim.* totals. Warns
+ * once per key systolic::multiCoreIgnoredFeatures names.
+ */
+RunResult runMultiCore(const SimConfig& cfg, std::uint64_t pr,
+                       std::uint64_t pc, const Topology& topology);
 
 } // namespace scalesim::core
 

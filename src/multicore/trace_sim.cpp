@@ -1,6 +1,7 @@
 #include "multicore/trace_sim.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 
 #include "common/log.hpp"
 
@@ -26,6 +27,11 @@ MultiCoreTraceSimulator::MultiCoreTraceSimulator(
 {
     if (cfg_.pr == 0 || cfg_.pc == 0)
         fatal("multi-core grid must be non-zero");
+    // pr * pc > kMaxCores, checked without overflowing the product.
+    if (cfg_.pr > kMaxCores / cfg_.pc) {
+        fatal("multi-core grid %" PRIu64 "x%" PRIu64 " exceeds %" PRIu64
+              " cores", cfg_.pr, cfg_.pc, kMaxCores);
+    }
     // Every core sees the full L2 port and DRAM bandwidth; contention
     // emerges from real collisions on the shared bus cursors as the
     // engines are co-stepped.

@@ -113,6 +113,10 @@ struct MultiCoreTraceResult
 class MultiCoreTraceSimulator
 {
   public:
+    /** Largest grid the constructor accepts (64x64 cores). */
+    static constexpr std::uint64_t kMaxCores = 4096;
+
+    /** Fatal unless 1 <= pr * pc <= kMaxCores. */
     explicit MultiCoreTraceSimulator(const MultiCoreTraceConfig& cfg);
     ~MultiCoreTraceSimulator();
 

@@ -3,15 +3,18 @@
  * Unit tests for the multi-core module: partition runtime equations
  * (Eqs. 1-3), footprint and L2-dedup accounting, partition search,
  * SIMD/vector units, heterogeneous cores, and non-uniform (NoP-aware)
- * workload partitioning.
+ * workload partitioning, and the whole-topology multi-core run.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/audit.hpp"
 #include "common/log.hpp"
+#include "core/simulator.hpp"
 #include "multicore/nop.hpp"
 #include "multicore/system.hpp"
 #include "multicore/trace_sim.hpp"
@@ -390,6 +393,140 @@ TEST(TraceSim, IgnoredFeaturesNamedWhenOnNoneWhenOff)
             : std::vector<std::string>{};
         EXPECT_EQ(systolic::multiCoreIgnoredFeatures(cfg), want);
     }
+}
+
+TEST(TraceSim, RejectsOversizedGridsByName)
+{
+    // Construction alone must fail: no layer runs, nothing is sized
+    // by the grid.
+    MultiCoreTraceConfig cfg;
+    cfg.pr = cfg.pc = std::uint64_t{1} << 32; // pr * pc wraps to 0
+    EXPECT_THROW(MultiCoreTraceSimulator{cfg}, FatalError);
+    cfg.pr = MultiCoreTraceSimulator::kMaxCores + 1;
+    cfg.pc = 1;
+    try {
+        MultiCoreTraceSimulator sim(cfg);
+        FAIL() << "a 4097x1 grid was accepted";
+    } catch (const FatalError& err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "multi-core grid 4097x1 exceeds 4096 cores"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+namespace
+{
+
+/** A conv, a GEMM and a repeated GEMM on a starved shared bus. */
+Topology
+mixedTopology()
+{
+    Topology topo;
+    topo.name = "mixed";
+    topo.layers = {LayerSpec::conv("conv", 12, 12, 3, 3, 8, 20, 1),
+                   LayerSpec::gemm("gemm", 64, 40, 48),
+                   LayerSpec::gemm("rep", 36, 24, 56)};
+    topo.layers[2].repetitions = 3;
+    return topo;
+}
+
+SimConfig
+starvedConfig()
+{
+    SimConfig cfg;
+    cfg.arrayRows = cfg.arrayCols = 8;
+    cfg.memory.bandwidthWordsPerCycle = 4.0;
+    return cfg;
+}
+
+/** The dump lines of `reg` whose name starts with `prefix`. */
+std::vector<std::string>
+linesWithPrefix(const obs::StatsRegistry& reg, const std::string& prefix)
+{
+    std::ostringstream out;
+    reg.dump(out);
+    std::istringstream in(out.str());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+        if (line.compare(0, prefix.size(), prefix) == 0)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(RunMultiCore, MatchesTheHandLoopOverRunLayer)
+{
+    const SimConfig cfg = starvedConfig();
+    const Topology topo = mixedTopology();
+    const core::RunResult run = core::runMultiCore(cfg, 2, 2, topo);
+
+    MultiCoreTraceSimulator sim(multiCoreTraceConfig(cfg, 2, 2));
+    obs::StatsRegistry reg;
+    Cycle cycles = 0;
+    std::uint64_t reads = 0, writes = 0, conflicts = 0;
+    for (std::size_t i = 0; i < topo.layers.size(); ++i) {
+        const MultiCoreTraceResult res = sim.runLayer(topo.layers[i]);
+        res.registerStats(reg, "mc.l" + std::to_string(i));
+        const std::uint64_t reps = topo.layers[i].repetitions;
+        cycles += res.makespan * reps;
+        reads += res.dramReadWords * reps;
+        writes += res.dramWriteWords * reps;
+        conflicts += res.arb.arbConflicts * reps;
+    }
+    const auto want = linesWithPrefix(reg, "mc.l");
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(linesWithPrefix(run.stats, "mc.l"), want);
+
+    EXPECT_GT(conflicts, 0u);
+    EXPECT_EQ(run.totalCycles, cycles);
+    EXPECT_EQ(run.dramReadWords, reads);
+    EXPECT_EQ(run.dramWriteWords, writes);
+    EXPECT_EQ(run.stats.scalarValue("mc.arbConflicts"),
+              static_cast<double>(conflicts));
+    EXPECT_EQ(run.stats.scalarValue("sim.totalCycles"),
+              static_cast<double>(cycles));
+    ASSERT_EQ(run.layers.size(), topo.layers.size());
+    EXPECT_EQ(run.layers[2].repetitions, 3u);
+    for (const core::LayerResult& layer : run.layers) {
+        EXPECT_EQ(layer.cpi.total(), layer.totalCycles) << layer.name;
+        EXPECT_GT(layer.utilization, 0.0) << layer.name;
+        EXPECT_LE(layer.utilization, 1.0) << layer.name;
+    }
+    EXPECT_EQ(run.cpiTotals.total(), run.totalCycles);
+    EXPECT_FALSE(run.audited);
+    EXPECT_EQ(run.profile.layersProfiled, topo.layers.size());
+}
+
+TEST(RunMultiCore, AuditsEachCoreAndTheRunTotals)
+{
+    SimConfig cfg = starvedConfig();
+    cfg.audit = true;
+    const Topology topo = mixedTopology();
+    const core::RunResult run = core::runMultiCore(cfg, 2, 2, topo);
+    ASSERT_TRUE(run.audited);
+    EXPECT_TRUE(run.audit.clean());
+    EXPECT_EQ(run.stats.scalarValue("sim.audit.checks"),
+              static_cast<double>(run.audit.checks()));
+
+    // The per-core checks alone, as a caller of runLayer would audit.
+    const MultiCoreTraceConfig mc = multiCoreTraceConfig(cfg, 2, 2);
+    MultiCoreTraceSimulator sim(mc);
+    check::InvariantAuditor per_core;
+    for (std::size_t i = 0; i < topo.layers.size(); ++i) {
+        const MultiCoreTraceResult res = sim.runLayer(topo.layers[i]);
+        const std::string scope = "mc.l" + std::to_string(i);
+        per_core.auditArbiter(res, mc.useL2, scope);
+        for (std::size_t c = 0; c < res.perCore.size(); ++c) {
+            const std::string core = scope + ".core" + std::to_string(c);
+            per_core.auditStallAccounting(res.perCore[c], core);
+            per_core.auditCpiStack(res.perCore[c].cpi,
+                                   res.perCore[c].totalCycles, core);
+        }
+    }
+    EXPECT_GT(run.audit.checks(), per_core.report().checks());
 }
 
 TEST(MeshNop, HopGeometry)
