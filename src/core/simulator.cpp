@@ -391,6 +391,14 @@ Simulator::run(const Topology& topology)
                  sparse_layers, toString(cfg_.dataflow).c_str());
         }
     }
+    // Main memory is either the DRAM model or the pure-bandwidth model;
+    // the second's rate is unused beside the first.
+    if (cfg_.dram.enabled
+        && cfg_.memory.bandwidthWordsPerCycle
+            != MemoryConfig{}.bandwidthWordsPerCycle) {
+        warn("[architecture] Bandwidth ignored: with [memory] "
+             "DramModel = true the DRAM model times main memory");
+    }
     if (cfg_.energy.enabled && energyModel_) {
         run.avgPowerW = energyModel_->averagePowerW(run.totalEnergy,
                                                     run.totalCycles);

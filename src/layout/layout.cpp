@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <string_view>
 
 #include "check/contract.hpp"
 #include "common/hash.hpp"
@@ -11,6 +13,29 @@
 
 namespace scalesim::layout
 {
+
+namespace
+{
+
+// The shape memo's fixed bounds, 128 KB in all: slots (a power of two,
+// at most half of them filled) and key bytes, addressed by 16 bits.
+constexpr std::size_t kShapeSlots = 8192;
+constexpr std::size_t kShapeBytes = 64 * 1024;
+static_assert(kShapeBytes <= std::size_t{1} << 16);
+
+/** Append `v` as a LEB128 varint. */
+std::uint8_t*
+putVarint(std::uint8_t* out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<std::uint8_t>(v | 0x80);
+        v >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(v);
+    return out;
+}
+
+} // namespace
 
 Layout2D
 Layout2D::rowMajor(std::uint64_t rows, std::uint64_t cols,
@@ -118,6 +143,11 @@ BankConflictEvaluator::BankConflictEvaluator(
     byPorts_ = Divider(cfg_.portsPerBank);
     bankLines_.assign(cfg_.banks, 0);
     bankStamp_.assign(cfg_.banks, 0);
+    static_assert(kShapeBytes % sizeof(ShapeSlot) == 0);
+    shapeMemo_.resize(kShapeSlots + kShapeBytes / sizeof(ShapeSlot));
+    // Sized up front for 400 addresses a stream-cycle: growing it a few
+    // bytes at a time fragments the heap around the fold arenas.
+    shapeKey_.resize(8192);
     streams_[0].layout = layouts.ifmap;
     streams_[1].layout = layouts.filter;
     streams_[2].layout = layouts.ofmap;
@@ -141,6 +171,7 @@ BankConflictEvaluator::beginLayer(const systolic::FoldGrid& grid,
                 && map.rowWidth % l.colStep == 0
             ? l.colStep
             : l.rowStep * map.rowWidth;
+        map.byPeriod = Divider(map.period);
         map.byRowWidth = Divider(map.rowWidth);
         map.byRowStep = Divider(l.rowStep);
         map.byColStep = Divider(l.colStep);
@@ -158,6 +189,11 @@ BankConflictEvaluator::beginLayer(const systolic::FoldGrid& grid,
     // every layer.
     costIndex_.clear();
     costPool_.clear();
+    // Shapes are keyed relative to this layer's bases and periods.
+    if (shapeEntries_ > 0)
+        std::fill_n(shapeMemo_.begin(), kShapeSlots, ShapeSlot{});
+    shapeEntries_ = 0;
+    shapeBytesUsed_ = 0;
 }
 
 void
@@ -228,6 +264,87 @@ BankConflictEvaluator::operandSlowdown(const StreamMap& map,
     return byPorts_.div(std::uint64_t{worst} + cfg_.portsPerBank - 1);
 }
 
+std::uint64_t
+BankConflictEvaluator::cycleCost(std::uint32_t stream,
+                                 std::span<const Addr> reads,
+                                 std::span<const Addr> extra,
+                                 std::uint64_t rho)
+{
+    if (reads.empty() && extra.empty())
+        return 0;
+    const StreamMap& map = streams_[stream];
+    const Addr first = reads.empty() ? extra.front() : reads.front();
+    // A stream byte, then varints of at most 10 bytes: rho0, and a step
+    // and a length per run.
+    const std::size_t max_len = 11 + 20 * (reads.size() + extra.size());
+    if (shapeKey_.size() < max_len)
+        shapeKey_.resize(max_len);
+    std::uint8_t* out = shapeKey_.data();
+    *out++ = static_cast<std::uint8_t>(stream);
+    out = putVarint(out, map.byPeriod.mod(first + rho - map.base));
+    // Steps are taken modulo 2^64 from the first address, whose own
+    // step 0 opens the first run; a step is stored zigzag, so small
+    // negative ones stay short.
+    Addr prev = first;
+    std::uint64_t step = 0;
+    std::uint64_t run = 0;
+    auto close_run = [&] {
+        out = putVarint(out, (step << 1) ^ (0 - (step >> 63)));
+        out = putVarint(out, run);
+    };
+    auto add = [&](Addr addr) {
+        const std::uint64_t d = addr - prev;
+        prev = addr;
+        if (d == step) {
+            ++run;
+            return;
+        }
+        close_run();
+        step = d;
+        run = 1;
+    };
+    for (Addr a : reads)
+        add(a);
+    for (Addr a : extra)
+        add(a);
+    close_run();
+    const std::size_t len = static_cast<std::size_t>(
+        out - shapeKey_.data());
+    const std::size_t hash = std::hash<std::string_view>{}(
+        std::string_view(reinterpret_cast<const char*>(shapeKey_.data()),
+                         len));
+    const auto tag = static_cast<std::uint16_t>(hash >> 48);
+
+    ShapeSlot* const slots = shapeMemo_.data();
+    auto* const keys = reinterpret_cast<std::uint8_t*>(slots + kShapeSlots);
+    std::size_t i = hash & (kShapeSlots - 1);
+    while (slots[i].len != 0) {
+        const ShapeSlot& slot = slots[i];
+        if (slot.tag == tag && slot.len == len
+            && std::memcmp(keys + slot.at, shapeKey_.data(), len) == 0) {
+            ++shapeHits_;
+            SIM_CHECK_EQ(std::uint64_t{slot.cost},
+                         operandSlowdown(map, reads, extra, rho),
+                         "equal shapes cost the same");
+            return slot.cost;
+        }
+        i = (i + 1) & (kShapeSlots - 1);
+    }
+    ++shapeMisses_;
+    const std::uint64_t cost = operandSlowdown(map, reads, extra, rho);
+    if (2 * (shapeEntries_ + 1) <= kShapeSlots
+        && shapeBytesUsed_ + len <= kShapeBytes && len <= UINT16_MAX
+        && cost <= UINT16_MAX) {
+        std::memcpy(keys + shapeBytesUsed_, shapeKey_.data(), len);
+        slots[i] = {tag, static_cast<std::uint16_t>(shapeBytesUsed_),
+                    static_cast<std::uint16_t>(len),
+                    static_cast<std::uint16_t>(cost)};
+        shapeBytesUsed_ += len;
+        ++shapeEntries_;
+    }
+    return cost;
+}
+
 void
 BankConflictEvaluator::cycle(Cycle /*clk*/,
                              std::span<const Addr> ifmap_reads,
@@ -235,12 +352,10 @@ BankConflictEvaluator::cycle(Cycle /*clk*/,
                              std::span<const Addr> ofmap_reads,
                              std::span<const Addr> ofmap_writes)
 {
-    const std::uint64_t ifmap_cost = operandSlowdown(streams_[0],
-                                                     ifmap_reads, {});
-    const std::uint64_t filter_cost = operandSlowdown(streams_[1],
-                                                      filter_reads, {});
-    const std::uint64_t ofmap_cost = operandSlowdown(
-        streams_[2], ofmap_reads, ofmap_writes);
+    const std::uint64_t ifmap_cost = cycleCost(0, ifmap_reads, {});
+    const std::uint64_t filter_cost = cycleCost(1, filter_reads, {});
+    const std::uint64_t ofmap_cost = cycleCost(2, ofmap_reads,
+                                               ofmap_writes);
 
     // The three SRAMs are accessed in parallel; the slowest gates the
     // cycle. An idle cycle still takes one cycle.
@@ -274,8 +389,8 @@ std::size_t
 BankConflictEvaluator::cycleCosts(const systolic::FoldCacheEntry& entry,
                                   std::uint32_t stream, std::int64_t delta)
 {
-    const StreamMap& map = streams_[stream];
-    const std::int64_t period = static_cast<std::int64_t>(map.period);
+    const std::int64_t period = static_cast<std::int64_t>(
+        streams_[stream].period);
     std::int64_t rho = delta % period;
     if (rho < 0)
         rho += period;
@@ -296,8 +411,7 @@ BankConflictEvaluator::cycleCosts(const systolic::FoldCacheEntry& entry,
             arena.addrs.data() + arena.begin[c],
             arena.begin[c + 1] - arena.begin[c]);
         costPool_.push_back(static_cast<std::uint32_t>(
-            operandSlowdown(map, addrs, {},
-                            static_cast<std::uint64_t>(rho))));
+            cycleCost(stream, addrs, {}, static_cast<std::uint64_t>(rho))));
     }
     return it->second.first;
 }
@@ -336,6 +450,7 @@ BankConflictEvaluator::slowdown() const
 {
     if (idealCycles_ == 0)
         return 1.0;
+
     return static_cast<double>(slowedCycles_)
         / static_cast<double>(idealCycles_);
 }

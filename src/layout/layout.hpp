@@ -145,6 +145,14 @@ class BankConflictEvaluator : public systolic::DemandVisitor
      */
     Count foldsMemoized() const { return foldsMemoized_; }
 
+    /**
+     * Non-empty stream-cycles whose cost came from the shape memo (see
+     * ShapeSlot), and those evaluated address by address, over all
+     * layers.
+     */
+    Count shapeHits() const { return shapeHits_; }
+    Count shapeMisses() const { return shapeMisses_; }
+
   private:
     /**
      * One operand's address-to-(bank, line) map: off = addr - base,
@@ -157,7 +165,7 @@ class BankConflictEvaluator : public systolic::DemandVisitor
      * the three runtime divisors, the lines per layout row, and the
      * bank of each of a line's rowStep * colStep columns (at most
      * onChipBandwidth of them), so an address costs multiplies and one
-     * table load.
+     * table load. byPeriod reduces the shape memo's rho0.
      */
     struct StreamMap
     {
@@ -165,6 +173,7 @@ class BankConflictEvaluator : public systolic::DemandVisitor
         Addr base = 0;
         std::uint64_t rowWidth = 1;
         std::uint64_t period = 1;
+        Divider byPeriod;
         Divider byRowWidth;
         Divider byRowStep;
         Divider byColStep;
@@ -208,7 +217,16 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     std::uint64_t operandSlowdown(const StreamMap& map,
                                   std::span<const Addr> reads,
                                   std::span<const Addr> extra,
-                                  std::uint64_t rho = 0);
+                                  std::uint64_t rho);
+    /**
+     * operandSlowdown of `stream`'s accesses through the shape memo:
+     * equal keys mean equal cost, so a repeated shape is looked up, not
+     * evaluated.
+     */
+    std::uint64_t cycleCost(std::uint32_t stream,
+                            std::span<const Addr> reads,
+                            std::span<const Addr> extra,
+                            std::uint64_t rho = 0);
     /** Index into costPool_ of a stream's per-cycle costs at `delta`. */
     std::size_t cycleCosts(const systolic::FoldCacheEntry& entry,
                            std::uint32_t stream, std::int64_t delta);
@@ -220,6 +238,26 @@ class BankConflictEvaluator : public systolic::DemandVisitor
         std::uint64_t line = 0;
         std::uint64_t stamp = 0;
         std::uint32_t bank = 0;
+    };
+
+    /**
+     * One memoized cycle shape. The key is the stream, rho0 = (first +
+     * rho - base) mod period and each address's offset from the first,
+     * reads then extra. Two cycles with equal keys differ by a whole
+     * number of periods at every address, so every bank keeps its
+     * distinct-line count and the cost is equal. The key is stored as
+     * bytes [at, at + len) of the key area after the slots: the stream, rho0 as a varint,
+     * then the offsets as runs of equal steps between consecutive
+     * addresses, each a zigzag varint step and a varint length.
+     * len == 0 marks a free slot; a key or cost that does not fit 16
+     * bits is not stored.
+     */
+    struct ShapeSlot
+    {
+        std::uint16_t tag = 0; // high bits of the key's hash
+        std::uint16_t at = 0;
+        std::uint16_t len = 0;
+        std::uint16_t cost = 0;
     };
 
     /**
@@ -248,6 +286,17 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     // nothing; cleared in beginLayer.
     std::unordered_map<CostKey, CostSpan, CostKeyHash> costIndex_;
     std::vector<std::uint32_t> costPool_;
+    // Per-layer shape memo, one fixed allocation: an open-addressed
+    // table of kShapeSlots slots, then kShapeBytes of key bytes.
+    // Cleared in beginLayer; once either is full, new shapes are
+    // evaluated directly.
+    std::vector<ShapeSlot> shapeMemo_;
+    std::size_t shapeEntries_ = 0;
+    std::size_t shapeBytesUsed_ = 0;
+    /** The key of the cycle under lookup. */
+    std::vector<std::uint8_t> shapeKey_;
+    Count shapeHits_ = 0;
+    Count shapeMisses_ = 0;
     /** The fold announced by beginFold; a capture replays itself. */
     std::uint64_t foldRf_ = 0;
     std::uint64_t foldCf_ = 0;

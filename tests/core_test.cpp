@@ -35,6 +35,18 @@ tinyTopology()
     return topo;
 }
 
+/** Occurrences of `what` in `text`. */
+std::size_t
+count(const std::string& text, const std::string& what)
+{
+    std::size_t n = 0;
+    for (auto at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+        ++n;
+    }
+    return n;
+}
+
 SimConfig
 baseConfig()
 {
@@ -187,15 +199,6 @@ TEST(Simulator, IgnoredLayoutModelWarnsOncePerRun)
         }
         return err;
     };
-    auto count = [](const std::string& text, const std::string& what) {
-        std::size_t n = 0;
-        for (auto at = text.find(what); at != std::string::npos;
-             at = text.find(what, at + 1)) {
-            ++n;
-        }
-        return n;
-    };
-
     SimConfig analytical = baseConfig();
     analytical.mode = SimMode::Analytical;
     const std::string a = run_stderr(analytical, tinyTopology());
@@ -219,6 +222,30 @@ TEST(Simulator, IgnoredLayoutModelWarnsOncePerRun)
     EXPECT_EQ(count(run_stderr(baseConfig(), tinyTopology()),
                     "LayoutModel"),
               0u);
+}
+
+TEST(Simulator, BandwidthBesideDramModelWarnsOncePerRun)
+{
+    // With the DRAM model on, [architecture] Bandwidth times nothing;
+    // a non-default value says so once per run, naming both keys.
+    auto run_stderr = [](bool dram, double bandwidth) {
+        SimConfig cfg = baseConfig();
+        cfg.dram.enabled = dram;
+        cfg.memory.bandwidthWordsPerCycle = bandwidth;
+        Simulator sim(cfg);
+        ::testing::internal::CaptureStderr();
+        sim.run(tinyTopology());
+        return ::testing::internal::GetCapturedStderr();
+    };
+    const double fallback = MemoryConfig{}.bandwidthWordsPerCycle;
+    const std::string both = run_stderr(true, 2 * fallback);
+    EXPECT_EQ(count(both, "Bandwidth ignored"), 1u) << both;
+    EXPECT_NE(both.find("[architecture] Bandwidth"), std::string::npos)
+        << both;
+    EXPECT_NE(both.find("[memory] DramModel"), std::string::npos) << both;
+
+    EXPECT_EQ(count(run_stderr(true, fallback), "Bandwidth"), 0u);
+    EXPECT_EQ(count(run_stderr(false, 2 * fallback), "Bandwidth"), 0u);
 }
 
 TEST(Simulator, TraceTapsLeaveTheRunUnchanged)

@@ -4,8 +4,9 @@
  * equations, layout constructors, and the bank-conflict evaluator's
  * slowdown properties (>= 1, fewer conflicts with more banks/ports,
  * layout sensitivity), golden A/B tests of the per-fold cost memo
- * against the per-address path, a brute-force reference of the
- * per-cycle cost, and pinned whole-layer figures.
+ * against the per-address path, brute-force references of the
+ * per-cycle cost (through the shape memo) and of whole passes, and
+ * pinned whole-layer figures.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "layout/layout.hpp"
 #include "sparse/pattern.hpp"
 #include "systolic/demand.hpp"
+#include "systolic/fold_cache.hpp"
 
 using namespace scalesim;
 using namespace scalesim::layout;
@@ -592,6 +594,306 @@ TEST(LayoutReference, CycleCostMatchesBruteForce)
                                 << "cycle " << clk;
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/** One cycle's spans, in cycle() order. */
+struct CycleSpans
+{
+    std::vector<Addr> ifmap;
+    std::vector<Addr> filter;
+    std::vector<Addr> reads;
+    std::vector<Addr> writes;
+};
+
+std::vector<Addr>
+shifted(const std::vector<Addr>& span, std::uint64_t delta)
+{
+    std::vector<Addr> out(span);
+    for (Addr& a : out)
+        a += delta;
+    return out;
+}
+
+/** `span`'s offsets from its lowest address, placed at `base`. */
+std::vector<Addr>
+rebased(std::vector<Addr> span, Addr base)
+{
+    if (span.empty())
+        return span;
+    const Addr low = *std::min_element(span.begin(), span.end());
+    for (Addr& a : span)
+        a = a - low + base;
+    return span;
+}
+
+/** Put the highest address first, so the first is not the lowest. */
+void
+highestFirst(std::vector<Addr>& span)
+{
+    if (!span.empty())
+        std::iter_swap(span.begin(),
+                       std::max_element(span.begin(), span.end()));
+}
+
+} // namespace
+
+TEST(LayoutReference, ShapeMemoMatchesBruteForce)
+{
+    // Every cycle of random spans is fed live, then with its writes
+    // moved against its reads, shifted by whole periods (equal shapes),
+    // and as one-cycle replayed folds at sub-period shifts, from its own
+    // addresses and from addresses one period up (equal shapes at a
+    // non-zero rho). Spans re-based into another stream repeat the
+    // offsets and rho0 under another layout. The first address of each
+    // span is its highest, and a third of the ofmap cycles have writes
+    // but no reads. Every cost must equal the brute-force reference.
+    const LayerSpec conv = LayerSpec::conv("c", 14, 14, 3, 3, 24, 19, 2);
+    const GemmDims gemm{23, 300, 130};
+    const std::pair<GemmDims, OperandMap> shapes[] = {
+        {conv.toGemm(), OperandMap::forLayer(conv, MemoryConfig{})},
+        {gemm, makeOperands(gemm)},
+    };
+    Rng rng(0x5ea9u);
+    for (const auto& [dims, operands] : shapes) {
+        const FoldGrid grid(dims, Dataflow::OutputStationary, 8, 8);
+        const Addr bases[] = {operands.ifmapBase, operands.filterBase,
+                              operands.ofmapBase};
+        const std::uint64_t widths[] = {operands.ifmapRowWidth(), dims.n,
+                                        dims.n};
+        const std::uint64_t rows[] = {operands.ifmapRows(), dims.k,
+                                      dims.m};
+        for (LayoutScheme scheme : {LayoutScheme::RowMajor,
+                                    LayoutScheme::ColMajor,
+                                    LayoutScheme::Tiled}) {
+            for (std::uint32_t banks : {1u, 3u, 7u, 32u}) {
+                for (std::uint32_t bandwidth : {7u, 24u, 100u, 256u}) {
+                    for (std::uint32_t ports : {1u, 2u, 3u}) {
+                        SCOPED_TRACE(format("%s banks %u bw %u ports %u",
+                                            schemeName(scheme), banks,
+                                            bandwidth, ports));
+                        const LayoutModelConfig cfg =
+                            layoutCfg(banks, ports, bandwidth);
+                        const OperandLayouts layouts =
+                            OperandLayouts::forOperands(operands, cfg,
+                                                        scheme);
+                        const Layout2D* const maps[] = {
+                            &layouts.ifmap, &layouts.filter,
+                            &layouts.ofmap};
+                        // rowStep rows always shift every line evenly.
+                        std::uint64_t periods[3];
+                        for (std::size_t s = 0; s < 3; ++s)
+                            periods[s] = maps[s]->rowStep * widths[s];
+                        auto reference = [&](std::size_t s,
+                                             std::initializer_list<
+                                                 std::span<const Addr>>
+                                                 spans) {
+                            return referenceCost(*maps[s], bases[s],
+                                                 widths[s], cfg, spans);
+                        };
+                        auto expected = [&](const CycleSpans& c) {
+                            return std::max(
+                                {std::uint64_t{1},
+                                 reference(0, {c.ifmap}),
+                                 reference(1, {c.filter}),
+                                 reference(2, {c.reads, c.writes})});
+                        };
+                        BankConflictEvaluator eval(cfg, layouts);
+                        eval.beginLayer(grid, operands);
+                        Cycle clk = 0;
+                        auto live = [&](const CycleSpans& c) {
+                            const Cycle before = eval.slowedCycles();
+                            eval.cycle(clk, c.ifmap, c.filter, c.reads,
+                                       c.writes);
+                            ASSERT_EQ(eval.slowedCycles() - before,
+                                      expected(c))
+                                << "live cycle " << clk;
+                        };
+                        // A replayed fold's cost vectors are memoized
+                        // by capture fold, so each replay is a new one.
+                        std::uint64_t fold = 0;
+                        auto replay = [&](const CycleSpans& c,
+                                          const std::uint64_t (&rho)[3]) {
+                            FoldCacheEntry entry;
+                            entry.rf = ++fold;
+                            FoldCaptureVisitor(entry).cycle(
+                                0, c.ifmap, c.filter, {}, c.writes);
+                            const CycleSpans moved{
+                                shifted(c.ifmap, rho[0]),
+                                shifted(c.filter, rho[1]),
+                                {},
+                                shifted(c.writes, rho[2])};
+                            const Cycle before = eval.slowedCycles();
+                            eval.replayFold(
+                                entry, 0,
+                                {static_cast<std::int64_t>(rho[0]),
+                                 static_cast<std::int64_t>(rho[1]),
+                                 static_cast<std::int64_t>(rho[2])},
+                                false);
+                            ASSERT_EQ(eval.slowedCycles() - before,
+                                      expected(moved))
+                                << "replay at cycle " << clk;
+                        };
+                        for (; clk < 40; ++clk) {
+                            CycleSpans c;
+                            c.ifmap = randomSpan(rng, layouts.ifmap,
+                                                 bases[0], rows[0],
+                                                 widths[0]);
+                            c.filter = randomSpan(rng, layouts.filter,
+                                                  bases[1], rows[1],
+                                                  widths[1]);
+                            c.writes = randomSpan(rng, layouts.ofmap,
+                                                  bases[2], rows[2],
+                                                  widths[2]);
+                            highestFirst(c.ifmap);
+                            highestFirst(c.filter);
+                            highestFirst(c.writes);
+                            switch (rng.below(3)) {
+                              case 0: // accumulating folds
+                                c.reads = c.writes;
+                                break;
+                              case 1:
+                                c.reads = randomSpan(rng, layouts.ofmap,
+                                                     bases[2], rows[2],
+                                                     widths[2]);
+                                break;
+                              default: // writes alone
+                                break;
+                            }
+                            live(c);
+                            // The same spans with the writes moved
+                            // against the reads: one shape per stream
+                            // span, another for the cycle.
+                            if (!c.reads.empty()) {
+                                live({c.ifmap, c.filter, c.reads,
+                                      shifted(c.writes,
+                                              1 + rng.below(periods[2]))});
+                            }
+                            for (std::uint64_t t : {1u, 3u}) {
+                                live({shifted(c.ifmap, t * periods[0]),
+                                      shifted(c.filter, t * periods[1]),
+                                      shifted(c.reads, t * periods[2]),
+                                      shifted(c.writes, t * periods[2])});
+                            }
+                            const std::uint64_t rho[3] = {
+                                rng.below(periods[0]),
+                                rng.below(periods[1]),
+                                rng.below(periods[2])};
+                            replay(c, rho);
+                            replay({shifted(c.ifmap, periods[0]),
+                                    shifted(c.filter, periods[1]),
+                                    {},
+                                    shifted(c.writes, periods[2])},
+                                   rho);
+                            // The ifmap's offsets from each stream's
+                            // base: one key but for the stream.
+                            live({rebased(c.ifmap, bases[0]),
+                                  rebased(c.ifmap, bases[1]), {},
+                                  rebased(c.ifmap, bases[2])});
+                        }
+                        EXPECT_GT(eval.shapeHits(), 0u);
+                        EXPECT_GT(eval.shapeMisses(), 0u);
+                    }
+                }
+            }
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * The paper's cost of every cycle a demand pass emits, address by
+ * address through referenceCost; declines replayed folds, so a tee
+ * feeds it their cycles.
+ */
+class ReferenceCostVisitor : public DemandVisitor
+{
+  public:
+    ReferenceCostVisitor(const LayoutModelConfig& cfg,
+                         const OperandLayouts& layouts)
+        : cfg_(cfg), layouts_(layouts)
+    {
+    }
+
+    void
+    beginLayer(const FoldGrid&, const OperandMap& operands) override
+    {
+        operands_ = operands;
+    }
+
+    void
+    cycle(Cycle, std::span<const Addr> ifmap_reads,
+          std::span<const Addr> filter_reads,
+          std::span<const Addr> ofmap_reads,
+          std::span<const Addr> ofmap_writes) override
+    {
+        const std::uint64_t n = operands_.dims.n;
+        const std::uint64_t cost = std::max(
+            {std::uint64_t{1},
+             referenceCost(layouts_.ifmap, operands_.ifmapBase,
+                           operands_.ifmapRowWidth(), cfg_, {ifmap_reads}),
+             referenceCost(layouts_.filter, operands_.filterBase, n, cfg_,
+                           {filter_reads}),
+             referenceCost(layouts_.ofmap, operands_.ofmapBase, n, cfg_,
+                           {ofmap_reads, ofmap_writes})});
+        slowed += cost;
+        conflicts += cost > 1;
+    }
+
+    Cycle slowed = 0;
+    Count conflicts = 0;
+
+  private:
+    LayoutModelConfig cfg_;
+    OperandLayouts layouts_;
+    OperandMap operands_;
+};
+
+} // namespace
+
+TEST(LayoutReference, LiveFoldsMatchBruteForce)
+{
+    // A ragged GEMM and a strided conv, every fold live and then fold
+    // cached: the evaluator's whole-pass totals equal the per-address
+    // reference's.
+    const LayerSpec conv = LayerSpec::conv("c", 16, 16, 3, 3, 4, 8, 2);
+    const GemmDims gemm{27, 19, 13};
+    const std::tuple<GemmDims, OperandMap, LayoutModelConfig> cases[] = {
+        {gemm, makeOperands(gemm), layoutCfg(8, 1, 64)},
+        {conv.toGemm(), OperandMap::forLayer(conv, MemoryConfig{}),
+         layoutCfg(16, 1, 100)},
+    };
+    for (const auto& [dims, operands, cfg] : cases) {
+        for (Dataflow df : {Dataflow::OutputStationary,
+                            Dataflow::WeightStationary,
+                            Dataflow::InputStationary}) {
+            for (LayoutScheme scheme : {LayoutScheme::RowMajor,
+                                        LayoutScheme::ColMajor,
+                                        LayoutScheme::Tiled}) {
+                for (bool cached : {false, true}) {
+                    SCOPED_TRACE(format("%s %s %s", toString(df).c_str(),
+                                        schemeName(scheme),
+                                        cached ? "cached" : "live"));
+                    LayoutCase c;
+                    c.gemm = dims;
+                    c.operands = operands;
+                    c.df = df;
+                    c.cfg = cfg;
+                    c.scheme = scheme;
+                    ReferenceCostVisitor reference(
+                        cfg, OperandLayouts::forOperands(operands, cfg,
+                                                         scheme));
+                    const LayoutPass pass = c.run(cached, &reference);
+                    EXPECT_EQ(pass.slowed, reference.slowed);
+                    EXPECT_EQ(pass.conflicts, reference.conflicts);
                 }
             }
         }
