@@ -12,15 +12,24 @@
  * sweeps them on N threads — results are identical for every N; the
  * TSan CI job runs this with --jobs 4 to race-check the interleaved
  * engine.
+ *
+ * After the sweep, one timed pass runs alone: every ResNet-18 layer on
+ * a 4x4 grid of 32x32 cores (the default run configuration), best of
+ * five, each pass divided by a calibration loop timed around it. Its
+ * grant count (`gateGrants`) and calibrated time (`gateCalibrated`)
+ * gate the grant loop's cost in CI.
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/workloads.hpp"
 #include "multicore/trace_sim.hpp"
 
 using namespace scalesim;
@@ -79,6 +88,35 @@ runPoint(const Point& p)
     return out;
 }
 
+/** The timed pass: grants per pass and the best calibrated time. */
+struct Gate
+{
+    std::uint64_t grants = 0;
+    benchutil::CalibratedBest best;
+};
+
+Gate
+runGate(int passes)
+{
+    const Topology topo = workloads::byName("resnet18");
+    const MultiCoreTraceConfig cfg = multiCoreTraceConfig(SimConfig{}, 4,
+                                                          4);
+    Gate gate;
+    for (int pass = 0; pass < passes; ++pass) {
+        std::uint64_t grants = 0;
+        gate.best.time([&] {
+            MultiCoreTraceSimulator sim(cfg);
+            for (const LayerSpec& layer : topo.layers)
+                grants += sim.runLayer(layer).arb.grants;
+        });
+        if (pass > 0 && grants != gate.grants)
+            fatal("gate pass %d granted %" PRIu64 " times, not %" PRIu64,
+                  pass, grants, gate.grants);
+        gate.grants = grants;
+    }
+    return gate;
+}
+
 } // namespace
 
 int
@@ -111,6 +149,7 @@ main(int argc, char** argv)
                                 outcomes[i] = runPoint(points[i]);
                             });
     const double total_s = total.seconds();
+    const Gate gate = runGate(5);
 
     benchutil::Table table({16, 12, 12, 12, 10});
     table.row({"point", "makespan", "arbGrants", "arbConf", "wall(s)"});
@@ -131,6 +170,11 @@ main(int argc, char** argv)
         << "  \"jobs\": " << jobs << ",\n"
         << "  \"totalWallSeconds\": "
         << benchutil::fmt("%.6f", total_s) << ",\n"
+        << "  \"gateGrants\": " << gate.grants << ",\n"
+        << "  \"gateSeconds\": "
+        << benchutil::fmt("%.6f", gate.best.seconds) << ",\n"
+        << "  \"gateCalibrated\": "
+        << benchutil::fmt("%.4f", gate.best.calibrated) << ",\n"
         << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& p = points[i];
@@ -154,6 +198,10 @@ main(int argc, char** argv)
             << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
+    std::printf("gate: resnet18 on 4x4 32x32 cores, %llu grants, "
+                "%.3f s (%.2f calibration loops)\n",
+                static_cast<unsigned long long>(gate.grants),
+                gate.best.seconds, gate.best.calibrated);
     std::printf("wrote %s (%u jobs, %.3f s)\n", out_path.c_str(), jobs,
                 total_s);
 

@@ -42,9 +42,18 @@ struct ArbiterStats
  * from the port after the previous grantee.
  *
  * Selection is an argmin over the total-order key (cycle, cyclic
- * distance from the round-robin pointer). grant() finds it in one scan
- * that visits the ports in that distance order, so the first port seen
- * at the minimum cycle is the winner.
+ * distance from the round-robin pointer). grant() finds it in three
+ * short passes: a branch-free min over the cycles (idle ports carry
+ * the largest Cycle, so they never win it), a count of the ports at
+ * that min that also notes the earliest cycle of the others, and a
+ * walk from the round-robin pointer to the first port at the min.
+ *
+ * grantAfterStep() serves the co-simulation loop, where stepping the
+ * granted engine moves only that port's cycle. The last scan's tie
+ * count at the minimum cycle and the earliest cycle of every other
+ * port then decide the next winner without a new scan for as long as
+ * the stepped port stays at the minimum, leaves it for a later cycle
+ * while others remain tied, or leaves it as the sole earliest port.
  */
 class RoundRobinArbiter
 {
@@ -56,18 +65,43 @@ class RoundRobinArbiter
 
     /**
      * Pick the next port to serve. `next[i]` is port i's pending
-     * transaction cycle, `none` marking idle ports. Returns kNone when
-     * nothing is pending.
+     * transaction cycle, `none` marking idle ports; `none` must be the
+     * largest Cycle (DoubleBufferedScratchpad::kNoEvent). Returns kNone
+     * when nothing is pending.
      */
     std::size_t grant(const std::vector<Cycle>& next, Cycle none);
 
-    const ArbiterStats& stats() const { return stats_; }
+    /**
+     * grant() for a caller that changed only the previous grantee's
+     * entry of `next` since the previous grant: same port, same
+     * statistics, usually without a scan. The previous call must have
+     * granted a port.
+     */
+    std::size_t grantAfterStep(const std::vector<Cycle>& next,
+                               Cycle none);
+
+    /** Grant statistics, with the waiter tally folded into `waiters`. */
+    ArbiterStats stats() const;
 
   private:
+    /** Grant the first port at earliest_ in round-robin order. */
+    std::size_t award(const std::vector<Cycle>& next);
+
     std::size_t ports_;
     /** Port after the previous grantee gets top tie-break priority. */
     std::size_t nextPriority_ = 0;
+    /** The previous grantee. */
+    std::size_t last_ = kNone;
+    /** Minimum cycle of the last scan, and how many ports are still
+     *  at it (the previous grantee counted until it moves). */
+    Cycle earliest_ = 0;
+    std::size_t tied_ = 0;
+    /** Earliest cycle of every port not at earliest_. */
+    Cycle later_ = 0;
     ArbiterStats stats_;
+    /** waiterTally_[w] = grants that left w ports waiting. Integer
+     *  counts per grant, folded into stats_.waiters only by stats(). */
+    std::vector<Count> waiterTally_;
 };
 
 /** Per-core traffic/wait statistics of one MemoryPort. */

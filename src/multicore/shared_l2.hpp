@@ -14,8 +14,8 @@
 #ifndef SCALESIM_MULTICORE_SHARED_L2_HH
 #define SCALESIM_MULTICORE_SHARED_L2_HH
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "systolic/memory.hpp"
 
@@ -79,21 +79,53 @@ class SharedL2 : public systolic::MainMemory
     void resetTimeline() { busFree_ = 0.0; }
 
   private:
+    /** Slot index meaning "no slot" (list end, empty index bucket). */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One resident line and its neighbours in the LRU list. */
+    struct Slot
+    {
+        std::uint64_t line;
+        std::uint32_t prev; ///< towards the MRU end
+        std::uint32_t next; ///< towards the LRU end
+    };
+
     /** True if the line is resident; inserts it (LRU) otherwise. */
     bool lookup(std::uint64_t line);
     /** Occupy the shared L2 port; returns transfer completion. */
     Cycle busOccupy(Count words, Cycle now);
+    /** One past the last line [addr, addr + words) covers. */
+    std::uint64_t lineEnd(Addr addr, Count words) const;
+
+    /** Home bucket of `line` in index_. */
+    std::size_t home(std::uint64_t line) const;
+    /** Bucket holding `line`, or the empty bucket ending its probe. */
+    std::size_t probe(std::uint64_t line) const;
+    /** Empty `bucket`, shifting later probe-chain entries back. */
+    void eraseBucket(std::size_t bucket);
+    /** Double index_ (or create it) and re-insert every slot. */
+    void growIndex();
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
 
     SharedL2Config cfg_;
     systolic::MainMemory& backing_;
     SharedL2Stats l2Stats_;
     std::uint64_t capacityLines_;
-    std::list<std::uint64_t> lru_;
-    // Keyed access only: replacement decisions walk lru_, so hash
-    // order never influences hit/miss sequences or the cycle counts
-    // derived from them (scalesim_lint unordered-iteration-to-output).
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        index_;
+    // Intrusive LRU over flat slots: mru_ is the most recently used,
+    // lru_ the replacement victim. Slots are appended as lines become
+    // resident, so nothing is allocated up front for a large capacity.
+    std::vector<Slot> slots_;
+    std::uint32_t mru_ = kNil;
+    std::uint32_t lru_ = kNil;
+    // Open-addressed line -> slot index (linear probing, kNil empty,
+    // at most half full). Keyed access only: replacement walks the LRU
+    // list, so hash order never influences hit/miss sequences or the
+    // cycle counts derived from them (scalesim_lint
+    // unordered-iteration-to-output).
+    std::vector<std::uint32_t> index_;
+    std::size_t indexMask_ = 0;
+    int indexShift_ = 64;
     double busFree_ = 0.0;
     Cycle lastWait_ = 0;
 };

@@ -173,15 +173,16 @@ MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
         // nextEventCycle() depends only on the engine's own state (see
         // its contract), so stepping the granted engine can only move
         // that one entry — maintain next[] incrementally instead of
-        // re-polling every engine per grant.
+        // re-polling every engine per grant, and let the arbiter pick
+        // the next grant from that one change (grantAfterStep).
         std::vector<Cycle> next(runs.size());
         for (std::size_t k = 0; k < runs.size(); ++k)
             next[k] = runs[k].l1->nextEventCycle();
-        for (;;) {
-            const std::size_t g = arb.grant(
-                next, systolic::DoubleBufferedScratchpad::kNoEvent);
-            if (g == RoundRobinArbiter::kNone)
-                break;
+        constexpr Cycle kIdle =
+            systolic::DoubleBufferedScratchpad::kNoEvent;
+        for (std::size_t g = arb.grant(next, kIdle);
+             g != RoundRobinArbiter::kNone;
+             g = arb.grantAfterStep(next, kIdle)) {
             runs[g].l1->step();
             next[g] = runs[g].l1->nextEventCycle();
         }

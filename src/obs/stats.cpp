@@ -13,38 +13,66 @@
 namespace scalesim::obs
 {
 
-void
-Histogram::sample(double value)
+namespace
+{
+
+/** Bucket of a non-negative sample (see Histogram's layout). */
+unsigned
+bucketOf(double value)
+{
+    // Bucket i >= 1 holds [2^(i-1), 2^i) and the last one everything
+    // from 2^(kBuckets-2) up. For a whole number below that, the
+    // bucket is its bit width, with no log2.
+    constexpr unsigned kBuckets = Histogram::kBuckets;
+    constexpr double kTop = static_cast<double>(std::uint64_t{1}
+                                                << (kBuckets - 2));
+    if (value >= kTop)
+        return kBuckets - 1;
+    if (value < 1.0)
+        return 0;
+    const auto whole = static_cast<std::uint64_t>(value);
+    return static_cast<double>(whole) == value
+        ? static_cast<unsigned>(std::bit_width(whole))
+        : 1 + static_cast<unsigned>(std::log2(value));
+}
+
+/** Add `times` >= 1 samples of `value` to `h`; inlined into both
+ *  Histogram::sample overloads, so the one-sample path multiplies by
+ *  a constant 1 that folds away. */
+inline void
+addSamples(Histogram& h, double value, std::uint64_t times)
 {
     // The bucket layout only covers [0, inf); a negative sample is a
     // caller bug (cycle counts and latencies cannot go backwards).
     SIM_CHECK_LE(0.0, value, "negative histogram sample");
     if (value < 0.0)
         value = 0.0;
-    if (count == 0) {
-        minSample = maxSample = value;
+    if (h.count == 0) {
+        h.minSample = h.maxSample = value;
     } else {
-        minSample = std::min(minSample, value);
-        maxSample = std::max(maxSample, value);
+        h.minSample = std::min(h.minSample, value);
+        h.maxSample = std::max(h.maxSample, value);
     }
-    ++count;
-    sum += value;
-    sumSq += value * value;
-    // Bucket i >= 1 holds [2^(i-1), 2^i) and the last one everything
-    // from 2^(kBuckets-2) up. For a whole number below that, the
-    // bucket is its bit width, with no log2.
-    constexpr double kTop = static_cast<double>(std::uint64_t{1}
-                                                << (kBuckets - 2));
-    unsigned bucket = 0;
-    if (value >= kTop) {
-        bucket = kBuckets - 1;
-    } else if (value >= 1.0) {
-        const auto whole = static_cast<std::uint64_t>(value);
-        bucket = static_cast<double>(whole) == value
-            ? static_cast<unsigned>(std::bit_width(whole))
-            : 1 + static_cast<unsigned>(std::log2(value));
-    }
-    ++buckets[bucket];
+    const double n = static_cast<double>(times);
+    h.count += times;
+    h.sum += value * n;
+    h.sumSq += value * value * n;
+    h.buckets[bucketOf(value)] += times;
+}
+
+} // namespace
+
+void
+Histogram::sample(double value)
+{
+    addSamples(*this, value, 1);
+}
+
+void
+Histogram::sample(double value, std::uint64_t times)
+{
+    if (times != 0)
+        addSamples(*this, value, times);
 }
 
 void

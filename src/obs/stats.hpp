@@ -54,6 +54,9 @@ struct Histogram
     double maxSample = 0.0;
 
     void sample(double value);
+    /** `times` samples of `value`. For whole values with sums below
+     *  2^53 the result equals `times` sample(value) calls exactly. */
+    void sample(double value, std::uint64_t times);
     void merge(const Histogram& other);
 
     double mean() const { return count ? sum / count : 0.0; }

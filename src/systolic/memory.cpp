@@ -59,28 +59,38 @@ RequestQueue::RequestQueue(std::uint32_t capacity)
 void
 RequestQueue::drain(Cycle now)
 {
-    while (!inflight_.empty() && inflight_.front() <= now)
-        inflight_.pop_front();
+    const std::size_t size = inflight_.size();
+    while (head_ < size && inflight_[head_] <= now)
+        ++head_;
+    if (head_ > size / 2) {
+        inflight_.erase(inflight_.begin(),
+                        inflight_.begin()
+                            + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
 }
 
 Cycle
 RequestQueue::slotAvailable(Cycle now)
 {
     drain(now);
-    if (inflight_.size() < capacity_)
+    if (occupancy() < capacity_)
         return now;
-    return inflight_.front();
+    return inflight_[head_];
 }
 
 void
 RequestQueue::push(Cycle completion, Cycle stalled)
 {
-    if (inflight_.empty() || inflight_.back() <= completion)
+    if (inflight_.size() == head_ || inflight_.back() <= completion) {
         inflight_.push_back(completion);
-    else
-        inflight_.insert(std::upper_bound(inflight_.begin(),
-                                          inflight_.end(), completion),
+    } else {
+        const auto live = inflight_.begin()
+            + static_cast<std::ptrdiff_t>(head_);
+        inflight_.insert(std::upper_bound(live, inflight_.end(),
+                                          completion),
                          completion);
+    }
     fullStalls_ += stalled;
 }
 

@@ -10,7 +10,7 @@
 #ifndef SCALESIM_SYSTOLIC_MEMORY_HH
 #define SCALESIM_SYSTOLIC_MEMORY_HH
 
-#include <deque>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -154,17 +154,22 @@ class RequestQueue
     void drain(Cycle now);
 
     std::uint32_t capacity() const { return capacity_; }
-    std::size_t occupancy() const { return inflight_.size(); }
+    std::size_t occupancy() const { return inflight_.size() - head_; }
 
     /** Cycles during which at least one issue was delayed by fullness. */
     Cycle fullStallCycles() const { return fullStalls_; }
 
   private:
     std::uint32_t capacity_;
-    // In-flight completion times, ascending. Completions mostly come
-    // back in issue order, so push() is usually an append and drain()
-    // pops the front.
-    std::deque<Cycle> inflight_;
+    // In-flight completion times, ascending, live from head_ on.
+    // Completions mostly come back in issue order, so push() is
+    // usually an append and drain() advances head_; an out-of-order
+    // completion (an L2 hit finishing before an earlier miss) is
+    // placed by binary search. The retired prefix is compacted away
+    // once it passes half the buffer, so the buffer stays within
+    // twice the capacity and stops allocating after warm-up.
+    std::vector<Cycle> inflight_;
+    std::size_t head_ = 0;
     Cycle fullStalls_ = 0;
 };
 

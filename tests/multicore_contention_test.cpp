@@ -265,6 +265,50 @@ TEST(Arbiter, GrantIsArgminOverCycleAndRoundRobinDistance)
     }
 }
 
+TEST(Arbiter, GrantAfterStepMatchesGrant)
+{
+    // grantAfterStep() must pick the port grant() picks and record the
+    // same statistics whenever only the previous grantee's cycle moved:
+    // staying at the granted cycle, moving to a later cycle (tied with
+    // others, before them all, or after them), going idle, or stepping
+    // back before the minimum.
+    constexpr Cycle kIdle = systolic::DoubleBufferedScratchpad::kNoEvent;
+    Rng rng(0x57e9);
+    for (std::size_t ports = 1; ports <= 17; ++ports) {
+        RoundRobinArbiter scanned(ports);
+        RoundRobinArbiter stepped(ports);
+        std::vector<Cycle> next(ports);
+        for (int layer = 0; layer < 20; ++layer) {
+            for (Cycle& c : next)
+                c = rng.below(5) == 0 ? kIdle : rng.range(0, 6);
+            std::size_t want = scanned.grant(next, kIdle);
+            std::size_t got = stepped.grant(next, kIdle);
+            while (want != RoundRobinArbiter::kNone) {
+                ASSERT_EQ(got, want) << ports << " ports";
+                Cycle& moved = next[want];
+                // Kinds 2-4 leave it at the granted cycle.
+                const auto kind = rng.below(12);
+                if (kind == 0)
+                    moved = kIdle;
+                else if (kind == 1 && moved > 0)
+                    --moved;
+                else if (kind >= 5)
+                    moved += rng.range(1, 4);
+                want = scanned.grant(next, kIdle);
+                got = stepped.grantAfterStep(next, kIdle);
+            }
+            ASSERT_EQ(got, RoundRobinArbiter::kNone) << ports;
+        }
+        const ArbiterStats a = scanned.stats();
+        const ArbiterStats b = stepped.stats();
+        EXPECT_EQ(a.grants, b.grants) << ports;
+        EXPECT_EQ(a.arbConflicts, b.arbConflicts) << ports;
+        EXPECT_EQ(a.waiters.sumSq, b.waiters.sumSq) << ports;
+        for (unsigned i = 0; i < obs::Histogram::kBuckets; ++i)
+            EXPECT_EQ(a.waiters.buckets[i], b.waiters.buckets[i]) << ports;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shared-mode semantics.
 

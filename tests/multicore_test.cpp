@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/audit.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "core/simulator.hpp"
 #include "multicore/nop.hpp"
 #include "multicore/system.hpp"
@@ -317,6 +322,190 @@ TEST(SharedL2, WriteThroughAllocates)
     // Subsequent read of written lines hits.
     l2.issueRead(0, 256, 10);
     EXPECT_EQ(l2.l2Stats().hits, 1u); // 256 words = 1 line (default)
+}
+
+TEST(SharedL2, ZeroWordRequestTouchesNoLine)
+{
+    // A zero-word request at address 0 once walked (0 - 1) / lineWords
+    // lines, about 2^56 of them. It covers no line: no lookup, no
+    // refill, and the port is occupied for zero words.
+    systolic::BandwidthMemory dram(4.0);
+    SharedL2Config cfg;
+    cfg.capacityWords = 256;
+    cfg.lineWords = 64;
+    SharedL2 l2(cfg, dram);
+    EXPECT_EQ(l2.issueRead(0, 0, 10), 10 + cfg.hitLatency);
+    l2.issueWrite(0, 0, 20);
+    l2.issueRead(128, 0, 30);
+    EXPECT_EQ(l2.l2Stats().lookups, 0u);
+    EXPECT_EQ(l2.l2Stats().writeWords, 0u);
+    EXPECT_EQ(dram.stats().readWords, 0u);
+    EXPECT_EQ(dram.stats().writeWords, 0u);
+    EXPECT_EQ(l2.stats().readRequests, 2u);
+    EXPECT_EQ(l2.stats().writeRequests, 1u);
+    // The port is still free at the next request's cycle.
+    l2.issueRead(0, 64, 30);
+    EXPECT_EQ(l2.lastIssueWait(), 0u);
+    EXPECT_EQ(l2.l2Stats().lookups, 1u);
+}
+
+namespace
+{
+
+/**
+ * Reference shared L2 for the differential test: the list + map LRU
+ * the flat slot arrays replaced, with SharedL2's refill, port and
+ * latency arithmetic restated line by line.
+ */
+class ReferenceL2
+{
+  public:
+    ReferenceL2(const SharedL2Config& cfg, double dram_words_per_cycle)
+        : cfg_(cfg), dram_(dram_words_per_cycle),
+          capacityLines_(cfg.capacityWords / cfg.lineWords)
+    {
+    }
+
+    Cycle
+    read(Addr addr, Count words, Cycle now)
+    {
+        Cycle ready = now + cfg_.hitLatency;
+        for (std::uint64_t line = addr / cfg_.lineWords;
+             words != 0 && line <= (addr + words - 1) / cfg_.lineWords;
+             ++line) {
+            ++stats_.lookups;
+            const std::uint64_t lo = line * cfg_.lineWords;
+            const std::uint64_t overlap =
+                std::min<std::uint64_t>(addr + words, lo + cfg_.lineWords)
+                - std::max<std::uint64_t>(addr, lo);
+            if (touch(line)) {
+                ++stats_.hits;
+                stats_.hitWords += overlap;
+            } else {
+                stats_.missWords += overlap;
+                ready = std::max(ready, dram_.issueRead(lo, cfg_.lineWords,
+                                                        now)
+                                            + cfg_.hitLatency);
+            }
+        }
+        return std::max(port(words, now), ready);
+    }
+
+    Cycle
+    write(Addr addr, Count words, Cycle now)
+    {
+        for (std::uint64_t line = addr / cfg_.lineWords;
+             words != 0 && line <= (addr + words - 1) / cfg_.lineWords;
+             ++line)
+            touch(line);
+        stats_.writeWords += words;
+        dram_.issueWrite(addr, words, now);
+        return port(words, now);
+    }
+
+    void
+    invalidate()
+    {
+        lru_.clear();
+        where_.clear();
+    }
+
+    const SharedL2Stats& stats() const { return stats_; }
+    const systolic::MemoryStats& dramStats() const
+    {
+        return dram_.stats();
+    }
+
+  private:
+    bool
+    touch(std::uint64_t line)
+    {
+        const auto it = where_.find(line);
+        if (it != where_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return true;
+        }
+        lru_.push_front(line);
+        where_[line] = lru_.begin();
+        if (lru_.size() > capacityLines_) {
+            where_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        return false;
+    }
+
+    Cycle
+    port(Count words, Cycle now)
+    {
+        const double start = std::max(static_cast<double>(now), free_);
+        free_ = start + static_cast<double>(words) / cfg_.wordsPerCycle;
+        return static_cast<Cycle>(std::ceil(free_));
+    }
+
+    SharedL2Config cfg_;
+    systolic::BandwidthMemory dram_;
+    std::uint64_t capacityLines_;
+    std::list<std::uint64_t> lru_;
+    std::map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
+    SharedL2Stats stats_;
+    double free_ = 0.0;
+};
+
+} // namespace
+
+TEST(SharedL2, MatchesReferenceLru)
+{
+    // Random multi-line reads, write-allocates and zero-word requests
+    // over a small address range, so evictions, re-references and
+    // probe-chain deletions are common; invalidate() between phases.
+    // Every returned cycle and the stats after every request must
+    // match the reference. The 37-line L2 grows its index three times.
+    Rng rng(0x12c0de);
+    for (const std::uint64_t lines : {1, 2, 3, 4, 5, 6, 7, 8, 37}) {
+        for (const std::uint32_t line_words : {1u, 4u, 16u}) {
+            SharedL2Config cfg;
+            cfg.capacityWords = lines * line_words;
+            cfg.lineWords = line_words;
+            cfg.hitLatency = rng.range(0, 6);
+            cfg.wordsPerCycle = 2.0;
+            systolic::BandwidthMemory dram(3.0);
+            SharedL2 l2(cfg, dram);
+            ReferenceL2 ref(cfg, 3.0);
+            const std::uint64_t span_words = (3 * lines + 4) * line_words;
+            Cycle now = 0;
+            for (int phase = 0; phase < 4; ++phase) {
+                for (int op = 0; op < 300; ++op) {
+                    now += rng.below(4);
+                    const Addr addr = rng.below(span_words);
+                    const Count words = rng.below(8) == 0
+                        ? 0 : rng.range(1, 3 * line_words);
+                    const bool read = rng.below(3) != 0;
+                    const Cycle got = read ? l2.issueRead(addr, words, now)
+                                           : l2.issueWrite(addr, words,
+                                                           now);
+                    const Cycle want = read ? ref.read(addr, words, now)
+                                            : ref.write(addr, words, now);
+                    ASSERT_EQ(got, want) << lines << " lines of "
+                                         << line_words << ", phase "
+                                         << phase << ", op " << op;
+                    const SharedL2Stats& a = l2.l2Stats();
+                    const SharedL2Stats& b = ref.stats();
+                    ASSERT_EQ(a.lookups, b.lookups) << op;
+                    ASSERT_EQ(a.hits, b.hits) << op;
+                    ASSERT_EQ(a.hitWords, b.hitWords) << op;
+                    ASSERT_EQ(a.missWords, b.missWords) << op;
+                    ASSERT_EQ(a.writeWords, b.writeWords) << op;
+                }
+                l2.invalidate();
+                ref.invalidate();
+            }
+            EXPECT_EQ(dram.stats().readWords, ref.dramStats().readWords);
+            EXPECT_EQ(dram.stats().writeWords,
+                      ref.dramStats().writeWords);
+            EXPECT_GT(l2.l2Stats().hits, 0u);
+            EXPECT_LT(l2.l2Stats().hits, l2.l2Stats().lookups);
+        }
+    }
 }
 
 TEST(TraceSim, SharedL2DeduplicatesPartitions)

@@ -59,6 +59,33 @@ TEST(Histogram, MergeAddsCountsAndMoments)
     EXPECT_DOUBLE_EQ(a.minSample, 1.0);
 }
 
+TEST(Histogram, RepeatedSampleMatchesSingleSamples)
+{
+    // sample(v, n) is n sample(v) calls, exactly, for whole values:
+    // the arbiter folds its per-grant waiter tally this way.
+    obs::Histogram one_by_one;
+    obs::Histogram repeated;
+    const std::pair<double, std::uint64_t> runs[] = {
+        {3, 5}, {0, 7}, {15, 1}, {2, 0}, {40000, 3}, {1, 1000}};
+    for (const auto& [value, times] : runs) {
+        for (std::uint64_t i = 0; i < times; ++i)
+            one_by_one.sample(value);
+        repeated.sample(value, times);
+    }
+    EXPECT_EQ(repeated.count, one_by_one.count);
+    EXPECT_EQ(repeated.sum, one_by_one.sum);
+    EXPECT_EQ(repeated.sumSq, one_by_one.sumSq);
+    EXPECT_EQ(repeated.minSample, one_by_one.minSample);
+    EXPECT_EQ(repeated.maxSample, one_by_one.maxSample);
+    for (unsigned b = 0; b < obs::Histogram::kBuckets; ++b)
+        EXPECT_EQ(repeated.buckets[b], one_by_one.buckets[b]) << b;
+    // Zero samples leave an empty histogram empty.
+    obs::Histogram empty;
+    empty.sample(9, 0);
+    EXPECT_EQ(empty.count, 0u);
+    EXPECT_EQ(empty.maxSample, 0.0);
+}
+
 TEST(Histogram, EmptyHasNoNan)
 {
     obs::Histogram h;

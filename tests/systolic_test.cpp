@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "dram/system.hpp"
 #include "systolic/mapping.hpp"
 #include "systolic/memory.hpp"
@@ -220,6 +222,41 @@ TEST(RequestQueue, DrainRetiresCompleted)
     queue.push(30);
     queue.drain(25);
     EXPECT_EQ(queue.occupancy(), 1u);
+}
+
+TEST(RequestQueue, MatchesMultisetReference)
+{
+    // The queue against a multiset of completion times: out-of-order
+    // completions (an L2 hit returning before an earlier miss),
+    // full-queue stalls, repeated polling and explicit drains, with
+    // enough pushes per queue to compact the buffer many times.
+    Rng rng(0x9e11);
+    for (const std::uint32_t capacity : {1u, 2u, 3u, 8u, 33u}) {
+        RequestQueue queue(capacity);
+        std::multiset<Cycle> ref;
+        Cycle ref_stalls = 0;
+        Cycle now = 0;
+        for (int op = 0; op < 4000; ++op) {
+            now += rng.below(3);
+            if (rng.below(10) == 0)
+                queue.drain(now);
+            ref.erase(ref.begin(), ref.upper_bound(now));
+            const Cycle want = ref.size() < capacity ? now : *ref.begin();
+            for (int poll = 0; poll < 3; ++poll)
+                ASSERT_EQ(queue.slotAvailable(now), want)
+                    << capacity << " slots, op " << op;
+            ASSERT_EQ(queue.occupancy(), ref.size()) << op;
+            // Mostly in issue order; every fourth completion is early.
+            const Cycle completion = want
+                + (rng.below(4) == 0 ? rng.range(1, 6)
+                                     : rng.range(20, 40));
+            queue.push(completion, want - now);
+            ref.insert(completion);
+            ref_stalls += want - now;
+            ASSERT_EQ(queue.fullStallCycles(), ref_stalls) << op;
+        }
+        EXPECT_GT(ref_stalls, 0u) << capacity;
+    }
 }
 
 TEST(Scratchpad, ConfigCarriesEveryRunKnob)
