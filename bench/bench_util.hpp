@@ -16,10 +16,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/parse.hpp"
 
 namespace benchutil
 {
@@ -151,20 +154,39 @@ struct CalibratedBest
 /**
  * Worker threads for the bench's config points, from `--jobs N` (or
  * `-j N`) on the command line; `fallback` when absent. N = 0 means
- * auto (SCALESIM_JOBS env var, then hardware concurrency).
+ * auto (SCALESIM_JOBS env var, then hardware concurrency). Arguments
+ * without a leading '-' are left to the bench, which names them in
+ * `positional` for the usage line. `-h`/`--help` prints that line and
+ * exits 0; any other option, or a missing or bad N, exits 2.
  */
 inline unsigned
-jobsFromArgs(int argc, char** argv, unsigned fallback = 1)
+jobsFromArgs(int argc, char** argv, unsigned fallback = 1,
+             const char* positional = "")
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        const std::string arg = argv[i];
+    auto usage = [&](int code) {
+        std::fprintf(code == 0 ? stdout : stderr,
+                     "usage: %s %s[--jobs N | -j N]\n", argv[0],
+                     positional);
+        std::exit(code);
+    };
+    unsigned jobs = fallback;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "-h" || arg == "--help")
+            usage(0);
         if (arg == "--jobs" || arg == "-j") {
-            const long parsed = std::strtol(argv[i + 1], nullptr, 10);
-            return parsed >= 0 ? static_cast<unsigned>(parsed)
-                               : fallback;
+            std::uint64_t n = 0;
+            if (i + 1 == argc
+                || scalesim::parseUint64(argv[++i], n)
+                       != scalesim::NumberParse::Ok
+                || n > std::numeric_limits<unsigned>::max())
+                usage(2);
+            jobs = static_cast<unsigned>(n);
+        } else if (arg.starts_with('-')) {
+            usage(2);
         }
     }
-    return fallback;
+    return jobs;
 }
 
 /**

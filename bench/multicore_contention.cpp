@@ -125,7 +125,8 @@ main(int argc, char** argv)
     std::string out_path = "BENCH_multicore.json";
     if (argc > 1 && argv[1][0] != '-')
         out_path = argv[1];
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1);
+    const unsigned jobs = benchutil::jobsFromArgs(argc, argv, 1,
+                                                   "[OUT.json] ");
 
     const std::vector<Point> points = {
         {"ws_l2_ample", 2, 2, Dataflow::WeightStationary, true, 32.0,

@@ -134,7 +134,9 @@ main(int argc, char** argv)
     try {
         SimConfig cfg = config_path.empty()
             ? SimConfig{} : SimConfig::load(config_path);
-        if (config_path.empty()) {
+        // Without a config, single-core runs model energy and sparsity;
+        // the multi-core run models neither.
+        if (config_path.empty() && multicore_grid.empty()) {
             cfg.energy.enabled = true;
             cfg.sparsity.enabled = true;
         }

@@ -110,43 +110,6 @@ mergeSweepStats(const std::vector<DseDetailedPoint>& points)
     return merged;
 }
 
-namespace
-{
-
-template <typename Key>
-DsePoint
-bestBy(const std::vector<DsePoint>& points, Key key)
-{
-    if (points.empty())
-        fatal("no DSE points to rank");
-    return *std::min_element(points.begin(), points.end(),
-                             [&](const DsePoint& a, const DsePoint& b) {
-                                 return key(a) < key(b);
-                             });
-}
-
-} // namespace
-
-DsePoint
-bestByLatency(const std::vector<DsePoint>& points)
-{
-    return bestBy(points, [](const DsePoint& p) {
-        return static_cast<double>(p.cycles);
-    });
-}
-
-DsePoint
-bestByEnergy(const std::vector<DsePoint>& points)
-{
-    return bestBy(points, [](const DsePoint& p) { return p.energyMj; });
-}
-
-DsePoint
-bestByEdp(const std::vector<DsePoint>& points)
-{
-    return bestBy(points, [](const DsePoint& p) { return p.edp; });
-}
-
 std::vector<DsePoint>
 paretoFrontier(std::vector<DsePoint> points)
 {

@@ -129,10 +129,6 @@ std::vector<DseDetailedPoint> runSweepDetailed(
 obs::StatsRegistry mergeSweepStats(
     const std::vector<DseDetailedPoint>& points);
 
-DsePoint bestByLatency(const std::vector<DsePoint>& points);
-DsePoint bestByEnergy(const std::vector<DsePoint>& points);
-DsePoint bestByEdp(const std::vector<DsePoint>& points);
-
 /**
  * Latency-energy Pareto frontier, sorted by ascending cycles. Every
  * returned point is non-dominated; every extreme (min-latency,

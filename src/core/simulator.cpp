@@ -223,10 +223,10 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
 
     // Element-wise tail on the vector unit, serialized after the
     // matrix part (§III-C).
+    multicore::SimdConfig simd;
+    simd.lanes = cfg_.simdLanes;
+    simd.latencyPerOp = cfg_.simdLatencyPerOp;
     if (layer.tail != VectorTail::None) {
-        multicore::SimdConfig simd;
-        simd.lanes = cfg_.simdLanes;
-        simd.latencyPerOp = cfg_.simdLatencyPerOp;
         result.simdCycles = multicore::simdCycles(
             simd, layer.tail, result.denseGemm.m * result.denseGemm.n);
         result.totalCycles += result.simdCycles;
@@ -267,9 +267,9 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
                 ceilDiv(result.sparse->metadataBits, word_bits);
         }
         if (layer.tail != VectorTail::None) {
-            std::uint64_t passes = 1;
-            if (layer.tail == VectorTail::Softmax)
-                passes = 3;
+            const std::uint64_t passes =
+                layer.tail == VectorTail::Softmax ? simd.softmaxPasses
+                                                  : 1;
             result.actions.vectorOps = result.denseGemm.m
                 * result.denseGemm.n * passes;
         }

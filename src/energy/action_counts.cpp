@@ -46,6 +46,52 @@ accessMru4(std::uint64_t* b, std::uint64_t row)
     return h0 | h1 | h2 | h3;
 }
 
+/**
+ * Charge one layer's §VII-E rules, shared by the trace and analytical
+ * paths. `counts` already holds the layer's SRAM accesses on top of
+ * `before` (the counts may span many layers). Of the layer's
+ * PE-cycles, `macs` are real MACs and the rest are gated or constant.
+ */
+void
+chargeLayer(ActionCounts& counts, const ActionCounts& before,
+            std::uint64_t rows, std::uint64_t cols, Cycle cycles,
+            Count macs, bool clock_gating)
+{
+    counts.cycles += cycles;
+    const std::uint64_t pe_cycles = rows * cols * cycles;
+    counts.macRandom += macs;
+    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
+    (clock_gating ? counts.macGated : counts.macConstant) += idle_macs;
+
+    const Count ifmap_used = counts.ifmapSram.reads()
+        - before.ifmapSram.reads();
+    const Count filter_used = counts.filterSram.reads()
+        - before.filterSram.reads();
+    const Count ofmap_used = counts.ofmapSram.reads()
+        + counts.ofmapSram.writes() - before.ofmapSram.reads()
+        - before.ofmapSram.writes();
+
+    // PE scratchpads follow §VII-E's dataflow-sensitive rules: writes
+    // track the SRAM reads that deliver new data, reads track MACs.
+    counts.ifmapSpadWrite += ifmap_used;
+    counts.ifmapSpadRead += macs;
+    counts.weightSpadWrite += filter_used;
+    counts.weightSpadRead += macs;
+    counts.psumSpadRead += macs;
+    counts.psumSpadWrite += macs;
+
+    // Idle port-cycles: ifmap SRAM feeds R ports, filter and ofmap C.
+    auto idle = [cycles](std::uint64_t ports, Count used) -> Count {
+        return ports * cycles > used ? ports * cycles - used : 0;
+    };
+    counts.ifmapSram.idle += idle(rows, ifmap_used);
+    counts.filterSram.idle += idle(cols, filter_used);
+    counts.ofmapSram.idle += idle(cols, ofmap_used);
+
+    // Every SRAM<->array word traverses the array-edge NoC.
+    counts.nocWords += ifmap_used + filter_used + ofmap_used;
+}
+
 } // namespace
 
 void
@@ -127,8 +173,6 @@ ActionCountVisitor::beginLayer(const systolic::FoldGrid& grid,
                                const systolic::OperandMap& /*operands*/)
 {
     utilization_ = grid.utilization();
-    numPes_ = static_cast<std::uint64_t>(grid.arrayRows())
-        * grid.arrayCols();
     arrayRows_ = grid.arrayRows();
     arrayCols_ = grid.arrayCols();
     ifmapRows_.reset(kTrackerBanks, cfg_.bankSize);
@@ -380,56 +424,13 @@ ActionCountVisitor::cycle(Cycle /*clk*/,
 void
 ActionCountVisitor::endLayer(Cycle total_cycles)
 {
-    counts_.cycles += total_cycles;
-
-    // MAC action counts: PEs x cycles x utilization are real MACs; the
-    // remainder is constant (clocked) or gated (§VII-E).
-    const std::uint64_t pe_cycles = numPes_ * total_cycles;
+    // PEs x cycles x utilization are real MACs.
+    const std::uint64_t pe_cycles = static_cast<std::uint64_t>(arrayRows_)
+        * arrayCols_ * total_cycles;
     const Count macs = static_cast<Count>(
         static_cast<double>(pe_cycles) * utilization_ + 0.5);
-    counts_.macRandom += macs;
-    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
-    if (clockGating_)
-        counts_.macGated += idle_macs;
-    else
-        counts_.macConstant += idle_macs;
-
-    // Per-layer SRAM access deltas (the visitor may span many layers).
-    const Count ifmap_layer_reads = counts_.ifmapSram.reads()
-        - layerStart_.ifmapSram.reads();
-    const Count filter_layer_reads = counts_.filterSram.reads()
-        - layerStart_.filterSram.reads();
-
-    // PE scratchpads follow §VII-E's dataflow-sensitive rules: writes
-    // track the SRAM reads that deliver new data, reads track MACs.
-    counts_.ifmapSpadWrite += ifmap_layer_reads;
-    counts_.ifmapSpadRead += macs;
-    counts_.weightSpadWrite += filter_layer_reads;
-    counts_.weightSpadRead += macs;
-    counts_.psumSpadRead += macs;
-    counts_.psumSpadWrite += macs;
-
-    // Idle port-cycles: ifmap SRAM feeds R ports, filter and ofmap C.
-    const Count ifmap_ports = static_cast<Count>(arrayRows_)
-        * total_cycles;
-    const Count filter_ports = static_cast<Count>(arrayCols_)
-        * total_cycles;
-    const Count ofmap_ports = static_cast<Count>(arrayCols_)
-        * total_cycles;
-    const Count ifmap_used = ifmap_layer_reads;
-    const Count filter_used = filter_layer_reads;
-    const Count ofmap_used = counts_.ofmapSram.reads()
-        + counts_.ofmapSram.writes() - layerStart_.ofmapSram.reads()
-        - layerStart_.ofmapSram.writes();
-    counts_.ifmapSram.idle += ifmap_ports > ifmap_used
-        ? ifmap_ports - ifmap_used : 0;
-    counts_.filterSram.idle += filter_ports > filter_used
-        ? filter_ports - filter_used : 0;
-    counts_.ofmapSram.idle += ofmap_ports > ofmap_used
-        ? ofmap_ports - ofmap_used : 0;
-
-    // Every SRAM<->array word traverses the array-edge NoC.
-    counts_.nocWords += ifmap_used + filter_used + ofmap_used;
+    chargeLayer(counts_, layerStart_, arrayRows_, arrayCols_,
+                total_cycles, macs, clockGating_);
 }
 
 ActionCounts
@@ -439,18 +440,6 @@ analyticalActionCounts(const systolic::FoldGrid& grid,
     if (cfg.rowSize == 0)
         fatal("energy RowSize must be non-zero");
     ActionCounts counts;
-    counts.cycles = grid.totalCycles();
-
-    const std::uint64_t pe_cycles = static_cast<std::uint64_t>(
-        grid.arrayRows()) * grid.arrayCols() * counts.cycles;
-    const Count macs = grid.gemm().macs();
-    counts.macRandom = macs;
-    const Count idle_macs = pe_cycles > macs ? pe_cycles - macs : 0;
-    if (clock_gating)
-        counts.macGated = idle_macs;
-    else
-        counts.macConstant = idle_macs;
-
     const auto sram = grid.sramAccessCounts();
     // Every systolic access stream walks row buffers in a structured
     // way: even skewed streams revisit the block a neighboring feeder
@@ -475,29 +464,8 @@ analyticalActionCounts(const systolic::FoldGrid& grid,
     split(sram.ofmapReads, seq, counts.ofmapSram.readRandom,
           counts.ofmapSram.readRepeat);
 
-    counts.ifmapSpadWrite = counts.ifmapSram.reads();
-    counts.ifmapSpadRead = macs;
-    counts.weightSpadWrite = counts.filterSram.reads();
-    counts.weightSpadRead = macs;
-    counts.psumSpadRead = macs;
-    counts.psumSpadWrite = macs;
-
-    const Count ifmap_ports = static_cast<Count>(grid.arrayRows())
-        * counts.cycles;
-    const Count filter_ports = static_cast<Count>(grid.arrayCols())
-        * counts.cycles;
-    const Count ofmap_ports = filter_ports;
-    const Count ifmap_used = counts.ifmapSram.reads();
-    const Count filter_used = counts.filterSram.reads();
-    const Count ofmap_used = counts.ofmapSram.reads()
-        + counts.ofmapSram.writes();
-    counts.ifmapSram.idle = ifmap_ports > ifmap_used
-        ? ifmap_ports - ifmap_used : 0;
-    counts.filterSram.idle = filter_ports > filter_used
-        ? filter_ports - filter_used : 0;
-    counts.ofmapSram.idle = ofmap_ports > ofmap_used
-        ? ofmap_ports - ofmap_used : 0;
-    counts.nocWords = ifmap_used + filter_used + ofmap_used;
+    chargeLayer(counts, ActionCounts{}, grid.arrayRows(), grid.arrayCols(),
+                grid.totalCycles(), grid.gemm().macs(), clock_gating);
     return counts;
 }
 

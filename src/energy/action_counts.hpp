@@ -241,7 +241,6 @@ class ActionCountVisitor : public systolic::DemandVisitor
     Count foldsSummarized_ = 0;
 
     double utilization_ = 0.0;
-    std::uint64_t numPes_ = 0;
     std::uint32_t arrayRows_ = 1;
     std::uint32_t arrayCols_ = 1;
 };

@@ -19,14 +19,4 @@ simdCycles(const SimdConfig& simd, VectorOp op, std::uint64_t elements)
     return vectors * passes * simd.latencyPerOp;
 }
 
-Cycle
-tensorCoreCycles(const TensorCoreConfig& core, const GemmDims& gemm,
-                 Dataflow df, VectorOp tail)
-{
-    const systolic::FoldGrid grid(gemm, df, core.arrayRows,
-                                  core.arrayCols);
-    return grid.totalCycles()
-        + simdCycles(core.simd, tail, gemm.m * gemm.n);
-}
-
 } // namespace scalesim::multicore

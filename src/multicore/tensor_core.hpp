@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/types.hpp"
-#include "systolic/mapping.hpp"
 
 namespace scalesim::multicore
 {
@@ -50,12 +49,6 @@ struct TensorCoreConfig
 /** Cycles the vector unit needs for `elements` under `op`. */
 Cycle simdCycles(const SimdConfig& simd, VectorOp op,
                  std::uint64_t elements);
-
-/**
- * Analytical cycles for one GEMM (+ vector tail) on one tensor core.
- */
-Cycle tensorCoreCycles(const TensorCoreConfig& core, const GemmDims& gemm,
-                       Dataflow df, VectorOp tail = VectorOp::None);
 
 } // namespace scalesim::multicore
 

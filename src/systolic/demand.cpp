@@ -107,10 +107,10 @@ DemandGenerator::runFold(DemandVisitor& visitor, std::uint64_t rf,
         runFoldOs(visitor, rf, cf, fold_start);
         break;
       case Dataflow::WeightStationary:
-        runFoldWs(visitor, rf, cf, fold_start);
+        runFoldStationary<true>(visitor, rf, cf, fold_start);
         break;
       case Dataflow::InputStationary:
-        runFoldIs(visitor, rf, cf, fold_start);
+        runFoldStationary<false>(visitor, rf, cf, fold_start);
         break;
     }
 }
@@ -327,27 +327,54 @@ DemandGenerator::runFoldOs(DemandVisitor& visitor, std::uint64_t rf,
     }
 }
 
+template <bool WS>
 void
-DemandGenerator::runFoldWs(DemandVisitor& visitor, std::uint64_t rf,
-                           std::uint64_t cf, Cycle fold_start) const
+DemandGenerator::runFoldStationary(DemandVisitor& visitor,
+                                   std::uint64_t rf, std::uint64_t cf,
+                                   Cycle fold_start) const
 {
-    const std::uint64_t tr = grid_.tileRows(rf); // K-range (compressed)
-    const std::uint64_t tc = grid_.tileCols(cf); // N-range
+    // Rows hold a K range (compressed under a sparse gather). WS: the
+    // filter tile is stationary, columns are N and t runs over M. IS:
+    // the ifmap tile is stationary, columns are M and t runs over N.
+    const std::uint64_t tr = grid_.tileRows(rf);
+    const std::uint64_t tc = grid_.tileCols(cf);
     const std::uint64_t kbase = rf * grid_.arrayRows();
     const std::uint64_t cbase = cf * grid_.arrayCols();
-    const std::uint64_t t_extent = grid_.mapped().t; // == M
+    const std::uint64_t t_extent = grid_.mapped().t;
     const std::uint32_t rows = grid_.arrayRows();
     const Cycle fold_len = grid_.foldCycles();
     const bool accumulate = rf > 0;
 
-    // Column offsets of the K rows this fold streams; sparse runs
-    // gather the original K rows.
+    // Column offsets of the K rows this fold holds; sparse runs gather
+    // the original K rows.
     std::vector<std::uint64_t> col_off(tr);
     for (std::uint64_t r = 0; r < tr; ++r)
         col_off[r] = kOff_[gather_ ? gather_->origK(kbase + r) : kbase + r];
+    std::vector<Addr> row_base;
+    if constexpr (!WS) {
+        row_base.resize(tc);
+        for (std::uint64_t c = 0; c < tc; ++c)
+            row_base[c] = operands_.ifmapRowBase(cbase + c);
+    }
+    // Stationary element (r, c), streamed element (r, t) and output
+    // (c, t) of the fold.
+    auto preload_addr = [&](std::uint64_t r, std::uint64_t c) -> Addr {
+        return WS ? operands_.filterAddr(kbase + r, cbase + c)
+                  : row_base[c] + col_off[r];
+    };
+    auto stream_addr = [&](std::uint64_t r, std::uint64_t t) -> Addr {
+        return WS ? mBase_[t] + col_off[r]
+                  : operands_.filterAddr(kbase + r, t);
+    };
+    auto ofmap_addr = [&](std::uint64_t c, std::uint64_t t) -> Addr {
+        return WS ? operands_.ofmapAddr(t, cbase + c)
+                  : operands_.ofmapAddr(cbase + c, t);
+    };
     std::vector<Addr> ifmap, filter, oreads, writes;
-    ifmap.reserve(tr);
-    filter.reserve(tc);
+    std::vector<Addr>& preload = WS ? filter : ifmap;
+    std::vector<Addr>& stream = WS ? ifmap : filter;
+    preload.reserve(tc);
+    stream.reserve(tr);
     writes.reserve(tc);
     oreads.reserve(tc);
 
@@ -356,91 +383,29 @@ DemandGenerator::runFoldWs(DemandVisitor& visitor, std::uint64_t rf,
         filter.clear();
         oreads.clear();
         writes.clear();
-        if (clk < rows) {
-            // Weight preload, bottom row first so the tile settles as
-            // values shift down the array.
-            if (clk < tr) {
-                const std::uint64_t k = kbase + (tr - 1 - clk);
-                for (std::uint64_t c = 0; c < tc; ++c)
-                    filter.push_back(operands_.filterAddr(k, cbase + c));
-            }
+        // Preload, bottom row first so the tile settles as values
+        // shift down the array.
+        if (clk < tr) {
+            for (std::uint64_t c = 0; c < tc; ++c)
+                preload.push_back(preload_addr(tr - 1 - clk, c));
         }
-        // Skewed ifmap stream: row r consumes A[t][k(r)] at
+        // Skewed stream: row r consumes element (r, t) at
         // clk = R + t + r.
         if (clk >= rows) {
             const Cycle s = clk - rows;
             const std::uint64_t first = s >= t_extent ? s - t_extent + 1
                                                       : 0;
             for (std::uint64_t r = first; r < std::min(tr, s + 1); ++r)
-                ifmap.push_back(mBase_[s - r] + col_off[r]);
+                stream.push_back(stream_addr(r, s - r));
         }
-        // Output drain: O[t][cbase+c] leaves column c at
+        // Output drain: output (c, t) leaves column c at
         // clk = 2R - 1 + t + c.
         if (clk + 1 >= 2ull * rows) {
             const Cycle s = clk - (2ull * rows - 1);
             for (std::uint64_t c = 0; c < tc && c <= s; ++c) {
                 const std::uint64_t t = s - c;
                 if (t < t_extent) {
-                    const Addr addr = operands_.ofmapAddr(t, cbase + c);
-                    writes.push_back(addr);
-                    if (accumulate)
-                        oreads.push_back(addr);
-                }
-            }
-        }
-        visitor.cycle(fold_start + clk, ifmap, filter, oreads, writes);
-    }
-}
-
-void
-DemandGenerator::runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
-                           std::uint64_t cf, Cycle fold_start) const
-{
-    const std::uint64_t tr = grid_.tileRows(rf); // K-range
-    const std::uint64_t tc = grid_.tileCols(cf); // M-range
-    const std::uint64_t kbase = rf * grid_.arrayRows();
-    const std::uint64_t mbase = cf * grid_.arrayCols();
-    const std::uint64_t t_extent = grid_.mapped().t; // == N
-    const std::uint32_t rows = grid_.arrayRows();
-    const Cycle fold_len = grid_.foldCycles();
-    const bool accumulate = rf > 0;
-
-    std::vector<Addr> row_base(tc);
-    for (std::uint64_t c = 0; c < tc; ++c)
-        row_base[c] = operands_.ifmapRowBase(mbase + c);
-    std::vector<Addr> ifmap, filter, oreads, writes;
-    ifmap.reserve(tc);
-    filter.reserve(tr);
-    writes.reserve(tc);
-    oreads.reserve(tc);
-
-    for (Cycle clk = 0; clk < fold_len; ++clk) {
-        ifmap.clear();
-        filter.clear();
-        oreads.clear();
-        writes.clear();
-        if (clk < rows && clk < tr) {
-            // Ifmap preload: stationary tile element (k, m) = A[m][k].
-            const std::uint64_t k = kbase + (tr - 1 - clk);
-            for (std::uint64_t c = 0; c < tc; ++c)
-                ifmap.push_back(row_base[c] + kOff_[k]);
-        }
-        if (clk >= rows) {
-            // Skewed filter stream: row r consumes B[k(r)][t].
-            const Cycle s = clk - rows;
-            for (std::uint64_t r = 0; r < tr && r <= s; ++r) {
-                const std::uint64_t t = s - r;
-                if (t < t_extent)
-                    filter.push_back(operands_.filterAddr(kbase + r, t));
-            }
-        }
-        if (clk + 1 >= 2ull * rows) {
-            // Output drain: O[mbase+c][t] at clk = 2R - 1 + t + c.
-            const Cycle s = clk - (2ull * rows - 1);
-            for (std::uint64_t c = 0; c < tc && c <= s; ++c) {
-                const std::uint64_t t = s - c;
-                if (t < t_extent) {
-                    const Addr addr = operands_.ofmapAddr(mbase + c, t);
+                    const Addr addr = ofmap_addr(c, t);
                     writes.push_back(addr);
                     if (accumulate)
                         oreads.push_back(addr);

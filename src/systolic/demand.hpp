@@ -146,10 +146,10 @@ class DemandGenerator
                  std::uint64_t cf, Cycle fold_start) const;
     void runFoldOs(DemandVisitor& visitor, std::uint64_t rf,
                    std::uint64_t cf, Cycle fold_start) const;
-    void runFoldWs(DemandVisitor& visitor, std::uint64_t rf,
-                   std::uint64_t cf, Cycle fold_start) const;
-    void runFoldIs(DemandVisitor& visitor, std::uint64_t rf,
-                   std::uint64_t cf, Cycle fold_start) const;
+    /** WS (filter stationary) or IS (ifmap stationary) fold. */
+    template <bool WS>
+    void runFoldStationary(DemandVisitor& visitor, std::uint64_t rf,
+                           std::uint64_t cf, Cycle fold_start) const;
 
     /**
      * Fold-equivalence class of (rf, cf): two full folds with the same

@@ -113,9 +113,8 @@ class FoldCaptureVisitor : public DemandVisitor
 class FoldReplayCache
 {
   public:
-    explicit FoldReplayCache(std::size_t max_entries = 32)
-        : maxEntries_(max_entries == 0 ? 1 : max_entries)
-    {}
+    /** Classes kept at once. */
+    static constexpr std::size_t kMaxEntries = 32;
 
     FoldCacheEntry*
     find(std::uint64_t key)
@@ -127,7 +126,7 @@ class FoldReplayCache
     FoldCacheEntry&
     insert(std::uint64_t key, std::uint64_t rf, std::uint64_t cf)
     {
-        if (entries_.size() >= maxEntries_)
+        if (entries_.size() >= kMaxEntries)
             entries_.erase(entries_.begin());
         FoldCacheEntry& entry = entries_[key];
         entry.rf = rf;
@@ -138,7 +137,6 @@ class FoldReplayCache
     std::size_t size() const { return entries_.size(); }
 
   private:
-    std::size_t maxEntries_;
     std::map<std::uint64_t, FoldCacheEntry> entries_;
 };
 

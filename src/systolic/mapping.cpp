@@ -86,39 +86,6 @@ FoldGrid::mappingEfficiency() const
     return mapped_area / fold_area;
 }
 
-FoldTraffic
-FoldGrid::foldTraffic(std::uint64_t rf, std::uint64_t cf) const
-{
-    const std::uint64_t tr = tileRows(rf);
-    const std::uint64_t tc = tileCols(cf);
-    FoldTraffic traffic;
-    switch (df_) {
-      case Dataflow::OutputStationary:
-        // Sr = M rows of A, Sc = N cols of B, T = K streamed.
-        traffic.ifmapWords = tr * gemm_.k;
-        traffic.filterWords = gemm_.k * tc;
-        traffic.ofmapWriteWords = tr * tc;
-        break;
-      case Dataflow::WeightStationary:
-        // Stationary filter tile [K-range x N-range]; ifmap streams all
-        // M rows over the tile's K range; outputs are M x N-range.
-        traffic.filterWords = tr * tc;
-        traffic.ifmapWords = gemm_.m * tr;
-        traffic.ofmapWriteWords = gemm_.m * tc;
-        traffic.ofmapReadWords = rf > 0 ? gemm_.m * tc : 0;
-        break;
-      case Dataflow::InputStationary:
-        // Stationary ifmap tile [K-range x M-range]; filter streams all
-        // N cols over the tile's K range; outputs are M-range x N.
-        traffic.ifmapWords = tr * tc;
-        traffic.filterWords = gemm_.n * tr;
-        traffic.ofmapWriteWords = gemm_.n * tc;
-        traffic.ofmapReadWords = rf > 0 ? gemm_.n * tc : 0;
-        break;
-    }
-    return traffic;
-}
-
 FoldGrid::SramAccessCounts
 FoldGrid::sramAccessCounts() const
 {
@@ -133,17 +100,17 @@ FoldGrid::sramAccessCounts() const
         counts.ofmapWrites = sr * sc;
         break;
       case Dataflow::WeightStationary:
-        counts.filterReads = sr * sc;            // stationary loads
-        counts.ifmapReads = sr * t * colFolds_;  // streamed operand
+      case Dataflow::InputStationary: {
+        // The stationary operand (WS: filter, IS: ifmap) loads each
+        // element once; the streamed one is read once per column fold.
+        const bool ws = df_ == Dataflow::WeightStationary;
+        (ws ? counts.filterReads : counts.ifmapReads) = sr * sc;
+        (ws ? counts.ifmapReads : counts.filterReads) =
+            sr * t * colFolds_;
         counts.ofmapWrites = sc * t * rowFolds_;
         counts.ofmapReads = sc * t * (rowFolds_ - 1);
         break;
-      case Dataflow::InputStationary:
-        counts.ifmapReads = sr * sc;             // stationary loads
-        counts.filterReads = sr * t * colFolds_; // streamed operand
-        counts.ofmapWrites = sc * t * rowFolds_;
-        counts.ofmapReads = sc * t * (rowFolds_ - 1);
-        break;
+      }
     }
     return counts;
 }

@@ -161,19 +161,6 @@ struct OperandMap
 /** Conventional (Sr, Sc, T) mapping used by the demand engine. */
 MappedDims mapGemmConventional(const GemmDims& gemm, Dataflow df);
 
-/** Which operand each mapped dimension pair addresses. */
-struct FoldTraffic
-{
-    /** Unique ifmap words this fold touches. */
-    std::uint64_t ifmapWords = 0;
-    /** Unique filter words this fold touches. */
-    std::uint64_t filterWords = 0;
-    /** Ofmap words written by this fold. */
-    std::uint64_t ofmapWriteWords = 0;
-    /** Ofmap words re-read for partial-sum accumulation. */
-    std::uint64_t ofmapReadWords = 0;
-};
-
 /**
  * Fold geometry for a (GEMM, dataflow, array) triple. Fold (rf, cf)
  * covers rows [rf*R, rf*R + tileRows) of Sr and columns
@@ -225,9 +212,6 @@ class FoldGrid
      * mapping efficiency).
      */
     double mappingEfficiency() const;
-
-    /** Unique DRAM-side words each fold touches per operand. */
-    FoldTraffic foldTraffic(std::uint64_t rf, std::uint64_t cf) const;
 
     /**
      * Per-operand SRAM access counts over the whole layer, as seen at

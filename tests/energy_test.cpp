@@ -216,6 +216,26 @@ TEST(ActionCounts, TraceAndAnalyticalAgreeOnStructure)
         EXPECT_EQ(analytical.ofmapSram.writes(),
                   trace.ofmapSram.writes()) << toString(df);
         EXPECT_EQ(analytical.nocWords, trace.nocWords) << toString(df);
+        // The per-layer rules derived from those totals agree too.
+        EXPECT_EQ(analytical.macGated, trace.macGated) << toString(df);
+        EXPECT_EQ(analytical.ifmapSpadRead, trace.ifmapSpadRead)
+            << toString(df);
+        EXPECT_EQ(analytical.ifmapSpadWrite, trace.ifmapSpadWrite)
+            << toString(df);
+        EXPECT_EQ(analytical.weightSpadRead, trace.weightSpadRead)
+            << toString(df);
+        EXPECT_EQ(analytical.weightSpadWrite, trace.weightSpadWrite)
+            << toString(df);
+        EXPECT_EQ(analytical.psumSpadRead, trace.psumSpadRead)
+            << toString(df);
+        EXPECT_EQ(analytical.psumSpadWrite, trace.psumSpadWrite)
+            << toString(df);
+        EXPECT_EQ(analytical.ifmapSram.idle, trace.ifmapSram.idle)
+            << toString(df);
+        EXPECT_EQ(analytical.filterSram.idle, trace.filterSram.idle)
+            << toString(df);
+        EXPECT_EQ(analytical.ofmapSram.idle, trace.ofmapSram.idle)
+            << toString(df);
     }
 }
 

@@ -20,7 +20,6 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/simulator.hpp"
-#include "multicore/nop.hpp"
 #include "multicore/system.hpp"
 #include "multicore/trace_sim.hpp"
 #include "systolic/scratchpad.hpp"
@@ -176,22 +175,6 @@ TEST(Simd, CyclesScaleWithLanesAndLatency)
     simd.lanes = 64;
     simd.latencyPerOp = 1;
     EXPECT_EQ(simdCycles(simd, VectorOp::Activation, 256), 4u);
-}
-
-TEST(TensorCore, GemmPlusTail)
-{
-    TensorCoreConfig core;
-    core.arrayRows = 16;
-    core.arrayCols = 16;
-    const GemmDims gemm{64, 64, 64};
-    const Cycle plain = tensorCoreCycles(core, gemm,
-                                         Dataflow::OutputStationary);
-    const Cycle with_tail = tensorCoreCycles(
-        core, gemm, Dataflow::OutputStationary, VectorOp::Softmax);
-    EXPECT_GT(with_tail, plain);
-    const systolic::FoldGrid grid(gemm, Dataflow::OutputStationary, 16,
-                                  16);
-    EXPECT_EQ(plain, grid.totalCycles());
 }
 
 TEST(System, HomogeneousGridRuns)
@@ -716,43 +699,4 @@ TEST(RunMultiCore, AuditsEachCoreAndTheRunTotals)
         }
     }
     EXPECT_GT(run.audit.checks(), per_core.report().checks());
-}
-
-TEST(MeshNop, HopGeometry)
-{
-    const auto mesh = MeshNop::cornerAttached(4, 4);
-    EXPECT_EQ(mesh.hops(0, 0), 1u);
-    EXPECT_EQ(mesh.hops(0, 3), 4u);
-    EXPECT_EQ(mesh.hops(3, 0), 4u);
-    EXPECT_EQ(mesh.hops(3, 3), 7u);
-    EXPECT_EQ(mesh.maxHops(), 7u);
-    EXPECT_EQ(mesh.hopVector().size(), 16u);
-
-    const auto edge = MeshNop::edgeCenterAttached(2, 4);
-    EXPECT_EQ(edge.hops(0, 2), 1u);
-    EXPECT_EQ(edge.hops(1, 0), 4u);
-    // Edge-center attach shrinks the worst-case distance.
-    EXPECT_LT(edge.maxHops(), MeshNop::cornerAttached(2, 4).maxHops());
-}
-
-TEST(MeshNop, RejectsInvalidPositions)
-{
-    EXPECT_THROW(MeshNop(2, 2, 2, 0), FatalError);
-    EXPECT_THROW(MeshNop(0, 2, 0, 0), FatalError);
-}
-
-TEST(MeshNop, DrivesNonUniformPartitioning)
-{
-    TensorCoreConfig core;
-    core.arrayRows = core.arrayCols = 16;
-    const auto mesh = MeshNop::cornerAttached(4, 1);
-    MultiCoreConfig cfg = MultiCoreConfig::homogeneous(core, 4, 1);
-    cfg.nop = mesh.toNopConfig(50, 1.0);
-    MultiCoreSimulator uniform(cfg);
-    cfg.nonUniform = true;
-    MultiCoreSimulator skewed(cfg);
-    const GemmDims gemm{4096, 256, 256};
-    EXPECT_LE(skewed.runGemm(gemm, Dataflow::OutputStationary).makespan,
-              uniform.runGemm(gemm, Dataflow::OutputStationary)
-                  .makespan);
 }

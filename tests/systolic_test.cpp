@@ -91,37 +91,6 @@ TEST(FoldGrid, PerfectFitMappingEfficiencyIsOne)
     EXPECT_DOUBLE_EQ(grid.mappingEfficiency(), 1.0);
 }
 
-TEST(FoldGrid, FoldTrafficConservation)
-{
-    // Summed over folds, stationary-operand traffic covers each element
-    // exactly once.
-    const GemmDims gemm{50, 30, 70};
-    {
-        FoldGrid grid(gemm, Dataflow::WeightStationary, 16, 8);
-        std::uint64_t filter_words = 0;
-        for (std::uint64_t rf = 0; rf < grid.rowFolds(); ++rf)
-            for (std::uint64_t cf = 0; cf < grid.colFolds(); ++cf)
-                filter_words += grid.foldTraffic(rf, cf).filterWords;
-        EXPECT_EQ(filter_words, gemm.k * gemm.n);
-    }
-    {
-        FoldGrid grid(gemm, Dataflow::InputStationary, 16, 8);
-        std::uint64_t ifmap_words = 0;
-        for (std::uint64_t rf = 0; rf < grid.rowFolds(); ++rf)
-            for (std::uint64_t cf = 0; cf < grid.colFolds(); ++cf)
-                ifmap_words += grid.foldTraffic(rf, cf).ifmapWords;
-        EXPECT_EQ(ifmap_words, gemm.k * gemm.m);
-    }
-    {
-        FoldGrid grid(gemm, Dataflow::OutputStationary, 16, 8);
-        std::uint64_t ofmap_words = 0;
-        for (std::uint64_t rf = 0; rf < grid.rowFolds(); ++rf)
-            for (std::uint64_t cf = 0; cf < grid.colFolds(); ++cf)
-                ofmap_words += grid.foldTraffic(rf, cf).ofmapWriteWords;
-        EXPECT_EQ(ofmap_words, gemm.m * gemm.n);
-    }
-}
-
 TEST(FoldGrid, SramAccessClosedForms)
 {
     const GemmDims gemm{40, 24, 56};
