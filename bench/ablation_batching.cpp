@@ -45,8 +45,9 @@ evaluate(Dataflow df, std::uint64_t batch)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: batch size vs per-image cost, "
                 "ViT-base, 64x64 ===\n");

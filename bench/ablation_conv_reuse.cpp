@@ -36,8 +36,9 @@ run(const Topology& topo, bool im2col_reuse)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: window-reuse vs im2col-expanded conv "
                 "traffic ===\n");

@@ -40,8 +40,9 @@ interleavedStreams(const DramTiming& timing, int streams, int per)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: FR-FCFS reorder window (DRAM "
                 "controller) ===\n");

@@ -48,8 +48,9 @@ schemeName(LayoutScheme s)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: per-layer layout search vs fixed "
                 "row-major (§VI) ===\n");

@@ -31,8 +31,9 @@ replay(const std::vector<TraceEntry>& trace, PagePolicy policy)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: open- vs closed-page DRAM policy ===\n");
     const DramTiming t = timingPreset("DDR4_2400");

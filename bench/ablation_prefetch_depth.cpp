@@ -37,8 +37,9 @@ run(std::uint32_t depth, double core_mhz)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: prefetch depth (double-buffering "
                 "generalization) ===\n");

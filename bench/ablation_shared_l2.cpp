@@ -15,8 +15,9 @@ using namespace scalesim;
 using namespace scalesim::multicore;
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Ablation: shared L2 vs private-L1-only (§III-B) "
                 "===\n");

@@ -152,6 +152,31 @@ struct CalibratedBest
 };
 
 /**
+ * Print `usage: <argv0> <synopsis>` (stdout for code 0, else stderr)
+ * and exit with `code`.
+ */
+[[noreturn]] inline void
+usage(const char* argv0, const std::string& synopsis, int code)
+{
+    std::fprintf(code == 0 ? stdout : stderr, "usage: %s%s%s\n", argv0,
+                 synopsis.empty() ? "" : " ", synopsis.c_str());
+    std::exit(code);
+}
+
+/**
+ * For a bench that takes no arguments: `-h`/`--help` prints the usage
+ * line and exits 0; any other argument exits 2.
+ */
+inline void
+noArgs(int argc, char** argv)
+{
+    if (argc < 2)
+        return;
+    const std::string_view arg = argv[1];
+    usage(argv[0], "", arg == "-h" || arg == "--help" ? 0 : 2);
+}
+
+/**
  * Worker threads for the bench's config points, from `--jobs N` (or
  * `-j N`) on the command line; `fallback` when absent. N = 0 means
  * auto (SCALESIM_JOBS env var, then hardware concurrency). Arguments
@@ -163,27 +188,23 @@ inline unsigned
 jobsFromArgs(int argc, char** argv, unsigned fallback = 1,
              const char* positional = "")
 {
-    auto usage = [&](int code) {
-        std::fprintf(code == 0 ? stdout : stderr,
-                     "usage: %s %s[--jobs N | -j N]\n", argv[0],
-                     positional);
-        std::exit(code);
-    };
+    const std::string synopsis =
+        std::string(positional) + "[--jobs N | -j N]";
     unsigned jobs = fallback;
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "-h" || arg == "--help")
-            usage(0);
+            usage(argv[0], synopsis, 0);
         if (arg == "--jobs" || arg == "-j") {
             std::uint64_t n = 0;
             if (i + 1 == argc
                 || scalesim::parseUint64(argv[++i], n)
                        != scalesim::NumberParse::Ok
                 || n > std::numeric_limits<unsigned>::max())
-                usage(2);
+                usage(argv[0], synopsis, 2);
             jobs = static_cast<unsigned>(n);
         } else if (arg.starts_with('-')) {
-            usage(2);
+            usage(argv[0], synopsis, 2);
         }
     }
     return jobs;

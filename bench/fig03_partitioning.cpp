@@ -19,8 +19,9 @@ using namespace scalesim;
 using namespace scalesim::multicore;
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 3: spatial vs spatio-temporal partitioning "
                 "===\n");

@@ -40,8 +40,9 @@ totalCycles(std::uint64_t sram_kb, std::uint32_t n, std::uint32_t m)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 5: total cycles (incl. stalls) vs on-chip "
                 "memory, ResNet-18, WS ===\n");

@@ -14,8 +14,9 @@ using namespace scalesim;
 using namespace scalesim::sparse;
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 7: ResNet-18 filter storage (MB), Blocked "
                 "ELLPACK, data+metadata ===\n");

@@ -45,8 +45,9 @@ ffCycles(std::uint32_t array, std::uint32_t n, std::uint32_t m)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 8: ViT-base FF compute cycles vs array size, "
                 "sparsity ratio, block size ===\n");

@@ -73,8 +73,9 @@ evaluateDataflow(const std::vector<LayerSpec>& layers, Dataflow df,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 12: layout slowdown vs (bandwidth, banks), "
                 "128x128, ResNet-18 ===\n");

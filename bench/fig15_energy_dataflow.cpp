@@ -40,8 +40,9 @@ energyMj(const Topology& topo, Dataflow df, std::uint32_t array)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Fig. 15: energy (mJ) by dataflow and array size "
                 "===\n");

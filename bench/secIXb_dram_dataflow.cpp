@@ -44,8 +44,9 @@ run(const Topology& topo, Dataflow df, bool dram)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== SecIX-B: WS vs OS with and without DRAM stalls, "
                 "six ResNet-18 layers ===\n");

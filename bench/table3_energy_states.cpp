@@ -20,8 +20,9 @@
 using namespace scalesim;
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Table III: energy-model validation across system "
                 "states ===\n");

@@ -15,10 +15,13 @@
  *
  * Times come from the simulator's own SimProfiler instrumentation
  * (per-phase wall-clock threaded through Simulator::runLayer), not
- * from external stopwatches. Pass `--jobs N` to spread the
- * (workload x feature) config points over N worker threads — each
- * point owns its Simulator, so the measured ratios are unchanged
- * while the bench's wall-clock shrinks.
+ * from external stopwatches. The Mean row divides wall time; the
+ * energy and layout runs overlap their demand pass with the timing
+ * pass on a second thread (DESIGN.md "Run pipeline"), so the Mean CPU
+ * row divides the CPU seconds of the simulating threads as well.
+ * Pass `--jobs N` to spread the (workload x feature) config points
+ * over N worker threads — each point owns its Simulator, so the
+ * measured ratios are unchanged while the bench's wall-clock shrinks.
  */
 
 #include "bench_util.hpp"
@@ -42,6 +45,7 @@ chargeDemandPass(SimProfiler& profiler, const Topology& topo,
                  const SimConfig& cfg)
 {
     benchutil::Timer demand_timer;
+    const double cpu_start = threadCpuSeconds();
     for (const auto& layer : topo.layers) {
         const sparse::SparseLayerModel model(layer, cfg.sparsity);
         const GemmDims gemm = layer.toGemm();
@@ -54,6 +58,7 @@ chargeDemandPass(SimProfiler& profiler, const Topology& topo,
     }
     profiler.chargeExternal(SimPhase::DemandGen,
                             demand_timer.seconds());
+    profiler.chargeCpu(threadCpuSeconds() - cpu_start);
 }
 
 /**
@@ -133,6 +138,7 @@ main(int argc, char** argv)
                "Energy", "DRAM", "Layout"});
     table.rule();
     double mean[kFeatures] = {};
+    double mean_cpu[kFeatures] = {};
     SimProfile aggregate;
     for (int w = 0; w < kWorkloads; ++w) {
         const SimProfile& base = profiles[
@@ -144,6 +150,8 @@ main(int argc, char** argv)
             const double overhead = feat.totalSeconds
                 / std::max(base.totalSeconds, 1e-9);
             mean[f] += overhead;
+            mean_cpu[f] += feat.cpuSeconds
+                / std::max(base.cpuSeconds, 1e-9);
             row.push_back(benchutil::fmt("%.2fx", overhead));
             aggregate.merge(feat);
         }
@@ -151,10 +159,14 @@ main(int argc, char** argv)
         table.row(row);
     }
     std::vector<std::string> mean_row = {"Mean"};
-    for (int f = 0; f < kFeatures; ++f)
+    std::vector<std::string> cpu_row = {"Mean CPU"};
+    for (int f = 0; f < kFeatures; ++f) {
         mean_row.push_back(benchutil::fmt("%.2fx", mean[f] / 4.0));
+        cpu_row.push_back(benchutil::fmt("%.2fx", mean_cpu[f] / 4.0));
+    }
     table.rule();
     table.row(mean_row);
+    table.row(cpu_row);
     std::printf("(paper means: multi-core 2.29x, 2:4 0.42x, 1:4 "
                 "0.29x, Accelergy 1.19x, Ramulator 2.13x, Layout "
                 "16.03x; %s)\n",
@@ -170,6 +182,8 @@ main(int argc, char** argv)
     std::printf("  %-12s %10.3f s\n", "other", aggregate.otherSeconds());
     std::printf("  %-12s %10.3f s  (sum of per-point simulate time)\n",
                 "total", aggregate.totalSeconds);
+    std::printf("  %-12s %10.3f s  (CPU time of the simulating "
+                "threads)\n", "cpu", aggregate.cpuSeconds);
     std::printf("  %-12s %10llu KiB (process peak RSS)\n", "peakRss",
                 static_cast<unsigned long long>(aggregate.peakRssKb));
     std::printf("bench wall-clock: %.3f s at jobs=%u\n", wall_seconds,

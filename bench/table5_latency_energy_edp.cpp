@@ -56,8 +56,9 @@ evaluate(const Topology& topo, std::uint32_t array)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Table V: latency / energy / EdP for 32^2, 64^2, "
                 "128^2 arrays ===\n");

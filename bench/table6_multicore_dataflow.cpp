@@ -104,8 +104,9 @@ multiCore(const Topology& topo, Dataflow df)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    benchutil::noArgs(argc, argv);
     setQuiet(true);
     std::printf("=== Table VI: single 128x128 vs 16 x 32x32, ViT-base "
                 "===\n");

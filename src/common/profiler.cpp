@@ -6,6 +6,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <time.h>
 #endif
 
 namespace scalesim
@@ -41,6 +42,19 @@ peakRssKb()
     return 0;
 }
 
+double
+threadCpuSeconds()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    timespec ts{};
+    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
+        return static_cast<double>(ts.tv_sec)
+            + static_cast<double>(ts.tv_nsec) * 1e-9;
+    }
+#endif
+    return 0.0;
+}
+
 void
 SimProfile::writeReport(std::ostream& out) const
 {
@@ -51,6 +65,8 @@ SimProfile::writeReport(std::ostream& out) const
     out << "---------- SIM_OVERHEAD ----------\n";
     stat("sim.overhead.totalSeconds", format("%.6f", totalSeconds),
          "wall-clock spent simulating");
+    stat("sim.overhead.cpuSeconds", format("%.6f", cpuSeconds),
+         "CPU time of the simulating threads");
     for (unsigned p = 0; p < kNumSimPhases; ++p) {
         const auto phase = static_cast<SimPhase>(p);
         stat(format("sim.overhead.%s", toString(phase)).c_str(),

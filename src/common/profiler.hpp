@@ -5,7 +5,9 @@
  * run report can state what the *simulation itself* cost (the paper's
  * Table IV treats simulation overhead as a first-class result). One
  * SimProfiler per Simulator instance — workers in a parallel sweep
- * each profile their own run, so no synchronization is needed.
+ * each profile their own run, so no synchronization is needed. A run's
+ * demand worker times its stages into a SimProfiler of its own, which
+ * the calling thread merges in layer order.
  */
 
 #ifndef SCALESIM_COMMON_PROFILER_HH
@@ -38,8 +40,19 @@ struct SimProfile
 {
     /** Accumulated wall-clock seconds per phase. */
     std::array<double, kNumSimPhases> phaseSeconds{};
-    /** Wall-clock seconds spent inside runLayer overall. */
+    /**
+     * Wall-clock seconds of the layers on the calling thread: inside
+     * runLayer, or in Simulator::run the wait for each layer's demand
+     * stage plus its timing stage. Phases of a pipelined run may sum
+     * above it.
+     */
     double totalSeconds = 0.0;
+    /**
+     * CPU seconds of the threads that simulated the layers
+     * (CLOCK_THREAD_CPUTIME_ID): the calling thread's share of
+     * totalSeconds plus the whole of the run's demand worker.
+     */
+    double cpuSeconds = 0.0;
     /** Layers profiled (repetitions are simulated once). */
     std::uint64_t layersProfiled = 0;
     /** Process peak resident-set size sampled at the end, in KiB. */
@@ -68,6 +81,7 @@ struct SimProfile
         for (unsigned p = 0; p < kNumSimPhases; ++p)
             phaseSeconds[p] += other.phaseSeconds[p];
         totalSeconds += other.totalSeconds;
+        cpuSeconds += other.cpuSeconds;
         layersProfiled += other.layersProfiled;
         if (other.peakRssKb > peakRssKb)
             peakRssKb = other.peakRssKb;
@@ -79,6 +93,9 @@ struct SimProfile
 
 /** Process peak RSS in KiB (getrusage; 0 if unavailable). */
 std::uint64_t peakRssKb();
+
+/** CPU seconds of the calling thread so far (0 if unavailable). */
+double threadCpuSeconds();
 
 /** Accumulates a SimProfile; cheap enough to leave always-on. */
 class SimProfiler
@@ -116,12 +133,32 @@ class SimProfiler
         profile_.phaseSeconds[static_cast<unsigned>(phase)] += seconds;
     }
 
-    void
-    chargeLayer(double seconds)
+    /** Start of one layer on the wall clock and the thread's CPU clock. */
+    struct LayerStart
     {
+        clock::time_point wall = clock::now();
+        double cpu = threadCpuSeconds();
+    };
+
+    /**
+     * Charge the layer begun at `start`: its wall seconds to the total
+     * and the calling thread's CPU seconds to cpuSeconds. Returns the
+     * wall seconds.
+     */
+    double
+    chargeLayer(const LayerStart& start)
+    {
+        const double seconds =
+            std::chrono::duration<double>(clock::now() - start.wall)
+                .count();
         profile_.totalSeconds += seconds;
+        profile_.cpuSeconds += threadCpuSeconds() - start.cpu;
         ++profile_.layersProfiled;
+        return seconds;
     }
+
+    /** Charge another thread's CPU seconds (a run's demand worker). */
+    void chargeCpu(double seconds) { profile_.cpuSeconds += seconds; }
 
     /**
      * Charge work performed outside Simulator::runLayer (e.g. a
@@ -143,6 +180,11 @@ class SimProfiler
 
     /** Fold another profile (e.g. a RunResult's) into this one. */
     void merge(const SimProfile& other) { profile_.merge(other); }
+    void
+    merge(const SimProfiler& other)
+    {
+        profile_.merge(other.profile_);
+    }
 
     /** Profile so far, with the peak-RSS probe refreshed. */
     SimProfile

@@ -1,7 +1,10 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 #include <ostream>
+#include <thread>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
@@ -21,8 +24,9 @@ Simulator::Simulator(const SimConfig& cfg, TraceStreams traces)
     init();
     if (traces.ifmapSram || traces.filterSram || traces.ofmapSram
         || traces.ofmapReadSram) {
-        sramTrace_.emplace(traces.ifmapSram, traces.filterSram,
-                           traces.ofmapSram, traces.ofmapReadSram);
+        sramTrace_ = std::make_unique<systolic::SramTraceWriter>(
+            traces.ifmapSram, traces.filterSram, traces.ofmapSram,
+            traces.ofmapReadSram);
     }
     if (memTrace_)
         systolic::writeMemTrace(*memTrace_, {});
@@ -85,11 +89,100 @@ Simulator::reset()
     ranOnce_ = false;
 }
 
+struct Simulator::LayerDemand
+{
+    std::optional<sparse::SparseLayerModel> sparse;
+    systolic::OperandMap operands;
+    double layoutSlowdown = 1.0;
+    /** Exact action counts; empty unless the pass counted energy. */
+    std::optional<energy::ActionCounts> actions;
+    /** Fold-cache counters of a model pass (zero otherwise). */
+    systolic::FoldCacheStats foldCache;
+    /** Sparsity and demand-generation seconds of this stage. */
+    SimProfiler profiler;
+};
+
+bool
+Simulator::modelPass() const
+{
+    return cfg_.mode == SimMode::Trace
+        && (cfg_.layout.enabled || cfg_.energy.enabled);
+}
+
 LayerResult
 Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
 {
-    const SimProfiler::clock::time_point layer_start =
-        SimProfiler::clock::now();
+    const SimProfiler::LayerStart start;
+    LayerResult result = timingStage(layer, demandStage(layer, layer_index));
+    profiler_.chargeLayer(start);
+    return result;
+}
+
+Simulator::LayerDemand
+Simulator::demandStage(const LayerSpec& layer, std::uint64_t layer_index)
+{
+    LayerDemand demand;
+    // 1. Sparsity resolution (§IV).
+    {
+        const auto prof = demand.profiler.scope(SimPhase::Sparsity);
+        demand.sparse.emplace(layer, cfg_.sparsity, layer_index);
+    }
+    const sparse::SparseLayerModel& sparse_model = *demand.sparse;
+    const GemmDims dense_gemm = layer.toGemm();
+    demand.operands = cfg_.memory.im2colAddressing
+        ? systolic::OperandMap::forLayer(layer, cfg_.memory)
+        : systolic::OperandMap(dense_gemm, cfg_.memory);
+
+    // 2. Demand-driven passes: layout slowdown, exact energy action
+    //    counts (trace mode) and the SRAM traces share one pass.
+    const bool model_pass = modelPass();
+    const bool sparse_trace_ok = !sparse_model.active()
+        || cfg_.dataflow == Dataflow::WeightStationary;
+    if ((!model_pass && !sramTrace_) || !sparse_trace_ok)
+        return demand;
+    const sparse::SparsityPattern* gather = sparse_model.active()
+        ? &sparse_model.pattern() : nullptr;
+    systolic::DemandGenerator generator(dense_gemm, cfg_.dataflow,
+                                        cfg_.arrayRows, cfg_.arrayCols,
+                                        demand.operands, gather);
+    generator.setFoldCache(cfg_.foldCache);
+    std::optional<layout::BankConflictEvaluator> layout_eval;
+    std::optional<energy::ActionCountVisitor> action_visitor;
+    std::vector<systolic::DemandVisitor*> sinks;
+    if (model_pass && cfg_.layout.enabled) {
+        layout_eval.emplace(
+            cfg_.layout,
+            layout::OperandLayouts::forOperands(
+                demand.operands, cfg_.layout,
+                layout::LayoutScheme::RowMajor));
+        sinks.push_back(&*layout_eval);
+    }
+    if (model_pass && cfg_.energy.enabled) {
+        action_visitor.emplace(cfg_.energy);
+        sinks.push_back(&*action_visitor);
+    }
+    if (sramTrace_)
+        sinks.push_back(sramTrace_.get());
+    systolic::TeeVisitor tee(std::move(sinks));
+    {
+        const auto prof = demand.profiler.scope(SimPhase::DemandGen);
+        generator.run(tee);
+    }
+    // A pass run only for the SRAM traces leaves the counters alone.
+    if (model_pass)
+        demand.foldCache = generator.foldCacheStats();
+    if (layout_eval)
+        demand.layoutSlowdown = layout_eval->slowdown();
+    if (action_visitor)
+        demand.actions = action_visitor->counts();
+    return demand;
+}
+
+LayerResult
+Simulator::timingStage(const LayerSpec& layer, LayerDemand demand)
+{
+    profiler_.merge(demand.profiler);
+    foldCacheStats_.merge(demand.foldCache);
     const dram::DramStats dram_before = dram_
         ? dram_->system().totalStats() : dram::DramStats{};
     LayerResult result;
@@ -97,20 +190,11 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
     result.repetitions = layer.repetitions;
     result.denseGemm = layer.toGemm();
 
-    // 1. Sparsity resolution (§IV).
-    std::optional<sparse::SparseLayerModel> sparse_model_storage;
-    {
-        const auto prof = profiler_.scope(SimPhase::Sparsity);
-        sparse_model_storage.emplace(layer, cfg_.sparsity, layer_index);
-    }
-    sparse::SparseLayerModel& sparse_model = *sparse_model_storage;
+    const sparse::SparseLayerModel& sparse_model = *demand.sparse;
+    const systolic::OperandMap& operands = demand.operands;
     result.effectiveGemm = sparse_model.effectiveGemm();
     if (sparse_model.active())
         result.sparse = sparse_model.report(cfg_.memory.wordBytes * 8);
-
-    const systolic::OperandMap operands = cfg_.memory.im2colAddressing
-        ? systolic::OperandMap::forLayer(layer, cfg_.memory)
-        : systolic::OperandMap(result.denseGemm, cfg_.memory);
     const systolic::FoldGrid grid(result.effectiveGemm, cfg_.dataflow,
                                   cfg_.arrayRows, cfg_.arrayCols);
     // Compute utilization of the run that actually executes (the
@@ -131,57 +215,15 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
             / static_cast<double>(grid.totalCycles());
     }
     result.mappingEfficiency = grid.mappingEfficiency();
-
-    // 2. Demand-driven passes: layout slowdown, exact energy action
-    //    counts (trace mode) and the SRAM traces share one pass.
-    const bool model_pass = cfg_.mode == SimMode::Trace
-        && (cfg_.layout.enabled || cfg_.energy.enabled);
-    const bool sparse_trace_ok = !sparse_model.active()
-        || cfg_.dataflow == Dataflow::WeightStationary;
-    std::optional<layout::BankConflictEvaluator> layout_eval;
-    std::optional<energy::ActionCountVisitor> action_visitor;
-    if ((model_pass || sramTrace_) && sparse_trace_ok) {
-        const sparse::SparsityPattern* gather = sparse_model.active()
-            ? &sparse_model.pattern() : nullptr;
-        systolic::DemandGenerator generator(
-            result.denseGemm, cfg_.dataflow, cfg_.arrayRows,
-            cfg_.arrayCols, operands, gather);
-        generator.setFoldCache(cfg_.foldCache);
-        std::vector<systolic::DemandVisitor*> sinks;
-        if (model_pass && cfg_.layout.enabled) {
-            layout_eval.emplace(
-                cfg_.layout,
-                layout::OperandLayouts::forOperands(
-                    operands, cfg_.layout,
-                    layout::LayoutScheme::RowMajor));
-            sinks.push_back(&*layout_eval);
-        }
-        if (model_pass && cfg_.energy.enabled) {
-            action_visitor.emplace(cfg_.energy);
-            sinks.push_back(&*action_visitor);
-        }
-        if (sramTrace_)
-            sinks.push_back(&*sramTrace_);
-        systolic::TeeVisitor tee(std::move(sinks));
-        {
-            const auto prof = profiler_.scope(SimPhase::DemandGen);
-            generator.run(tee);
-        }
-        // A pass run only for the SRAM traces leaves the counters alone.
-        if (model_pass)
-            foldCacheStats_.merge(generator.foldCacheStats());
-        if (auditor_ && action_visitor) {
-            // Audit the raw per-layer counts before stall/SIMD cycles
-            // and sparse-metadata reads are folded in below; the
-            // demand-agreement half only holds for the dense stream.
-            auditor_->auditEnergyActions(action_visitor->counts(),
-                                         generator.grid(),
-                                         !sparse_model.active(),
-                                         result.name);
-        }
+    result.layoutSlowdown = demand.layoutSlowdown;
+    if (auditor_ && demand.actions) {
+        // Audit the raw per-layer counts before stall/SIMD cycles and
+        // sparse-metadata reads are folded in below; the
+        // demand-agreement half only holds for the dense stream.
+        auditor_->auditEnergyActions(*demand.actions, grid,
+                                     !sparse_model.active(),
+                                     result.name);
     }
-    if (layout_eval)
-        result.layoutSlowdown = layout_eval->slowdown();
 
     // 3. Memory-system timing (§V): fold-level prefetch scheduling
     //    against the configured main memory through finite queues. The
@@ -245,8 +287,8 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
     // 4. Energy (§VII).
     if (cfg_.energy.enabled) {
         const auto prof = profiler_.scope(SimPhase::Energy);
-        if (action_visitor) {
-            result.actions = action_visitor->counts();
+        if (demand.actions) {
+            result.actions = *demand.actions;
         } else {
             result.actions = energy::analyticalActionCounts(grid,
                                                             cfg_.energy);
@@ -292,9 +334,6 @@ Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
         result.powerW = energyModel_->averagePowerW(
             result.energyBreakdown, result.totalCycles);
     }
-    profiler_.chargeLayer(std::chrono::duration<double>(
-                              SimProfiler::clock::now() - layer_start)
-                              .count());
     return result;
 }
 
@@ -326,6 +365,79 @@ auditRunTotals(check::InvariantAuditor& auditor, const RunResult& run)
     auditor.auditCpiStack(run.cpiTotals, run.totalCycles, "run");
 }
 
+/**
+ * One thread that runs a run's demand stages in layer order, ahead of
+ * the calling thread's timing stages. Each stage's result, or its
+ * exception, is handed over through a promise, and the first exception
+ * ends the worker. Destruction (also while an error unwinds the run)
+ * stops the worker after its current stage and joins it.
+ */
+template <class Demand>
+class DemandWorker
+{
+  public:
+    template <class Stage>
+    DemandWorker(std::size_t layers, Stage stage) : promises_(layers)
+    {
+        futures_.reserve(layers);
+        for (std::promise<Demand>& promise : promises_)
+            futures_.push_back(promise.get_future());
+        thread_ = std::jthread([this, stage](std::stop_token stop) {
+            const double cpu_start = threadCpuSeconds();
+            for (std::size_t i = 0;
+                 i < promises_.size() && !stop.stop_requested(); ++i) {
+                try {
+                    promises_[i].set_value(stage(i));
+                } catch (...) {
+                    promises_[i].set_exception(std::current_exception());
+                    break;
+                }
+            }
+            cpuSeconds_ = threadCpuSeconds() - cpu_start;
+            done_.store(true, std::memory_order_release);
+        });
+    }
+    /** The thread holds `this`. */
+    DemandWorker(const DemandWorker&) = delete;
+    DemandWorker& operator=(const DemandWorker&) = delete;
+
+    /**
+     * Wait for layer i's demand stage; rethrows its exception. Spins
+     * with yields instead of sleeping: on a 4-vCPU VM, a calling
+     * thread that slept in the kernel during the run ran its
+     * single-threaded work after the run up to 1.8x slower (perfbench
+     * setup_s), and spinning restored the serial figure.
+     */
+    Demand
+    take(std::size_t i)
+    {
+        while (futures_[i].wait_for(std::chrono::seconds(0))
+               != std::future_status::ready) {
+            std::this_thread::yield();
+        }
+        return futures_[i].get();
+    }
+
+    /** Join the worker after the last take(); its CPU seconds. */
+    double
+    join()
+    {
+        // Spin until the worker is done, for the reason take() spins.
+        while (!done_.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        thread_.join();
+        return cpuSeconds_;
+    }
+
+  private:
+    std::vector<std::promise<Demand>> promises_;
+    std::vector<std::future<Demand>> futures_;
+    double cpuSeconds_ = 0.0;
+    std::atomic<bool> done_{false};
+    /** Last member, so it is joined before the others are destroyed. */
+    std::jthread thread_;
+};
+
 } // namespace
 
 RunResult
@@ -353,14 +465,31 @@ Simulator::run(const Topology& topology)
         registerStats(snap);
     };
 
+    // Two-stage pipeline: with a demand pass, one worker runs the
+    // demand stages in layer order while this thread runs the timing
+    // stages, so demand i+1 overlaps timing i. Every stateful
+    // component is still touched in layer order on one thread.
+    std::optional<DemandWorker<LayerDemand>> worker;
+    if (modelPass() || sramTrace_) {
+        worker.emplace(topology.layers.size(), [&](std::size_t i) {
+            return demandStage(topology.layers[i], i);
+        });
+    }
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
-        run.addLayer(runLayer(topology.layers[i], i), cfg_.energy.enabled);
+        const LayerSpec& layer = topology.layers[i];
+        const SimProfiler::LayerStart start;
+        LayerResult result = timingStage(
+            layer, worker ? worker->take(i) : demandStage(layer, i));
+        profiler_.chargeLayer(start);
+        run.addLayer(std::move(result), cfg_.energy.enabled);
         if (sampler.enabled()) {
             obs::StatsRegistry snap;
             snapshot(snap);
             sampler.sample(timeline_, snap);
         }
     }
+    if (worker)
+        profiler_.chargeCpu(worker->join());
     if (sampler.enabled()) {
         obs::StatsRegistry snap;
         snapshot(snap);
@@ -445,12 +574,9 @@ runMultiCore(const SimConfig& cfg, std::uint64_t pr, std::uint64_t pc,
     std::uint64_t conflicts = 0;
     for (std::size_t i = 0; i < topology.layers.size(); ++i) {
         const LayerSpec& spec = topology.layers[i];
-        const auto start = SimProfiler::clock::now();
+        const SimProfiler::LayerStart start;
         const multicore::MultiCoreTraceResult res = sim.runLayer(spec);
-        const double seconds = std::chrono::duration<double>(
-            SimProfiler::clock::now() - start).count();
-        profiler.charge(SimPhase::Scratchpad, seconds);
-        profiler.chargeLayer(seconds);
+        profiler.charge(SimPhase::Scratchpad, profiler.chargeLayer(start));
         const std::string scope = "mc.l" + std::to_string(i);
         res.registerStats(run.stats, scope);
         if (auditor) {
@@ -1025,6 +1151,7 @@ RunResult::writeJson(std::ostream& out) const
     json.key("profile").beginObject();
     json.field("layersProfiled", profile.layersProfiled);
     json.field("totalSeconds", profile.totalSeconds);
+    json.field("cpuSeconds", profile.cpuSeconds);
     json.field("peakRssKb", profile.peakRssKb);
     json.key("phaseSeconds").beginObject();
     for (unsigned p = 0; p < kNumSimPhases; ++p) {

@@ -186,7 +186,10 @@ struct RunResult
 
 /**
  * Trace taps on a Simulator's run (DESIGN.md "Trace outputs"). Null
- * streams cost nothing; the others must outlive the Simulator.
+ * streams cost nothing; the others must outlive the Simulator. In
+ * Simulator::run the SRAM streams are written by the run's demand
+ * worker and the memory stream by the calling thread, so the memory
+ * stream must not be one of the SRAM streams.
  */
 struct TraceStreams
 {
@@ -216,11 +219,22 @@ class Simulator
      */
     void reset();
 
-    /** Simulate one layer (one instance; callers scale repetitions). */
+    /**
+     * Simulate one layer (one instance; callers scale repetitions):
+     * its demand stage, then its timing stage, on the calling thread.
+     */
     LayerResult runLayer(const LayerSpec& layer,
                          std::uint64_t layer_index = 0);
 
-    /** Simulate a whole topology. */
+    /**
+     * Simulate a whole topology. When the run has a demand pass (trace
+     * mode with energy or layout, or SRAM traces attached), one worker
+     * thread runs the layers' demand stages in order while the calling
+     * thread runs each layer's timing stage (DESIGN.md "Run
+     * pipeline"). Results equal runLayer over every layer plus
+     * registerStats. An exception stops and joins the worker and is
+     * rethrown, the first in layer order.
+     */
     RunResult run(const Topology& topology);
 
     /** The energy model (null unless the energy model is on). */
@@ -255,13 +269,34 @@ class Simulator
     void registerStats(obs::StatsRegistry& reg) const;
 
   private:
+    /** What a layer's demand stage hands to its timing stage. */
+    struct LayerDemand;
+
     /** Build all stateful components from cfg_ (ctor + reset body). */
     void init();
+
+    /** True when trace mode runs a demand pass for layout or energy. */
+    bool modelPass() const;
+
+    /**
+     * Sparsity resolution plus the demand pass of one layer. Touches
+     * only per-layer objects and sramTrace_, so run() can give it to
+     * its demand worker.
+     */
+    LayerDemand demandStage(const LayerSpec& layer,
+                            std::uint64_t layer_index);
+
+    /**
+     * The rest of one layer, on the calling thread in layer order:
+     * fold-cache counters, memory timing, traces, energy, profiler
+     * charges and every audit.
+     */
+    LayerResult timingStage(const LayerSpec& layer, LayerDemand demand);
 
     SimConfig cfg_;
     std::ostream* memTrace_; ///< TraceStreams::memory
     /** Set iff an SRAM stream is attached; flushes at every layer end. */
-    std::optional<systolic::SramTraceWriter> sramTrace_;
+    std::unique_ptr<systolic::SramTraceWriter> sramTrace_;
     std::unique_ptr<systolic::BandwidthMemory> bandwidthMemory_;
     std::unique_ptr<dram::DramMemory> dram_;
     std::unique_ptr<systolic::TracingMemory> tracer_;

@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <functional>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "check/audit.hpp"
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
 #include "core/simulator.hpp"
@@ -744,4 +749,385 @@ TEST(DseSweep, SramSplitConservesEveryKilobyte)
     EXPECT_EQ(kb1024.ifmapKb, 512u);
     EXPECT_EQ(kb1024.filterKb, 256u);
     EXPECT_EQ(kb1024.ofmapKb, 256u);
+}
+
+namespace
+{
+
+/**
+ * Five layers with every kind of work a layer can bring: convs, a
+ * repeated layer, a GEMM and a softmax tail. All but the last carry a
+ * 2:4 annotation that only a config with sparsity on applies.
+ */
+Topology
+pipelineTopology()
+{
+    Topology topo;
+    topo.name = "pipeline";
+    topo.layers.push_back(LayerSpec::conv("conv1", 14, 14, 3, 3, 16, 32,
+                                          1));
+    topo.layers.push_back(LayerSpec::conv("conv2", 12, 12, 3, 3, 32, 32,
+                                          1, 2));
+    topo.layers.push_back(LayerSpec::gemm("fc", 4, 64, 128));
+    topo.layers.push_back(LayerSpec::gemm("qk", 24, 24, 32)
+                              .withTail(VectorTail::Softmax));
+    topo.layers.push_back(LayerSpec::conv("conv3", 10, 10, 1, 1, 32, 48,
+                                          1));
+    for (std::size_t i = 0; i + 1 < topo.layers.size(); ++i) {
+        topo.layers[i].sparseN = 2;
+        topo.layers[i].sparseM = 4;
+    }
+    return topo;
+}
+
+/**
+ * An unbuffered string sink that fails one write once `budget` bytes
+ * are used up, then accepts everything again. With badbit in the
+ * stream's exception mask the failed write throws.
+ */
+class FailingBuf : public std::streambuf
+{
+  public:
+    std::string text;
+    std::size_t budget = std::numeric_limits<std::size_t>::max();
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        const char ch = traits_type::to_char_type(c);
+        return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+    }
+
+    std::streamsize
+    xsputn(const char* s, std::streamsize n) override
+    {
+        const auto bytes = static_cast<std::size_t>(n);
+        if (bytes > budget) {
+            budget = std::numeric_limits<std::size_t>::max();
+            return 0;
+        }
+        budget -= bytes;
+        text.append(s, bytes);
+        return n;
+    }
+};
+
+/** The five trace streams of one Simulator. */
+struct TraceSinks
+{
+    FailingBuf bufs[5];
+    std::ostream ifmap{&bufs[0]}, filter{&bufs[1]}, ofmap{&bufs[2]},
+        oread{&bufs[3]}, mem{&bufs[4]};
+
+    TraceStreams
+    streams()
+    {
+        return {&ifmap, &filter, &ofmap, &oread, &mem};
+    }
+
+    void
+    clear()
+    {
+        for (FailingBuf& buf : bufs)
+            buf.text.clear();
+        for (std::ostream* out : {&ifmap, &filter, &ofmap, &oread, &mem})
+            out->clear();
+    }
+};
+
+/**
+ * Simulator::run without its pipeline: runLayer over every layer with
+ * the run's interval sampling, then power, EdP, DRAM totals, the
+ * per-layer audit and both registerStats. Run-level audit laws are
+ * not repeated here.
+ */
+RunResult
+layerLoop(Simulator& sim, const Topology& topo)
+{
+    const SimConfig& cfg = sim.config();
+    RunResult run;
+    run.runName = cfg.runName;
+    run.workload = topo.name;
+    obs::IntervalSampler sampler(cfg.intervalCycles);
+    auto snapshot = [&] {
+        obs::StatsRegistry snap;
+        run.registerTotals(snap);
+        sim.registerStats(snap);
+        return snap;
+    };
+    Cycle timeline = 0;
+    for (std::size_t i = 0; i < topo.layers.size(); ++i) {
+        LayerResult layer = sim.runLayer(topo.layers[i], i);
+        timeline += layer.timing.totalCycles
+            * std::max<std::uint32_t>(1, layer.repetitions);
+        run.addLayer(std::move(layer), cfg.energy.enabled);
+        if (sampler.enabled())
+            sampler.sample(timeline, snapshot());
+    }
+    if (sampler.enabled()) {
+        sampler.finish(timeline, snapshot());
+        run.intervals = sampler.takeSeries();
+    }
+    if (const energy::EnergyModel* model = sim.energyModel()) {
+        run.avgPowerW = model->averagePowerW(run.totalEnergy,
+                                             run.totalCycles);
+        run.edp = model->edp(run.totalEnergy, run.totalCycles);
+    }
+    if (sim.dramMemory())
+        run.dramStats = sim.dramMemory()->system().totalStats();
+    if (const check::InvariantAuditor* auditor = sim.auditor()) {
+        run.audited = true;
+        run.audit = auditor->report();
+    }
+    run.registerStats(run.stats);
+    sim.registerStats(run.stats);
+    return run;
+}
+
+/** Every artifact of a run and its traces, minus host-time fields. */
+std::map<std::string, std::string>
+artifacts(const RunResult& run, const TraceSinks& traces)
+{
+    std::map<std::string, std::string> out;
+    auto put = [&](const char* name, const auto& writer) {
+        std::ostringstream text;
+        writer(text);
+        out[name] = text.str();
+    };
+    put("stats.txt", [&](std::ostream& o) { run.writeStats(o); });
+    put("stats.json", [&](std::ostream& o) { run.writeStatsJson(o); });
+    put("compute", [&](std::ostream& o) { run.writeComputeReport(o); });
+    put("power", [&](std::ostream& o) { run.writePowerReport(o); });
+    put("bandwidth",
+        [&](std::ostream& o) { run.writeBandwidthReport(o); });
+    put("sparse", [&](std::ostream& o) { run.writeSparseReport(o); });
+    put("energy", [&](std::ostream& o) { run.writeEnergyReport(o); });
+    put("intervals", [&](std::ostream& o) { run.intervals.writeCsv(o); });
+    put("audit", [&](std::ostream& o) { run.audit.writeReport(o); });
+    // `profile` is the report's last key; cut it and what follows.
+    std::ostringstream json;
+    run.writeJson(json);
+    out["run.json"] = json.str().substr(0, json.str().find("\"profile\""));
+    const char* trace_names[] = {"ifmap", "filter", "ofmap", "oread",
+                                 "mem"};
+    for (int i = 0; i < 5; ++i)
+        out[trace_names[i]] = traces.bufs[i].text;
+    return out;
+}
+
+void
+expectSameArtifacts(const std::map<std::string, std::string>& got,
+                    const std::map<std::string, std::string>& want,
+                    const std::string& what)
+{
+    for (const auto& [name, text] : want)
+        EXPECT_EQ(got.at(name), text) << what << ": " << name;
+}
+
+/** Threads of this process (0 where /proc is unavailable). */
+std::size_t
+threadCount()
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec);
+         !ec && it != std::filesystem::directory_iterator(); ++it) {
+        ++n;
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(Pipeline, RunMatchesLayerLoop)
+{
+    // Simulator::run overlaps each layer's demand stage with the timing
+    // stage of the layer before it; everything it writes must equal a
+    // fresh Simulator driven one runLayer at a time.
+    struct Case
+    {
+        const char* name;
+        std::function<void(SimConfig&)> edit;
+        bool traces = false;
+    };
+    const std::vector<Case> cases = {
+        {"energy os",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::OutputStationary;
+         }},
+        {"energy ws", [](SimConfig& c) { c.energy.enabled = true; }},
+        {"energy is",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::InputStationary;
+         }},
+        {"layout",
+         [](SimConfig& c) {
+             c.layout.enabled = true;
+             c.layout.banks = 4;
+             c.layout.onChipBandwidth = 16;
+         }},
+        {"dram energy",
+         [](SimConfig& c) {
+             c.dram.enabled = true;
+             c.energy.enabled = true;
+         }},
+        {"sparse ws",
+         [](SimConfig& c) {
+             c.sparsity.enabled = true;
+             c.energy.enabled = true;
+             c.layout.enabled = true;
+         }},
+        // Row-wise patterns are drawn from a per-layer seed.
+        {"row-wise sparse",
+         [](SimConfig& c) {
+             c.sparsity.enabled = true;
+             c.sparsity.optimizedMapping = true;
+             c.energy.enabled = true;
+         }},
+        // Sparse OS layers skip the demand pass (and the traces).
+        {"sparse os",
+         [](SimConfig& c) {
+             c.sparsity.enabled = true;
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::OutputStationary;
+         },
+         true},
+        {"traces", [](SimConfig&) {}, true},
+        {"audit",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.layout.enabled = true;
+             c.audit = true;
+         },
+         true},
+        {"intervals",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.intervalCycles = 500;
+         }},
+        {"fold cache off",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.foldCache = false;
+         }},
+    };
+    const Topology topo = pipelineTopology();
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    for (const Case& c : cases) {
+        SimConfig cfg = baseConfig();
+        c.edit(cfg);
+        TraceSinks piped_traces, looped_traces;
+        Simulator piped(cfg, c.traces ? piped_traces.streams()
+                                      : TraceStreams{});
+        const RunResult run = piped.run(topo);
+        Simulator looped(cfg, c.traces ? looped_traces.streams()
+                                       : TraceStreams{});
+        RunResult ref = layerLoop(looped, topo);
+        EXPECT_EQ(run.profile.layersProfiled, topo.layers.size())
+            << c.name;
+        EXPECT_GT(run.profile.cpuSeconds, 0.0) << c.name;
+
+        if (cfg.audit) {
+            // The run adds run-level laws; the per-layer ones, including
+            // the energy audit the timing stage now makes, match.
+            ASSERT_TRUE(run.audited);
+            EXPECT_TRUE(run.audit.clean());
+            for (const char* law :
+                 {"spad.stallAccounting", "runtime.envelope",
+                  "foldCache.replayFidelity", "energy.actionAccounting",
+                  "energy.demandAgreement", "trace.agreement"}) {
+                EXPECT_GT(ref.audit.checksForLaw(law), 0u) << law;
+                EXPECT_EQ(run.audit.checksForLaw(law),
+                          ref.audit.checksForLaw(law)) << law;
+            }
+            // Compared law by law above; byte for byte below.
+            ref.audit = run.audit;
+            ref.stats = obs::StatsRegistry();
+            ref.registerStats(ref.stats);
+            looped.registerStats(ref.stats);
+        }
+        if (cfg.intervalCycles > 0) {
+            EXPECT_FALSE(run.intervals.empty()) << c.name;
+        }
+        const auto got = artifacts(run, piped_traces);
+        if (c.traces) {
+            EXPECT_FALSE(got.at("ifmap").empty()) << c.name;
+            EXPECT_FALSE(got.at("mem").empty()) << c.name;
+        }
+        expectSameArtifacts(got, artifacts(ref, looped_traces), c.name);
+    }
+    setQuiet(was_quiet);
+}
+
+TEST(Pipeline, ErrorJoinsWorker)
+{
+    // An exception in either stage mid-run stops and joins the demand
+    // worker and reaches the caller, the first in layer order; the
+    // object then runs like a fresh one.
+    SimConfig cfg = baseConfig();
+    cfg.energy.enabled = true;
+    cfg.sparsity.enabled = true;
+    const Topology good = pipelineTopology();
+    // 5:4 is no N:M ratio: layer 3's demand stage (sparsity
+    // resolution) fails.
+    Topology bad_demand = good;
+    bad_demand.layers[3].sparseN = 5;
+
+    TraceSinks fresh_traces;
+    Simulator fresh(cfg, fresh_traces.streams());
+    const std::string mem_header = fresh_traces.bufs[4].text;
+    const auto want = artifacts(fresh.run(good), fresh_traces);
+    ASSERT_GT(want.at("mem").size(), mem_header.size());
+    // The memory trace is written by the timing stage; failing it
+    // halfway fails a middle layer's timing stage.
+    const std::size_t half_mem = want.at("mem").size() / 2;
+
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    struct Case
+    {
+        const char* name;
+        const Topology* topo;
+        bool failMem;
+        bool timingError; ///< which error run() must rethrow
+    };
+    const Case cases[] = {
+        {"demand stage", &bad_demand, false, false},
+        {"timing stage", &good, true, true},
+        // Timing fails before the layer whose demand stage fails.
+        {"both stages", &bad_demand, true, true},
+    };
+    for (const Case& c : cases) {
+        TraceSinks traces;
+        traces.mem.exceptions(std::ios::badbit);
+        Simulator sim(cfg, traces.streams());
+        if (c.failMem)
+            traces.bufs[4].budget = half_mem - mem_header.size();
+        const std::size_t threads_before = threadCount();
+        bool timing_error = false, demand_error = false;
+        try {
+            (void)sim.run(*c.topo);
+        } catch (const std::ios_base::failure&) {
+            timing_error = true;
+        } catch (const FatalError& e) {
+            demand_error = true;
+            EXPECT_NE(std::string(e.what()).find("invalid N:M ratio"),
+                      std::string::npos) << e.what();
+        }
+        EXPECT_EQ(timing_error, c.timingError) << c.name;
+        EXPECT_EQ(demand_error, !c.timingError) << c.name;
+        EXPECT_EQ(threadCount(), threads_before) << c.name;
+
+        traces.clear();
+        traces.bufs[4].text = mem_header;
+        const auto again = artifacts(sim.run(good), traces);
+        expectSameArtifacts(again, want, c.name);
+    }
+    setQuiet(was_quiet);
 }

@@ -169,6 +169,7 @@ TEST(SimProfiler, RunReportCarriesOverheadSection)
 
     EXPECT_EQ(run.profile.layersProfiled, 2u);
     EXPECT_GT(run.profile.totalSeconds, 0.0);
+    EXPECT_GT(run.profile.cpuSeconds, 0.0);
     EXPECT_GT(run.profile.seconds(SimPhase::Energy), 0.0);
     EXPECT_GT(run.profile.peakRssKb, 0u);
 
@@ -178,6 +179,7 @@ TEST(SimProfiler, RunReportCarriesOverheadSection)
     EXPECT_NE(text.find("SIM_OVERHEAD"), std::string::npos);
     EXPECT_NE(text.find("sim.overhead.totalSeconds"),
               std::string::npos);
+    EXPECT_NE(text.find("sim.overhead.cpuSeconds"), std::string::npos);
     EXPECT_NE(text.find("sim.overhead.energy"), std::string::npos);
     EXPECT_NE(text.find("sim.overhead.peakRssKb"), std::string::npos);
 }
@@ -210,16 +212,19 @@ TEST(SimProfiler, MergeAccumulatesAndKeepsPeakRss)
     SimProfile a;
     a.phaseSeconds[0] = 1.0;
     a.totalSeconds = 2.0;
+    a.cpuSeconds = 1.5;
     a.layersProfiled = 3;
     a.peakRssKb = 100;
     SimProfile b;
     b.phaseSeconds[0] = 0.5;
     b.totalSeconds = 1.0;
+    b.cpuSeconds = 0.25;
     b.layersProfiled = 1;
     b.peakRssKb = 400;
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.phaseSeconds[0], 1.5);
     EXPECT_DOUBLE_EQ(a.totalSeconds, 3.0);
+    EXPECT_DOUBLE_EQ(a.cpuSeconds, 1.75);
     EXPECT_EQ(a.layersProfiled, 4u);
     EXPECT_EQ(a.peakRssKb, 400u);
 }

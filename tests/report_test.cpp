@@ -188,6 +188,8 @@ TEST(Reports, WriteJsonParsesAndRoundTripsTotals)
     EXPECT_TRUE(doc.find("dram")->find("modeled")->boolean);
     ASSERT_NE(doc.find("energy"), nullptr);
     ASSERT_NE(doc.find("profile"), nullptr);
+    ASSERT_NE(doc.find("profile")->find("cpuSeconds"), nullptr);
+    EXPECT_GT(doc.find("profile")->find("cpuSeconds")->number, 0.0);
 }
 
 TEST(Reports, ChromeTraceHasSpansPerLayerAndCounterTrack)
