@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "serve/server.hpp"
 
 using namespace scalesim;
@@ -37,9 +39,29 @@ usage()
         "                    (0 = unlimited, the default)\n"
         "  --jobs            default worker threads for sweep\n"
         "                    requests that do not specify \"jobs\"\n"
+        "                    (0 = auto, at most 256)\n"
         "Reads one JSON request per line from stdin, writes one JSON\n"
         "response per line to stdout; exits on EOF or a shutdown\n"
         "request.\n";
+}
+
+/** Largest --cache-budget-mb whose byte count fits in 64 bits. */
+constexpr std::uint64_t kMaxBudgetMb =
+    std::numeric_limits<std::uint64_t>::max() >> 20;
+
+/** `text` as a count in [0, max]; exits 2 naming `option` otherwise. */
+std::uint64_t
+count(const std::string& option, const std::string& text,
+      std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    if (parseUint64(text, value) != NumberParse::Ok || value > max) {
+        std::cerr << "scalesim_serve: " << option
+                  << " expects an integer in [0, " << max << "], got '"
+                  << text << "'\n";
+        std::exit(2);
+    }
+    return value;
 }
 
 } // namespace
@@ -63,11 +85,10 @@ main(int argc, char** argv)
             options.cacheFile = next();
         } else if (arg == "--cache-budget-mb") {
             options.cacheBudgetBytes =
-                std::strtoull(next().c_str(), nullptr, 10)
-                * 1024 * 1024;
+                count(arg, next(), kMaxBudgetMb) * 1024 * 1024;
         } else if (arg == "--jobs") {
-            options.defaultJobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            options.defaultJobs = static_cast<unsigned>(count(
+                arg, next(), serve::Server::kMaxSweepJobs));
         } else {
             usage();
             return arg == "-h" || arg == "--help" ? 0 : 1;

@@ -12,6 +12,13 @@
 namespace scalesim
 {
 
+namespace
+{
+
+thread_local bool tOnParallelWorker = false;
+
+} // namespace
+
 unsigned
 resolveJobs(unsigned requested)
 {
@@ -67,6 +74,7 @@ parallelFor(std::uint64_t n, unsigned jobs,
         }
     } slot;
     auto drain = [&] {
+        tOnParallelWorker = true;
         for (;;) {
             const std::uint64_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
@@ -89,6 +97,12 @@ parallelFor(std::uint64_t n, unsigned jobs,
     }
     if (auto error = slot.take())
         std::rethrow_exception(error);
+}
+
+bool
+onParallelWorker()
+{
+    return tOnParallelWorker;
 }
 
 } // namespace scalesim

@@ -43,6 +43,13 @@ unsigned resolveJobs(unsigned requested);
 void parallelFor(std::uint64_t n, unsigned jobs,
                  const std::function<void(std::uint64_t)>& body);
 
+/**
+ * True on a thread that parallelFor started, which it does only for two
+ * or more workers. Such a loop already keeps up to one thread per core
+ * busy, so work inside it should not start helper threads of its own.
+ */
+bool onParallelWorker();
+
 } // namespace scalesim
 
 #endif // SCALESIM_COMMON_PARALLEL_HH

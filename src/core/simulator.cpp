@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <numeric>
 #include <ostream>
 #include <thread>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "multicore/tensor_core.hpp"
 #include "multicore/trace_sim.hpp"
 #include "obs/json.hpp"
@@ -70,6 +72,14 @@ Simulator::~Simulator() = default;
 void
 Simulator::reset()
 {
+    rebuild();
+    profiler_.reset();
+    ranOnce_ = false;
+}
+
+void
+Simulator::rebuild()
+{
     // Rebuild every stateful component from the config, exactly as the
     // constructor does: the memory models carry row-buffer, refresh,
     // and bus-occupancy state, the scratchpad holds queue/prefetch
@@ -85,8 +95,6 @@ Simulator::reset()
     init();
     timeline_ = 0;
     foldCacheStats_ = {};
-    profiler_.reset();
-    ranOnce_ = false;
 }
 
 struct Simulator::LayerDemand
@@ -366,8 +374,8 @@ auditRunTotals(check::InvariantAuditor& auditor, const RunResult& run)
 }
 
 /**
- * One thread that runs a run's demand stages in layer order, ahead of
- * the calling thread's timing stages. Each stage's result, or its
+ * One thread that runs the demand stages of a run's layers in order,
+ * ahead of the calling thread's timing stages. Each stage's result, or its
  * exception, is handed over through a promise, and the first exception
  * ends the worker. Destruction (also while an error unwinds the run)
  * stops the worker after its current stage and joins it.
@@ -440,6 +448,58 @@ class DemandWorker
 
 } // namespace
 
+void
+Simulator::runLayers(const Topology& topology,
+                     const std::vector<std::size_t>& indices,
+                     const LayerDone& done)
+{
+    // Two-stage pipeline: with a demand pass, one worker runs the
+    // demand stages of `indices` in order while this thread runs the
+    // timing stages, so demand k+1 overlaps timing k. Every stateful
+    // component is still touched in layer order on one thread. On a
+    // parallelFor worker the cores are already busy, so both stages
+    // run here.
+    std::optional<DemandWorker<LayerDemand>> worker;
+    if ((modelPass() || sramTrace_) && !indices.empty()
+        && !onParallelWorker()) {
+        worker.emplace(indices.size(), [&](std::size_t k) {
+            return demandStage(topology.layers[indices[k]], indices[k]);
+        });
+    }
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+        const std::size_t i = indices[k];
+        const LayerSpec& layer = topology.layers[i];
+        const SimProfiler::LayerStart start;
+        LayerResult result = timingStage(
+            layer, worker ? worker->take(k) : demandStage(layer, i));
+        profiler_.chargeLayer(start);
+        done(i, std::move(result));
+    }
+    if (worker)
+        profiler_.chargeCpu(worker->join());
+}
+
+void
+Simulator::runIsolated(const Topology& topology,
+                       const std::vector<std::size_t>& indices,
+                       const LayerDone& done)
+{
+    // Components as built need no rebuild; used ones do. The rebuild
+    // after each layer's `done` comes before the next timing stage and
+    // is safe beside the demand worker: demandStage reads only cfg_
+    // and sramTrace_, and rebuild() touches neither. The last layer's
+    // state stays behind, so a later run or call starts fresh.
+    if (ranOnce_)
+        rebuild();
+    ranOnce_ = true;
+    std::size_t left = indices.size();
+    runLayers(topology, indices, [&](std::size_t i, LayerResult&& result) {
+        done(i, std::move(result));
+        if (--left > 0)
+            rebuild();
+    });
+}
+
 RunResult
 Simulator::run(const Topology& topology)
 {
@@ -465,31 +525,16 @@ Simulator::run(const Topology& topology)
         registerStats(snap);
     };
 
-    // Two-stage pipeline: with a demand pass, one worker runs the
-    // demand stages in layer order while this thread runs the timing
-    // stages, so demand i+1 overlaps timing i. Every stateful
-    // component is still touched in layer order on one thread.
-    std::optional<DemandWorker<LayerDemand>> worker;
-    if (modelPass() || sramTrace_) {
-        worker.emplace(topology.layers.size(), [&](std::size_t i) {
-            return demandStage(topology.layers[i], i);
-        });
-    }
-    for (std::size_t i = 0; i < topology.layers.size(); ++i) {
-        const LayerSpec& layer = topology.layers[i];
-        const SimProfiler::LayerStart start;
-        LayerResult result = timingStage(
-            layer, worker ? worker->take(i) : demandStage(layer, i));
-        profiler_.chargeLayer(start);
+    std::vector<std::size_t> all(topology.layers.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    runLayers(topology, all, [&](std::size_t, LayerResult&& result) {
         run.addLayer(std::move(result), cfg_.energy.enabled);
         if (sampler.enabled()) {
             obs::StatsRegistry snap;
             snapshot(snap);
             sampler.sample(timeline_, snap);
         }
-    }
-    if (worker)
-        profiler_.chargeCpu(worker->join());
+    });
     if (sampler.enabled()) {
         obs::StatsRegistry snap;
         snapshot(snap);

@@ -9,6 +9,7 @@
 #ifndef SCALESIM_CORE_SIMULATOR_HH
 #define SCALESIM_CORE_SIMULATOR_HH
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -187,9 +188,9 @@ struct RunResult
 /**
  * Trace taps on a Simulator's run (DESIGN.md "Trace outputs"). Null
  * streams cost nothing; the others must outlive the Simulator. In
- * Simulator::run the SRAM streams are written by the run's demand
- * worker and the memory stream by the calling thread, so the memory
- * stream must not be one of the SRAM streams.
+ * Simulator::run and runIsolated the SRAM streams may be written by
+ * the run's demand worker and the memory stream by the calling thread,
+ * so the memory stream must not be one of the SRAM streams.
  */
 struct TraceStreams
 {
@@ -219,6 +220,9 @@ class Simulator
      */
     void reset();
 
+    /** Receives a layer's index and result after its timing stage. */
+    using LayerDone = std::function<void(std::size_t, LayerResult&&)>;
+
     /**
      * Simulate one layer (one instance; callers scale repetitions):
      * its demand stage, then its timing stage, on the calling thread.
@@ -231,11 +235,29 @@ class Simulator
      * mode with energy or layout, or SRAM traces attached), one worker
      * thread runs the layers' demand stages in order while the calling
      * thread runs each layer's timing stage (DESIGN.md "Run
-     * pipeline"). Results equal runLayer over every layer plus
+     * pipeline"); on a parallelFor worker both run on the calling
+     * thread. Results equal runLayer over every layer plus
      * registerStats. An exception stops and joins the worker and is
      * rethrown, the first in layer order.
      */
     RunResult run(const Topology& topology);
+
+    /**
+     * Simulate the layers `indices` of `topology`, in that order, each
+     * in isolation: each layer's timing stage starts from freshly
+     * built stateful components, a zero timeline and zero fold-cache
+     * counters, so a layer's result depends only on its shape, index
+     * and the config. The demand stages run as in run(), through the
+     * same loop. `done(i, result)` is called after layer i's timing
+     * stage, before the next rebuild, so it may read dramMemory() and
+     * registerStats() for that layer alone. The
+     * self-profile accumulates across the call, as across runLayer
+     * calls; no run-level audit or interval sampling happens. Every
+     * index must name a layer of `topology`.
+     */
+    void runIsolated(const Topology& topology,
+                     const std::vector<std::size_t>& indices,
+                     const LayerDone& done);
 
     /** The energy model (null unless the energy model is on). */
     const energy::EnergyModel* energyModel() const
@@ -272,16 +294,31 @@ class Simulator
     /** What a layer's demand stage hands to its timing stage. */
     struct LayerDemand;
 
-    /** Build all stateful components from cfg_ (ctor + reset body). */
+    /** Build all stateful components from cfg_ (ctor + rebuild body). */
     void init();
+
+    /**
+     * Rebuild the stateful components and zero the timeline and
+     * fold-cache counters; the profiler is kept (reset() clears it).
+     */
+    void rebuild();
+
+    /**
+     * The one layer loop of run() and runIsolated(): the demand and
+     * timing stages of `indices` in order, calling `done` after each
+     * timing stage (DESIGN.md "Run pipeline").
+     */
+    void runLayers(const Topology& topology,
+                   const std::vector<std::size_t>& indices,
+                   const LayerDone& done);
 
     /** True when trace mode runs a demand pass for layout or energy. */
     bool modelPass() const;
 
     /**
      * Sparsity resolution plus the demand pass of one layer. Touches
-     * only per-layer objects and sramTrace_, so run() can give it to
-     * its demand worker.
+     * only per-layer objects and sramTrace_, so runLayers() can give it
+     * to its demand worker.
      */
     LayerDemand demandStage(const LayerSpec& layer,
                             std::uint64_t layer_index);

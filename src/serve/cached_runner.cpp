@@ -1,6 +1,8 @@
 #include "serve/cached_runner.hpp"
 
+#include <optional>
 #include <type_traits>
+#include <unordered_map>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -191,6 +193,34 @@ decodeLayerPayload(const std::string& payload, core::LayerResult& r,
     return in.atEnd();
 }
 
+/**
+ * One layer's isolated evaluation: its result, the DRAM stats of its
+ * isolated run and its component stats snapshot.
+ */
+struct LayerEvaluation
+{
+    core::LayerResult layer;
+    dram::DramStats dram;
+    obs::StatsRegistry comp;
+};
+
+/** The cached evaluation under `key`; empty on a miss. */
+std::optional<LayerEvaluation>
+lookup(LayerResultCache& cache, std::uint64_t key)
+{
+    std::string payload;
+    if (!cache.lookup(key, payload))
+        return std::nullopt;
+    LayerEvaluation e;
+    if (decodeLayerPayload(payload, e.layer, e.dram, e.comp))
+        return e;
+    // A payload that decodes badly (stale schema, bit rot that beat
+    // the checksum) degrades to a miss.
+    warn("cache payload for key %016llx undecodable, re-simulating",
+         static_cast<unsigned long long>(key));
+    return std::nullopt;
+}
+
 } // namespace
 
 core::RunResult
@@ -208,60 +238,68 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         return coupled.run(topology);
     }
 
+    // Plan: look up the first occurrence of each key in layer order.
+    // Misses go to the simulate list. A repeat takes the evaluation of
+    // its key's first occurrence, which by the key's contract has the
+    // same bytes.
+    const std::size_t n = topology.layers.size();
+    std::vector<std::uint64_t> keys(n);
+    std::vector<std::size_t> source(n);
+    std::vector<std::optional<LayerEvaluation>> evaluated(n);
+    std::vector<std::size_t> simulate;
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = layerCacheKey(cfg, topology.layers[i], i);
+        source[i] = i;
+        if (cache) {
+            const auto [it, is_first] = first.emplace(keys[i], i);
+            if (!is_first) {
+                source[i] = it->second;
+                continue;
+            }
+            evaluated[i] = lookup(*cache, keys[i]);
+        }
+        if (!evaluated[i])
+            simulate.push_back(i);
+    }
+
+    // Simulate the misses through the two-stage pipeline. runIsolated
+    // runs each layer on freshly built components, so results are
+    // position-independent and the cache key needs no run-history
+    // component.
+    core::Simulator sim(cfg);
+    sim.runIsolated(topology, simulate,
+                    [&](std::size_t i, core::LayerResult&& layer) {
+        LayerEvaluation e{std::move(layer), {}, {}};
+        if (sim.dramMemory())
+            e.dram = sim.dramMemory()->system().totalStats();
+        sim.registerStats(e.comp);
+        if (cache)
+            cache->insert(keys[i],
+                          encodeLayerPayload(e.layer, e.dram, e.comp));
+        evaluated[i] = std::move(e);
+    });
+
     core::RunResult run;
     run.runName = cfg.runName;
     run.workload = topology.name;
-    run.layers.reserve(topology.layers.size());
-
-    core::Simulator sim(cfg);
-    bool sim_used = false;
-    SimProfile profile;
+    run.layers.reserve(n);
     obs::StatsRegistry comp_accum;
-
-    for (std::size_t i = 0; i < topology.layers.size(); ++i) {
-        const LayerSpec& spec = topology.layers[i];
-        const std::uint64_t key = layerCacheKey(cfg, spec, i);
-
-        core::LayerResult layer;
-        dram::DramStats layer_dram;
-        obs::StatsRegistry comp;
-        bool decoded = false;
-        std::string payload;
-        if (cache && cache->lookup(key, payload)) {
-            decoded =
-                decodeLayerPayload(payload, layer, layer_dram, comp);
-            if (!decoded) {
-                // A payload that decodes badly (stale schema, bit rot
-                // that beat the checksum) degrades to a miss.
-                warn("cache payload for key %016llx undecodable, "
-                     "re-simulating",
-                     static_cast<unsigned long long>(key));
-                layer = core::LayerResult{};
-                layer_dram = dram::DramStats{};
-                comp.clear();
-            }
-        }
-        if (!decoded) {
-            // Isolated evaluation: reset before (not after) each
-            // simulated layer, so results are position-independent and
-            // the cache key needs no run-history component.
-            if (sim_used) {
-                // reset() also clears the profiler: bank the previous
-                // layer's share first.
-                profile.merge(sim.profile());
-                sim.reset();
-            }
-            sim_used = true;
-            layer = sim.runLayer(spec, i);
-            if (sim.dramMemory())
-                layer_dram = sim.dramMemory()->system().totalStats();
-            sim.registerStats(comp);
-            if (cache)
-                cache->insert(key,
-                              encodeLayerPayload(layer, layer_dram, comp));
+    for (std::size_t i = 0; i < n; ++i) {
+        const LayerEvaluation& e = *evaluated[source[i]];
+        if (source[i] != i) {
+            // A repeat is still looked up, to count its hit and refresh
+            // its entry. An entry that a byte budget evicted since is
+            // put back, not re-simulated.
+            std::string payload;
+            if (!cache->lookup(keys[i], payload))
+                cache->insert(keys[i],
+                              encodeLayerPayload(e.layer, e.dram, e.comp));
         }
         // Display name and repetition count are excluded from the
         // cache key; patch them from the request's layer spec.
+        const LayerSpec& spec = topology.layers[i];
+        core::LayerResult layer = e.layer;
         layer.name = spec.name;
         layer.repetitions = spec.repetitions;
         if (layer.sparse)
@@ -270,9 +308,9 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
         // Counts sum; the arrival/completion envelope spans the
         // layer-local clocks, so it is indicative only here.
         if (cfg.dram.enabled)
-            run.dramStats.merge(layer_dram);
+            run.dramStats.merge(e.dram);
         run.addLayer(std::move(layer), cfg.energy.enabled);
-        comp_accum.merge(comp);
+        comp_accum.merge(e.comp);
     }
 
     if (const energy::EnergyModel* model = sim.energyModel()) {
@@ -280,10 +318,8 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
                                              run.totalCycles);
         run.edp = model->edp(run.totalEnergy, run.totalCycles);
     }
-    if (sim_used) {
-        profile.merge(sim.profile());
-        run.profile = profile;
-    }
+    if (!simulate.empty())
+        run.profile = sim.profile();
     run.registerStats(run.stats);
     // The merged per-layer component snapshots stand in for the
     // coupled run's Simulator::registerStats call; the name spaces

@@ -2,10 +2,11 @@
  * @file
  * Cache-backed topology/sweep evaluation for the sweep server.
  *
- * The cached runner evaluates every layer **in isolation**: the
- * Simulator is reset before each layer, so a layer's result depends
- * only on (layer shape, config) — not on its position in the topology
- * or on DRAM state carried over from earlier layers. That position
+ * The cached runner evaluates every layer **in isolation**: each
+ * layer runs on freshly built Simulator components
+ * (Simulator::runIsolated), so a layer's result depends only on
+ * (layer shape, config) — not on its position in the topology or on
+ * DRAM state carried over from earlier layers. That position
  * independence is exactly what makes a per-layer content-addressed
  * cache sound. It is a deliberately different (and documented)
  * semantic from Simulator::run's coupled timeline, where row-buffer
@@ -22,6 +23,18 @@
  * The layer index joins the key only when sparsity is enabled,
  * because SparseLayerModel seeds its per-row pattern with the layer
  * position.
+ *
+ * Lookup order: a plan pass looks up the first occurrence of each key
+ * in layer order and lists the misses (and undecodable payloads); one
+ * runIsolated call simulates them through Simulator's two-stage
+ * pipeline, inserting each as it finishes; an in-order pass then looks
+ * up the repeated keys and assembles the run, each repeat taking its
+ * first occurrence's evaluation. With an unlimited budget a fresh
+ * cache so sees the hits, misses and inserts of a lookup per layer in
+ * order. A byte budget can evict a first occurrence before its repeat
+ * is looked up; that repeat misses and its entry is put back, not
+ * re-simulated, so a budget never costs more simulation than in-order
+ * lookups would.
  *
  * Byte-identity contract: for a fixed config and topology, the runner
  * produces bit-identical RunResults (stats dumps included) whether

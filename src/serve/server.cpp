@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -277,6 +279,20 @@ Server::saveCache() const
 std::string
 Server::handleRequest(const std::string& line)
 {
+    const auto start = std::chrono::steady_clock::now();
+    std::string response = respond(line);
+    const double seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+    MutexLock lock(latencyMutex_);
+    ++latency_.count;
+    latency_.totalS += seconds;
+    latency_.maxS = std::max(latency_.maxS, seconds);
+    return response;
+}
+
+std::string
+Server::respond(const std::string& line)
+{
     ++requests_;
     std::ostringstream out;
     obs::JsonWriter json(out, /*pretty=*/false);
@@ -321,6 +337,17 @@ Server::handleRequest(const std::string& line)
             json.field("bytes", snap.bytes);
             json.field("entries", snap.entries);
             json.endObject();
+            Latency latency;
+            {
+                MutexLock lock(latencyMutex_);
+                latency = latency_;
+            }
+            const double count = static_cast<double>(latency.count);
+            json.key("latency").beginObject();
+            json.field("count", latency.count);
+            json.field("meanS", count > 0 ? latency.totalS / count : 0.0);
+            json.field("maxS", latency.maxS);
+            json.endObject();
             json.endObject();
         } else if (type == "shutdown") {
             shutdown_.store(true);
@@ -357,6 +384,12 @@ Server::handleRequest(const std::string& line)
                 axes, "jobs",
                 req.numberAt(
                     "jobs", static_cast<double>(options_.defaultJobs)));
+            if (sweep.jobs > kMaxSweepJobs) {
+                throw std::runtime_error(
+                    "'jobs' must be at most "
+                    + std::to_string(kMaxSweepJobs) + ", got "
+                    + std::to_string(sweep.jobs));
+            }
             if (const obs::JsonValue* arrays = axes.find("arrays")) {
                 sweep.arraySizes.clear();
                 for (const auto& a : arrays->items) {

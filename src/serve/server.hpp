@@ -24,7 +24,8 @@
  * {"id":...,"ok":false,"error":"..."}. Run and sweep results carry no
  * cache counters and no wall-clock, so identical requests produce
  * byte-identical response lines whether served cold or warm; cache
- * behavior is observable through the separate "stats" request.
+ * behavior and request latency are observable through the separate
+ * "stats" request. A sweep's "jobs" may not exceed kMaxSweepJobs.
  *
  * "config" is a {section: {key: value}} overlay applied on top of the
  * server's base INI config; values may be JSON strings, numbers, or
@@ -39,6 +40,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "check/thread_safety.hpp"
 #include "common/config.hpp"
 #include "serve/cache.hpp"
 
@@ -49,6 +51,12 @@ namespace scalesim::serve
 class Server
 {
   public:
+    /**
+     * Largest "jobs" a sweep request may ask for: each job is a thread,
+     * so this bounds the threads one request can start.
+     */
+    static constexpr unsigned kMaxSweepJobs = 256;
+
     struct Options
     {
         /** Base INI config; request overlays apply on top. */
@@ -74,7 +82,8 @@ class Server
      * Handle one request line, returning one response line (no
      * trailing newline). Never throws; malformed input yields an
      * ok:false response. Thread-safe: concurrent callers share the
-     * cache and counters.
+     * cache and counters. Its wall seconds join the "latency" figures
+     * of later stats responses.
      */
     std::string handleRequest(const std::string& line);
 
@@ -91,18 +100,30 @@ class Server
     bool saveCache() const;
 
   private:
+    /** Wall seconds of the requests handled so far. */
+    struct Latency
+    {
+        std::uint64_t count = 0;
+        double totalS = 0.0;
+        double maxS = 0.0;
+    };
+
+    /** handleRequest's body; handleRequest times it. */
+    std::string respond(const std::string& line);
+
     // Thread-safety story (checked under clang's thread-safety
-    // analysis via the members' own types): options_ is immutable
-    // after construction, cache_ serializes internally on its
-    // SIM_GUARDED_BY-annotated mutex (see cache.hpp), and the three
-    // counters are atomics — the Server itself needs no mutex, which
-    // is why none is declared here (scalesim_lint's `naked-mutex`
-    // check would demand annotations for one).
+    // analysis): options_ is immutable after construction, cache_
+    // serializes internally on its SIM_GUARDED_BY-annotated mutex
+    // (see cache.hpp), the three counters are atomics, and the
+    // latency figures, which must be read together, sit behind their
+    // own mutex.
     Options options_;
     LayerResultCache cache_;
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> errors_{0};
     std::atomic<bool> shutdown_{false};
+    CheckedMutex latencyMutex_;
+    Latency latency_ SIM_GUARDED_BY(latencyMutex_);
 };
 
 } // namespace scalesim::serve

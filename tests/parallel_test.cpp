@@ -78,6 +78,23 @@ TEST(ParallelFor, SequentialFallbackRunsInline)
         EXPECT_EQ(id, caller);
 }
 
+TEST(ParallelFor, OnlyStartedWorkersReportOnParallelWorker)
+{
+    EXPECT_FALSE(onParallelWorker());
+    std::vector<char> inline_seen(3, 1), worker_seen(8, 0);
+    parallelFor(inline_seen.size(), 1, [&](std::uint64_t i) {
+        inline_seen[i] = onParallelWorker();
+    });
+    parallelFor(worker_seen.size(), 2, [&](std::uint64_t i) {
+        worker_seen[i] = onParallelWorker();
+    });
+    for (char seen : inline_seen)
+        EXPECT_FALSE(seen);
+    for (char seen : worker_seen)
+        EXPECT_TRUE(seen);
+    EXPECT_FALSE(onParallelWorker());
+}
+
 TEST(ParallelFor, PropagatesFirstException)
 {
     EXPECT_THROW(

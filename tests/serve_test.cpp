@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
@@ -277,6 +279,141 @@ TEST(CachedRunner, ProfileCoversEverySimulatedLayer)
     // A warm run simulates nothing, so it profiles nothing.
     const core::RunResult warm = runTopologyCached(cfg, topo, &cache);
     EXPECT_EQ(warm.profile.layersProfiled, 0u);
+}
+
+namespace
+{
+
+/** The run's writeJson up to `profile`, its last (host-time) key. */
+std::string
+jsonWithoutProfile(const core::RunResult& run)
+{
+    std::ostringstream out;
+    run.writeJson(out);
+    const std::string json = out.str();
+    return json.substr(0, json.find("\"profile\""));
+}
+
+/** Threads of this process (0 where /proc is unavailable). */
+std::size_t
+threadCount()
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec);
+         !ec && it != std::filesystem::directory_iterator(); ++it) {
+        ++n;
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(CachedRunner, RepeatedShapesMatchUncached)
+{
+    // ResNet-18's first layers repeat their 3x3 shapes, so a cold
+    // cache serves the repeats from the first occurrence's entry.
+    const Topology topo = workloads::resnet18Prefix(6);
+    Topology every_other = topo;
+    every_other.layers.clear();
+    for (std::size_t i = 0; i < topo.layers.size(); i += 2)
+        every_other.layers.push_back(topo.layers[i]);
+
+    struct Pinned
+    {
+        Dataflow dataflow;
+        std::uint64_t hits, misses, inserts;
+    };
+    for (const Pinned& p : {Pinned{Dataflow::OutputStationary, 3, 3, 3},
+                            Pinned{Dataflow::WeightStationary, 3, 3, 3}}) {
+        SimConfig cfg = baseConfig();
+        cfg.dataflow = p.dataflow;
+        cfg.energy.enabled = true;
+        cfg.dram.enabled = true;
+        const std::string what = toString(p.dataflow);
+        const core::RunResult plain =
+            runTopologyCached(cfg, topo, nullptr);
+
+        LayerResultCache cache;
+        const core::RunResult cold = runTopologyCached(cfg, topo, &cache);
+        const CacheStats fresh = cache.stats();
+        EXPECT_EQ(fresh.hits, p.hits) << what;
+        EXPECT_EQ(fresh.misses, p.misses) << what;
+        EXPECT_EQ(fresh.inserts, p.inserts) << what;
+        const core::RunResult warm = runTopologyCached(cfg, topo, &cache);
+
+        LayerResultCache half;
+        (void)runTopologyCached(cfg, every_other, &half);
+        const core::RunResult partial =
+            runTopologyCached(cfg, topo, &half);
+
+        // A one-byte budget refuses every entry, so each repeat misses
+        // and takes its first occurrence's evaluation: only the three
+        // distinct shapes are simulated.
+        LayerResultCache tiny(1);
+        const core::RunResult refused =
+            runTopologyCached(cfg, topo, &tiny);
+        EXPECT_EQ(tiny.stats().hits, 0u) << what;
+        EXPECT_EQ(tiny.stats().misses, topo.layers.size()) << what;
+        EXPECT_EQ(tiny.stats().entries, 0u) << what;
+        EXPECT_EQ(refused.profile.layersProfiled, 3u) << what;
+
+        // Three eighths of the fresh cache's bytes hold one entry: a
+        // first occurrence is evicted before its repeat is looked up,
+        // and the repeat puts it back instead of simulating it.
+        LayerResultCache tight(fresh.bytes * 3 / 8);
+        const core::RunResult evicted =
+            runTopologyCached(cfg, topo, &tight);
+        const CacheStats squeezed = tight.stats();
+        EXPECT_EQ(squeezed.hits, 2u) << what;
+        EXPECT_EQ(squeezed.misses, 4u) << what;
+        EXPECT_EQ(squeezed.inserts, 4u) << what;
+        EXPECT_EQ(squeezed.evictions, 3u) << what;
+        EXPECT_EQ(squeezed.entries, 1u) << what;
+        EXPECT_EQ(evicted.profile.layersProfiled, 3u) << what;
+
+        for (const auto* run :
+             {&cold, &warm, &partial, &refused, &evicted}) {
+            EXPECT_EQ(dump(run->stats), dump(plain.stats)) << what;
+            EXPECT_EQ(jsonWithoutProfile(*run), jsonWithoutProfile(plain))
+                << what;
+        }
+    }
+}
+
+TEST(CachedRunner, ErrorJoinsWorker)
+{
+    // A layer whose demand stage fails mid-topology: the error reaches
+    // the caller, the demand worker is joined, and only the layers
+    // before it reach the cache.
+    SimConfig cfg = baseConfig();
+    cfg.energy.enabled = true;
+    cfg.sparsity.enabled = true;
+    Topology topo = smallTopology();
+    auto bad = LayerSpec::gemm("bad", 8, 32, 64);
+    // 5:4 is no N:M ratio: sparsity resolution fails.
+    bad.sparseN = 5;
+    bad.sparseM = 4;
+    topo.layers.push_back(bad);
+    topo.layers.push_back(LayerSpec::gemm("after", 16, 16, 16));
+
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    LayerResultCache cache;
+    const std::size_t threads_before = threadCount();
+    bool fatal = false;
+    try {
+        (void)runTopologyCached(cfg, topo, &cache);
+    } catch (const FatalError& e) {
+        fatal = true;
+        EXPECT_NE(std::string(e.what()).find("invalid N:M ratio"),
+                  std::string::npos) << e.what();
+    }
+    setQuiet(was_quiet);
+    EXPECT_TRUE(fatal);
+    EXPECT_EQ(threadCount(), threads_before);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().inserts, 2u);
 }
 
 TEST(CachedRunner, AuditConfigBypassesCache)
@@ -685,6 +822,37 @@ TEST(ServerProtocol, OversizedBankSizeIsRejectedByName)
     EXPECT_NE(doc.stringAt("error").find("energy.BankSize"),
               std::string::npos)
         << doc.stringAt("error");
+}
+
+TEST(ServerProtocol, OversizedJobsIsRejectedByName)
+{
+    Server server({});
+    const std::string tiny = R"("topology": {"layers": [
+            {"type": "gemm", "m": 16, "n": 16, "k": 16}]},
+        "arrays": [8], "dataflows": ["os"], "sramKb": [64])";
+    expectRejected(server,
+                   R"({"type": "sweep", "jobs": 100000, )" + tiny + "}",
+                   "jobs");
+    const obs::JsonValue doc = response(
+        server, R"({"type": "sweep", "jobs": 2, )" + tiny + "}");
+    ASSERT_TRUE(doc.find("ok")->boolean) << doc.stringAt("error");
+    ASSERT_NE(doc.findPath("result.points"), nullptr);
+    EXPECT_EQ(doc.findPath("result.points")->items.size(), 1u);
+}
+
+TEST(ServerProtocol, StatsReportsRequestLatency)
+{
+    Server server({});
+    (void)server.handleRequest(R"({"type": "ping"})");
+    (void)server.handleRequest(R"({"type": "run", "topology": {
+        "layers": [{"type": "gemm", "m": 16, "n": 16, "k": 16}]}})");
+    const obs::JsonValue doc = response(server, R"({"type": "stats"})");
+    ASSERT_TRUE(doc.find("ok")->boolean) << doc.stringAt("error");
+    const obs::JsonValue* latency = doc.findPath("result.latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_DOUBLE_EQ(latency->numberAt("count"), 2.0);
+    EXPECT_GT(latency->numberAt("meanS"), 0.0);
+    EXPECT_GE(latency->numberAt("maxS"), latency->numberAt("meanS"));
 }
 
 TEST(ServerProtocol, ValidRequestSucceedsAfterRejectedNumbers)
