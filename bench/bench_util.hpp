@@ -15,13 +15,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/parse.hpp"
 
 namespace benchutil
@@ -208,18 +206,6 @@ jobsFromArgs(int argc, char** argv, unsigned fallback = 1,
         }
     }
     return jobs;
-}
-
-/**
- * Evaluate `n` independent config points on up to `jobs` threads.
- * Each point must own its simulator state and store results by index;
- * with that discipline the output is identical for every jobs value.
- */
-inline void
-forEachPoint(std::uint64_t n, unsigned jobs,
-             const std::function<void(std::uint64_t)>& body)
-{
-    scalesim::parallelFor(n, jobs, body);
 }
 
 } // namespace benchutil

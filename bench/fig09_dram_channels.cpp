@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
 
@@ -40,7 +41,7 @@ main(int argc, char** argv)
     // One config point per channel count; each point owns its
     // Simulator and writes a distinct mbps column, so the table is
     // identical for every --jobs value.
-    benchutil::forEachPoint(4, jobs, [&](std::uint64_t ci) {
+    parallelFor(4, jobs, [&](std::uint64_t ci) {
         SimConfig cfg = SimConfig::tpuMemoryStudy();
         cfg.mode = SimMode::Analytical;
         cfg.dram.channels = channel_counts[ci];

@@ -9,6 +9,7 @@
 
 #include "bench_util.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
 
@@ -57,8 +58,7 @@ main(int argc, char** argv)
     // 3 workloads x 3 queue sizes = 9 independent config points.
     std::vector<core::RunResult> results(
         static_cast<std::size_t>(kWorkloads) * kQueues);
-    benchutil::forEachPoint(results.size(), jobs,
-                            [&](std::uint64_t i) {
+    parallelFor(results.size(), jobs, [&](std::uint64_t i) {
         const Topology topo = workloads::byName(
             names[i / kQueues]);
         results[i] = runWith(topo, queue_sizes[i % kQueues]);

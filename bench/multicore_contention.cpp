@@ -29,6 +29,7 @@
 #include "bench_util.hpp"
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/workloads.hpp"
 #include "multicore/trace_sim.hpp"
 
@@ -145,10 +146,9 @@ main(int argc, char** argv)
 
     std::vector<Outcome> outcomes(points.size());
     benchutil::Timer total;
-    benchutil::forEachPoint(points.size(), jobs,
-                            [&](std::uint64_t i) {
-                                outcomes[i] = runPoint(points[i]);
-                            });
+    parallelFor(points.size(), jobs, [&](std::uint64_t i) {
+        outcomes[i] = runPoint(points[i]);
+    });
     const double total_s = total.seconds();
     const Gate gate = runGate(5);
 

@@ -26,6 +26,7 @@
 
 #include "bench_util.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/profiler.hpp"
 #include "common/workloads.hpp"
 #include "core/simulator.hpp"
@@ -123,8 +124,7 @@ main(int argc, char** argv)
     benchutil::Timer wall;
     std::vector<SimProfile> profiles(
         static_cast<std::size_t>(kWorkloads) * kPerWorkload);
-    benchutil::forEachPoint(profiles.size(), jobs,
-                            [&](std::uint64_t i) {
+    parallelFor(profiles.size(), jobs, [&](std::uint64_t i) {
         const int w = static_cast<int>(i) / kPerWorkload;
         const int f = static_cast<int>(i) % kPerWorkload;
         const Topology topo = workloads::byName(workload_names[w]);

@@ -147,34 +147,6 @@ AuditReport::checksForLaw(std::string_view law) const
 }
 
 void
-AuditReport::clear()
-{
-    checks_ = 0;
-    violations_.clear();
-    perLaw_.clear();
-}
-
-void
-AuditReport::merge(const AuditReport& other)
-{
-    checks_ += other.checks_;
-    violations_.insert(violations_.end(), other.violations_.begin(),
-                       other.violations_.end());
-    for (const auto& entry : other.perLaw_) {
-        bool found = false;
-        for (auto& mine : perLaw_) {
-            if (mine.first == entry.first) {
-                mine.second += entry.second;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            perLaw_.push_back(entry);
-    }
-}
-
-void
 AuditReport::registerStats(obs::StatsRegistry& reg,
                            const std::string& prefix) const
 {
@@ -648,8 +620,8 @@ InvariantAuditor::auditArbiter(
                result.l2.missWords);
     }
     // Port-level read-latency split (the per-core feed of the CPI
-    // stack): whatever the shared backend left unattributed is folded
-    // into readService by MemoryPort, so the four components must
+    // stack): MemoryPort books the issue wait as port wait and the
+    // rest of the round trip as service, so the four components must
     // cover every cycle of read latency exactly.
     for (std::size_t i = 0; i < result.ports.size(); ++i) {
         const auto& port = result.ports[i];

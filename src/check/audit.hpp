@@ -115,11 +115,6 @@ class AuditReport
     }
     bool clean() const { return violations_.empty(); }
 
-    void clear();
-
-    /** Fold another report into this one. */
-    void merge(const AuditReport& other);
-
     /**
      * Register `<prefix>.checks`, `<prefix>.violations`, and the
      * per-law `<prefix>.checksByLaw` / `<prefix>.violationsByLaw`

@@ -94,15 +94,6 @@ CsvTable::parse(std::istream& in)
     return table;
 }
 
-CsvTable
-CsvTable::load(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open CSV file: %s", path.c_str());
-    return parse(in);
-}
-
 int
 CsvTable::findColumn(std::string_view name) const
 {

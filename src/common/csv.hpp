@@ -32,9 +32,6 @@ class CsvTable
     /** Parse from an input stream. First non-comment row is the header. */
     static CsvTable parse(std::istream& in);
 
-    /** Parse a file on disk; fatal() if unreadable. */
-    static CsvTable load(const std::string& path);
-
     const std::vector<std::string>& header() const { return header_; }
     std::size_t numRows() const { return rows_.size(); }
     const std::vector<std::string>& row(std::size_t i) const

@@ -1,33 +1,12 @@
 #include "dram/system.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
 #include "common/log.hpp"
 
 namespace scalesim::dram
 {
-
-AddressMapping
-addressMappingFromString(std::string_view text)
-{
-    std::string c;
-    for (char ch : text) {
-        if (ch == '-' || ch == '_')
-            continue;
-        c.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(ch))));
-    }
-    if (c == "robaracoch")
-        return AddressMapping::RoBaRaCoCh;
-    if (c == "roracobach")
-        return AddressMapping::RoRaCoBaCh;
-    if (c == "rorabachco")
-        return AddressMapping::RoRaBaChCo;
-    fatal("unknown address mapping '%.*s'",
-          static_cast<int>(text.size()), text.data());
-}
 
 double
 TraceResult::bytesPerClock() const
@@ -74,47 +53,17 @@ channelHash(std::uint64_t tx)
 DecodedAddr
 DramSystem::decode(Addr byte_addr, std::uint32_t& channel) const
 {
-    const std::uint64_t tx = burst_.div(byte_addr);
     DecodedAddr out;
-    std::uint64_t rest = tx;
-    switch (cfg_.mapping) {
-      case AddressMapping::RoBaRaCoCh:
-        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
-        rest = nch_.div(rest);
-        out.col = cols_.mod(rest);
-        rest = cols_.div(rest);
-        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
-        rest = ranks_.div(rest);
-        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
-        rest = banks_.div(rest);
-        out.row = rows_.mod(rest);
-        break;
-      case AddressMapping::RoRaCoBaCh:
-        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
-        rest = nch_.div(rest);
-        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
-        rest = banks_.div(rest);
-        out.col = cols_.mod(rest);
-        rest = cols_.div(rest);
-        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
-        rest = ranks_.div(rest);
-        out.row = rows_.mod(rest);
-        break;
-      case AddressMapping::RoRaBaChCo:
-        out.col = cols_.mod(rest);
-        rest = cols_.div(rest);
-        channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
-        rest = nch_.div(rest);
-        out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
-        rest = banks_.div(rest);
-        out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
-        rest = ranks_.div(rest);
-        out.row = rows_.mod(rest);
-        break;
-      default:
-        channel = 0;
-        break;
-    }
+    std::uint64_t rest = burst_.div(byte_addr);
+    channel = static_cast<std::uint32_t>(nch_.mod(channelHash(rest)));
+    rest = nch_.div(rest);
+    out.col = cols_.mod(rest);
+    rest = cols_.div(rest);
+    out.rank = static_cast<std::uint32_t>(ranks_.mod(rest));
+    rest = ranks_.div(rest);
+    out.bank = static_cast<std::uint32_t>(banks_.mod(rest));
+    rest = banks_.div(rest);
+    out.row = rows_.mod(rest);
     return out;
 }
 

@@ -20,26 +20,12 @@
 namespace scalesim::dram
 {
 
-/** Physical address bit interleaving order (lowest bits first). */
-enum class AddressMapping
-{
-    /** ch : col : rank : bank : row — bursts interleave channels. */
-    RoBaRaCoCh,
-    /** ch : bank : col : rank : row — banks interleave first. */
-    RoRaCoBaCh,
-    /** col : ch : bank : rank : row — rows stay channel-local. */
-    RoRaBaChCo,
-};
-
-AddressMapping addressMappingFromString(std::string_view text);
-
 /** Full memory-system configuration. */
 struct DramSystemConfig
 {
     DramTiming timing;
     std::uint32_t channels = 1;
     std::uint32_t ranks = 1;
-    AddressMapping mapping = AddressMapping::RoBaRaCoCh;
     std::uint32_t reorderWindow = 32;
     std::uint32_t hitStreakCap = 16;
     PagePolicy pagePolicy = PagePolicy::Open;
@@ -74,7 +60,11 @@ class DramSystem
 
     const DramSystemConfig& config() const { return cfg_; }
 
-    /** Decode a byte address; channel index returned separately. */
+    /**
+     * Decode a byte address, RoBaRaCoCh order (ch : col : rank : bank
+     * : row, lowest bits first), so consecutive bursts interleave
+     * channels; channel index returned separately.
+     */
     DecodedAddr decode(Addr byte_addr, std::uint32_t& channel) const;
 
     /**

@@ -4,9 +4,7 @@
 #include <bit>
 
 #include "check/contract.hpp"
-#include "common/hash.hpp"
 #include "common/log.hpp"
-#include "systolic/fold_cache.hpp"
 
 namespace scalesim::energy
 {
@@ -95,28 +93,6 @@ chargeLayer(ActionCounts& counts, const ActionCounts& before,
 } // namespace
 
 void
-ActionCounts::merge(const ActionCounts& other)
-{
-    macRandom += other.macRandom;
-    macConstant += other.macConstant;
-    macGated += other.macGated;
-    vectorOps += other.vectorOps;
-    ifmapSpadRead += other.ifmapSpadRead;
-    ifmapSpadWrite += other.ifmapSpadWrite;
-    weightSpadRead += other.weightSpadRead;
-    weightSpadWrite += other.weightSpadWrite;
-    psumSpadRead += other.psumSpadRead;
-    psumSpadWrite += other.psumSpadWrite;
-    ifmapSram.merge(other.ifmapSram);
-    filterSram.merge(other.filterSram);
-    ofmapSram.merge(other.ofmapSram);
-    dramReadWords += other.dramReadWords;
-    dramWriteWords += other.dramWriteWords;
-    nocWords += other.nocWords;
-    cycles += other.cycles;
-}
-
-void
 ActionCountVisitor::RowTrackerSet::reset(std::uint32_t banks,
                                          std::uint32_t cap)
 {
@@ -196,17 +172,6 @@ ActionCountVisitor::beginFold(std::uint64_t rf, std::uint64_t cf,
     foldCf_ = cf;
 }
 
-std::size_t
-ActionCountVisitor::SummaryKeyHash::operator()(const SummaryKey& k) const
-{
-    Fnv1a h;
-    h.mix(k.rf);
-    h.mix(k.cf);
-    h.mix(k.rho);
-    h.mix(k.stream);
-    return static_cast<std::size_t>(h.digest());
-}
-
 std::uint64_t
 ActionCountVisitor::rowOf(Addr addr) const
 {
@@ -249,7 +214,7 @@ ActionCountVisitor::summary(const systolic::FoldCacheEntry& entry,
                             std::uint32_t stream,
                             std::span<const Addr> addrs, std::uint64_t rho)
 {
-    const SummaryKey key{entry.rf, entry.cf, rho, stream};
+    const systolic::ReplayMemoKey key{entry.rf, entry.cf, rho, stream};
     const auto [it, fresh] = summaryIndex_.try_emplace(
         key, static_cast<std::uint32_t>(summaries_.size()));
     if (!fresh)

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "systolic/demand.hpp"
+#include "systolic/fold_cache.hpp"
 
 namespace scalesim::energy
 {
@@ -29,16 +29,6 @@ struct SramActionCounts
 
     Count reads() const { return readRandom + readRepeat; }
     Count writes() const { return writeRandom + writeRepeat; }
-
-    void
-    merge(const SramActionCounts& o)
-    {
-        readRandom += o.readRandom;
-        readRepeat += o.readRepeat;
-        writeRandom += o.writeRandom;
-        writeRepeat += o.writeRepeat;
-        idle += o.idle;
-    }
 };
 
 /** Complete action-count summary for one layer (or accumulated run). */
@@ -71,8 +61,6 @@ struct ActionCounts
     Count nocWords = 0;
 
     Cycle cycles = 0;
-
-    void merge(const ActionCounts& other);
 };
 
 /**
@@ -176,24 +164,6 @@ class ActionCountVisitor : public systolic::DemandVisitor
         std::uint32_t distinct = 0;
         std::uint64_t rows = 0;
     };
-    /**
-     * Memo key: capture fold of the entry, sub-row shift, and stream
-     * (0 ifmap, 1 filter, 2 ofmap writes, which accumulating folds
-     * replay as their ofmap reads too).
-     */
-    struct SummaryKey
-    {
-        std::uint64_t rf = 0;
-        std::uint64_t cf = 0;
-        std::uint64_t rho = 0;
-        std::uint32_t stream = 0;
-        bool operator==(const SummaryKey&) const = default;
-    };
-    struct SummaryKeyHash
-    {
-        std::size_t operator()(const SummaryKey& k) const;
-    };
-
     std::uint64_t rowOf(Addr addr) const;
     const StreamSummary& summary(const systolic::FoldCacheEntry& entry,
                                  std::uint32_t stream,
@@ -223,8 +193,11 @@ class ActionCountVisitor : public systolic::DemandVisitor
     RowTrackerSet ofmapWriteRows_;
 
     // Per-layer stream summaries, pooled so steady-state replays
-    // allocate nothing; cleared in beginLayer.
-    std::unordered_map<SummaryKey, std::uint32_t, SummaryKeyHash>
+    // allocate nothing; cleared in beginLayer. Keyed on the capture
+    // fold, the sub-row shift and the stream; ofmap writes (stream 2)
+    // are replayed as accumulating folds' ofmap reads too.
+    std::unordered_map<systolic::ReplayMemoKey, std::uint32_t,
+                       systolic::ReplayMemoKeyHash>
         summaryIndex_;
     std::vector<StreamSummary> summaries_;
     std::vector<BankSummary> bankPool_;

@@ -7,9 +7,7 @@
 #include <string_view>
 
 #include "check/contract.hpp"
-#include "common/hash.hpp"
 #include "common/log.hpp"
-#include "systolic/fold_cache.hpp"
 
 namespace scalesim::layout
 {
@@ -375,17 +373,6 @@ BankConflictEvaluator::beginFold(std::uint64_t rf, std::uint64_t cf,
 }
 
 std::size_t
-BankConflictEvaluator::CostKeyHash::operator()(const CostKey& k) const
-{
-    Fnv1a h;
-    h.mix(k.rf);
-    h.mix(k.cf);
-    h.mix(k.rho);
-    h.mix(k.stream);
-    return static_cast<std::size_t>(h.digest());
-}
-
-std::size_t
 BankConflictEvaluator::cycleCosts(const systolic::FoldCacheEntry& entry,
                                   std::uint32_t stream, std::int64_t delta)
 {
@@ -394,8 +381,8 @@ BankConflictEvaluator::cycleCosts(const systolic::FoldCacheEntry& entry,
     std::int64_t rho = delta % period;
     if (rho < 0)
         rho += period;
-    const CostKey key{entry.rf, entry.cf, static_cast<std::uint64_t>(rho),
-                      stream};
+    const systolic::ReplayMemoKey key{
+        entry.rf, entry.cf, static_cast<std::uint64_t>(rho), stream};
     const systolic::FoldCacheEntry::Stream& arena = stream == 0
         ? entry.ifmap
         : stream == 1 ? entry.filter : entry.writes;

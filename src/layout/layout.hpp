@@ -22,7 +22,7 @@
 
 #include "common/config.hpp"
 #include "common/divider.hpp"
-#include "systolic/demand.hpp"
+#include "systolic/fold_cache.hpp"
 
 namespace scalesim::layout
 {
@@ -122,7 +122,7 @@ class BankConflictEvaluator : public systolic::DemandVisitor
 
     /**
      * Charge a cached fold from memoized per-cycle costs instead of
-     * its addresses (see CostKey). Always consumes the fold. A class
+     * its addresses (see costIndex_). Always consumes the fold. A class
      * capture arrives here too, unshifted.
      */
     bool replayFold(const systolic::FoldCacheEntry& entry,
@@ -181,27 +181,6 @@ class BankConflictEvaluator : public systolic::DemandVisitor
         std::vector<std::uint32_t> bankOfCol;
     };
 
-    /**
-     * Memo key of one stream's per-cycle costs. Under a replay shift
-     * delta = t * period + rho (0 <= rho < period) every address keeps
-     * the bank it has when shifted by rho alone, and every line moves
-     * by the same amount, so each cycle's distinct lines per bank — its
-     * cost — depend only on the capture fold, the stream (0 ifmap,
-     * 1 filter, 2 ofmap) and rho. Accumulate reads repeat the write
-     * addresses and add no line.
-     */
-    struct CostKey
-    {
-        std::uint64_t rf = 0;
-        std::uint64_t cf = 0;
-        std::uint64_t rho = 0;
-        std::uint32_t stream = 0;
-        bool operator==(const CostKey&) const = default;
-    };
-    struct CostKeyHash
-    {
-        std::size_t operator()(const CostKey& k) const;
-    };
     /** A memoized cost vector: costPool_[first, first + cycles). */
     struct CostSpan
     {
@@ -284,7 +263,18 @@ class BankConflictEvaluator : public systolic::DemandVisitor
     std::uint64_t epoch_ = 0;
     // Per-layer cost vectors, pooled so steady-state replays allocate
     // nothing; cleared in beginLayer.
-    std::unordered_map<CostKey, CostSpan, CostKeyHash> costIndex_;
+    /**
+     * Memoized per-cycle costs of one stream. Under a replay shift
+     * delta = t * period + rho (0 <= rho < period) every address keeps
+     * the bank it has when shifted by rho alone, and every line moves
+     * by the same amount, so each cycle's distinct lines per bank — its
+     * cost — depend only on the capture fold, the stream (0 ifmap,
+     * 1 filter, 2 ofmap) and rho. Accumulate reads repeat the write
+     * addresses and add no line.
+     */
+    std::unordered_map<systolic::ReplayMemoKey, CostSpan,
+                       systolic::ReplayMemoKeyHash>
+        costIndex_;
     std::vector<std::uint32_t> costPool_;
     // Per-layer shape memo, one fixed allocation: an open-addressed
     // table of kShapeSlots slots, then kShapeBytes of key bytes.

@@ -103,51 +103,20 @@ RoundRobinArbiter::stats() const
 Cycle
 MemoryPort::issueRead(Addr addr, Count words, Cycle now)
 {
-    // Delta-capture the shared model's latency components across the
-    // call: the co-simulation scheduler runs one transaction at a
-    // time, so the delta belongs entirely to this request. The issue
-    // wait at the shared serialization point is reclassified from
-    // queue wait to port wait — that is the cross-core contention the
-    // CPI stack surfaces as l2Wait.
-    const systolic::MemoryStats& shared = shared_.stats();
-    const Cycle queue_before = shared.readQueueWait;
-    const Cycle refresh_before = shared.readRefresh;
-    const Cycle service_before = shared.readService;
+    // Only fixed-bandwidth models sit behind a port (BandwidthMemory,
+    // or a SharedL2 in front of one), and neither has a refresh or a
+    // controller queue of its own: the issue wait at the shared
+    // serialization point is the cross-core contention the CPI stack
+    // surfaces as l2Wait, and the rest of the round trip is service.
     const Cycle done = shared_.issueRead(addr, words, now);
     const Cycle wait = shared_.lastIssueWait();
     const Cycle latency = done - now;
-    const Cycle queue_delta = shared.readQueueWait - queue_before;
-    const Cycle refresh_delta = shared.readRefresh - refresh_before;
-    const Cycle service_delta = shared.readService - service_before;
-    // The issue wait is reclassified from queue wait to port wait, but
-    // only the overlap actually present in the backend's queue
-    // accounting: when the backend reports less queue wait than the
-    // issue wait (SharedL2 reports none at all), reclassifying the
-    // full `wait` would make cycles vanish from the split. Whatever
-    // the backend left unattributed (L2 hit/fill/transfer time) lands
-    // in readService, so the four components always sum to
-    // totalReadLatency — the port-level cpi.conservation law.
-    const Cycle reclass = std::min(wait, queue_delta);
-    const Cycle queue_kept = queue_delta - reclass;
-    const Cycle attributed =
-        wait + queue_kept + refresh_delta + service_delta;
-    const Cycle residual = latency > attributed ? latency - attributed
-                                                : 0;
-    ++portStats_.readRequests;
-    portStats_.readWords += words;
-    portStats_.waitCycles += wait;
-    portStats_.totalReadLatency += latency;
-    portStats_.readPortWait += wait;
-    portStats_.readQueueWait += queue_kept;
-    portStats_.readRefresh += refresh_delta;
-    portStats_.readService += service_delta + residual;
     ++stats_.readRequests;
     stats_.readWords += words;
     stats_.totalReadLatency += latency;
     stats_.readPortWait += wait;
-    stats_.readQueueWait += queue_kept;
-    stats_.readRefresh += refresh_delta;
-    stats_.readService += service_delta + residual;
+    stats_.readService += latency > wait ? latency - wait : 0;
+    waitCycles_ += wait;
     return done;
 }
 
@@ -155,12 +124,10 @@ Cycle
 MemoryPort::issueWrite(Addr addr, Count words, Cycle now)
 {
     const Cycle done = shared_.issueWrite(addr, words, now);
-    ++portStats_.writeRequests;
-    portStats_.writeWords += words;
-    portStats_.waitCycles += shared_.lastIssueWait();
     ++stats_.writeRequests;
     stats_.writeWords += words;
     stats_.totalWriteLatency += done - now;
+    waitCycles_ += shared_.lastIssueWait();
     return done;
 }
 

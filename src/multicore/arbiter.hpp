@@ -104,13 +104,15 @@ class RoundRobinArbiter
     std::vector<Count> waiterTally_;
 };
 
-/** Per-core traffic/wait statistics of one MemoryPort. */
-struct MemoryPortStats
+/**
+ * Per-core traffic/wait statistics of one MemoryPort: the port's own
+ * MemoryStats plus its queueing delay. The read-latency split obeys
+ * (audited under `cpi.conservation`)
+ *   readPortWait + readQueueWait + readRefresh + readService
+ *     == totalReadLatency.
+ */
+struct MemoryPortStats : systolic::MemoryStats
 {
-    Count readRequests = 0;
-    Count writeRequests = 0;
-    std::uint64_t readWords = 0;
-    std::uint64_t writeWords = 0;
     /**
      * Aggregate queueing delay at the shared serialization point (the
      * L2 port, or the DRAM bus when no L2 is configured): the sum over
@@ -121,21 +123,6 @@ struct MemoryPortStats
      * collision count. `stallOnL2` in the stats output.
      */
     Cycle waitCycles = 0;
-    /**
-     * Port-level read-latency split, mirroring what the port's L1
-     * engine sees through MainMemory::stats(). Conservation law
-     * (audited under `cpi.conservation`):
-     *   readPortWait + readQueueWait + readRefresh + readService
-     *     == totalReadLatency
-     * holds exactly for every shared model — the residual a backend
-     * leaves unattributed (e.g. SharedL2 hit/transfer time, which the
-     * L2 does not decompose) is folded into readService.
-     */
-    Cycle totalReadLatency = 0;
-    Cycle readPortWait = 0;
-    Cycle readQueueWait = 0;
-    Cycle readRefresh = 0;
-    Cycle readService = 0;
 };
 
 /**
@@ -158,11 +145,11 @@ class MemoryPort : public systolic::MainMemory
         return shared_.lastIssueWait();
     }
 
-    const MemoryPortStats& portStats() const { return portStats_; }
+    MemoryPortStats portStats() const { return {stats_, waitCycles_}; }
 
   private:
     systolic::MainMemory& shared_;
-    MemoryPortStats portStats_;
+    Cycle waitCycles_ = 0;
 };
 
 } // namespace scalesim::multicore

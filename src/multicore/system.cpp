@@ -228,40 +228,4 @@ MultiCoreSimulator::runLayer(const LayerSpec& layer, Dataflow df,
     return runGemm(layer.toGemm(), df, tail);
 }
 
-void
-MultiCoreResult::registerStats(obs::StatsRegistry& reg,
-                               const std::string& prefix) const
-{
-    reg.addScalar(prefix + ".layers", "layers accumulated", 1.0);
-    reg.addScalar(prefix + ".makespanCycles",
-                  "summed slowest-core latency",
-                  static_cast<double>(makespan));
-    reg.addScalar(prefix + ".cores", "tensor cores in the grid",
-                  static_cast<double>(perCore.size()));
-    reg.addScalar(prefix + ".l1FootprintWords",
-                  "per-core private footprint (words)",
-                  static_cast<double>(l1FootprintWords));
-    reg.addScalar(prefix + ".l2FootprintWords",
-                  "shared-L2 deduplicated footprint (words)",
-                  static_cast<double>(l2FootprintWords));
-    reg.addScalar(prefix + ".dedupSavedWords",
-                  "words saved by the shared L2",
-                  static_cast<double>(dedupSavedWords()));
-    // Summed over registered layers; divide by .layers for the mean.
-    reg.addScalar(prefix + ".imbalance",
-                  "summed makespan / mean-core-time ratio", imbalance);
-    const std::string compute = prefix + ".core.computeCycles";
-    const std::string simd = prefix + ".core.simdCycles";
-    const std::string nop = prefix + ".core.nopCycles";
-    for (std::size_t c = 0; c < perCore.size(); ++c) {
-        const std::string elem = format("core%zu", c);
-        reg.addVectorElem(compute, elem, "per-core compute cycles",
-                          static_cast<double>(perCore[c].computeCycles));
-        reg.addVectorElem(simd, elem, "per-core vector-tail cycles",
-                          static_cast<double>(perCore[c].simdCycles));
-        reg.addVectorElem(nop, elem, "per-core NoP transfer cycles",
-                          static_cast<double>(perCore[c].nopCycles));
-    }
-}
-
 } // namespace scalesim::multicore

@@ -10,12 +10,10 @@
 #ifndef SCALESIM_MULTICORE_SYSTEM_HH
 #define SCALESIM_MULTICORE_SYSTEM_HH
 
-#include <string>
 #include <vector>
 
 #include "multicore/partition.hpp"
 #include "multicore/tensor_core.hpp"
-#include "obs/stats.hpp"
 
 namespace scalesim::multicore
 {
@@ -96,15 +94,6 @@ struct MultiCoreResult
     }
     /** max(core total) / mean(core total): 1.0 = perfectly balanced. */
     double imbalance = 1.0;
-
-    /**
-     * Register this layer's system-level stats under `prefix` (e.g.
-     * "mc"): makespan, imbalance, footprints, and per-core cycle
-     * vectors (compute/simd/nop). Create-or-accumulate semantics let
-     * callers fold many layers into one registry.
-     */
-    void registerStats(obs::StatsRegistry& reg,
-                       const std::string& prefix) const;
 };
 
 /** Analytical multi-core simulator. */

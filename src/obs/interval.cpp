@@ -30,14 +30,6 @@ fmtValue(double value)
 } // namespace
 
 void
-IntervalSeries::append(const IntervalSeries& other)
-{
-    if (interval == 0)
-        interval = other.interval;
-    rows.insert(rows.end(), other.rows.begin(), other.rows.end());
-}
-
-void
 IntervalSeries::writeStatsText(std::ostream& out) const
 {
     for (const auto& row : rows) {

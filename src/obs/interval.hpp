@@ -50,9 +50,6 @@ struct IntervalSeries
 
     bool empty() const { return rows.empty(); }
 
-    /** Append another series' rows (deterministic in call order). */
-    void append(const IntervalSeries& other);
-
     /** Repeated gem5-style "Begin/End" sections, one per row. */
     void writeStatsText(std::ostream& out) const;
 

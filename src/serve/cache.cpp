@@ -6,7 +6,6 @@
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
-#include "obs/stats.hpp"
 
 namespace scalesim::serve
 {
@@ -21,19 +20,34 @@ constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 
 } // namespace
 
+const LayerResultCache::Entry*
+LayerResultCache::touchLocked(std::uint64_t key)
+{
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        ++stats_.misses;
+        return nullptr;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+    ++stats_.hits;
+    return &it->second;
+}
+
 bool
 LayerResultCache::lookup(std::uint64_t key, std::string& payload)
 {
     MutexLock lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++stats_.misses;
-        return false;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-    payload = it->second.payload;
-    ++stats_.hits;
-    return true;
+    const Entry* entry = touchLocked(key);
+    if (entry)
+        payload = entry->payload;
+    return entry != nullptr;
+}
+
+bool
+LayerResultCache::touch(std::uint64_t key)
+{
+    MutexLock lock(mutex_);
+    return touchLocked(key) != nullptr;
 }
 
 void
@@ -81,37 +95,6 @@ LayerResultCache::stats() const
     snap.bytes = bytes_;
     snap.entries = entries_.size();
     return snap;
-}
-
-void
-LayerResultCache::registerStats(obs::StatsRegistry& reg,
-                                const std::string& prefix) const
-{
-    const CacheStats snap = stats();
-    reg.addScalar(prefix + ".hits", "layer results served from cache",
-                  static_cast<double>(snap.hits));
-    reg.addScalar(prefix + ".misses", "layer lookups that simulated",
-                  static_cast<double>(snap.misses));
-    reg.addScalar(prefix + ".inserts", "entries inserted",
-                  static_cast<double>(snap.inserts));
-    reg.addScalar(prefix + ".evictions",
-                  "entries evicted by the LRU byte budget",
-                  static_cast<double>(snap.evictions));
-    reg.addScalar(prefix + ".loadedEntries",
-                  "entries accepted from a persisted cache file",
-                  static_cast<double>(snap.loadedEntries));
-    reg.addScalar(prefix + ".loadRejected",
-                  "persisted entries rejected as corrupt",
-                  static_cast<double>(snap.loadRejected));
-    reg.addScalar(prefix + ".bytes", "payload bytes currently held",
-                  static_cast<double>(snap.bytes));
-    reg.addScalar(prefix + ".entries", "entries currently held",
-                  static_cast<double>(snap.entries));
-    obs::FormulaSpec hit_rate;
-    hit_rate.numerator = {{prefix + ".hits", 1.0}};
-    hit_rate.denominator = {{prefix + ".hits", 1.0},
-                            {prefix + ".misses", 1.0}};
-    reg.addFormula(prefix + ".hitRate", "hits / lookups", hit_rate);
 }
 
 bool
@@ -202,17 +185,6 @@ LayerResultCache::load(const std::string& path)
     stats_.loadedEntries += accepted;
     stats_.loadRejected += rejected;
     return true;
-}
-
-void
-LayerResultCache::clear()
-{
-    MutexLock lock(mutex_);
-    entries_.clear();
-    lru_.clear();
-    bytes_ = 0;
-    stats_.bytes = 0;
-    stats_.entries = 0;
 }
 
 } // namespace scalesim::serve

@@ -35,11 +35,6 @@
 
 #include "check/thread_safety.hpp"
 
-namespace scalesim::obs
-{
-class StatsRegistry;
-}
-
 namespace scalesim::serve
 {
 
@@ -83,6 +78,10 @@ class LayerResultCache
     bool lookup(std::uint64_t key, std::string& payload)
         SIM_EXCLUDES(mutex_);
 
+    /** lookup() for a caller that needs no payload: counts the hit or
+     *  miss and refreshes LRU order without copying. */
+    bool touch(std::uint64_t key) SIM_EXCLUDES(mutex_);
+
     /**
      * Insert (or refresh) a payload. An entry larger than the whole
      * budget is not inserted (it would immediately evict everything);
@@ -92,15 +91,6 @@ class LayerResultCache
         SIM_EXCLUDES(mutex_);
 
     CacheStats stats() const SIM_EXCLUDES(mutex_);
-
-    /**
-     * Register sim.cache.* counters into a registry. Deliberately NOT
-     * part of any run/sweep result registry: hit/miss counts differ
-     * between cold and warm evaluation of the same request, and result
-     * registries are required to be byte-identical either way.
-     */
-    void registerStats(obs::StatsRegistry& reg,
-                       const std::string& prefix = "sim.cache") const;
 
     /**
      * Persist every entry to `path` (atomic: temp file + rename).
@@ -117,8 +107,6 @@ class LayerResultCache
      */
     bool load(const std::string& path) SIM_EXCLUDES(mutex_);
 
-    void clear() SIM_EXCLUDES(mutex_);
-
   private:
     struct Entry
     {
@@ -126,6 +114,10 @@ class LayerResultCache
         /** Position in lru_ (front = most recently used). */
         std::list<std::uint64_t>::iterator lruPos;
     };
+
+    /** Count a hit or miss on `key` and move a hit to the LRU front;
+     *  the entry, or nullptr on a miss. */
+    const Entry* touchLocked(std::uint64_t key) SIM_REQUIRES(mutex_);
 
     /** Evict LRU entries until bytes_ fits the budget (lock held). */
     void evictToBudget() SIM_REQUIRES(mutex_);

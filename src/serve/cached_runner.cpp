@@ -291,8 +291,7 @@ runTopologyCached(const SimConfig& cfg, const Topology& topology,
             // A repeat is still looked up, to count its hit and refresh
             // its entry. An entry that a byte budget evicted since is
             // put back, not re-simulated.
-            std::string payload;
-            if (!cache->lookup(keys[i], payload))
+            if (!cache->touch(keys[i]))
                 cache->insert(keys[i],
                               encodeLayerPayload(e.layer, e.dram, e.comp));
         }

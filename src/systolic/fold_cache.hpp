@@ -24,6 +24,7 @@
 #include <map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "systolic/demand.hpp"
 
 namespace scalesim::systolic
@@ -83,6 +84,36 @@ struct FoldCacheEntry
     void replay(DemandVisitor& visitor, Cycle fold_start,
                 const ReplayDeltas& deltas, bool accumulate,
                 FoldReplayScratch& scratch) const;
+};
+
+/**
+ * Key of a per-layer memo that a replaying visitor keeps per captured
+ * stream: the entry's capture fold, a sub-period shift `rho` (each
+ * visitor documents what it reduces a replay shift to) and the stream
+ * (0 ifmap, 1 filter, 2 ofmap writes).
+ */
+struct ReplayMemoKey
+{
+    std::uint64_t rf = 0;
+    std::uint64_t cf = 0;
+    std::uint64_t rho = 0;
+    std::uint32_t stream = 0;
+    bool operator==(const ReplayMemoKey&) const = default;
+};
+
+/** FNV-1a over the key's fields, for unordered_map. */
+struct ReplayMemoKeyHash
+{
+    std::size_t
+    operator()(const ReplayMemoKey& k) const
+    {
+        Fnv1a h;
+        h.mix(k.rf);
+        h.mix(k.cf);
+        h.mix(k.rho);
+        h.mix(k.stream);
+        return static_cast<std::size_t>(h.digest());
+    }
 };
 
 /**

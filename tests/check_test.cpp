@@ -433,23 +433,6 @@ TEST(Auditor, RunTotalsFaultInjection)
               1u);
 }
 
-TEST(AuditReport, MergeAndClear)
-{
-    AuditReport a;
-    a.recordCheck("spad.stallAccounting");
-    AuditReport b;
-    b.recordCheck("spad.stallAccounting");
-    b.recordViolation("runtime.envelope", "l1", "off by one");
-    a.merge(b);
-    EXPECT_EQ(a.checks(), 2u);
-    EXPECT_EQ(a.checksForLaw("spad.stallAccounting"), 2u);
-    EXPECT_EQ(a.violations().size(), 1u);
-    EXPECT_FALSE(a.clean());
-    a.clear();
-    EXPECT_TRUE(a.clean());
-    EXPECT_EQ(a.checks(), 0u);
-}
-
 TEST(AuditedRun, TraceRunOnGoldenWorkloadIsClean)
 {
     SimConfig cfg;

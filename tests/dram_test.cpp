@@ -197,20 +197,6 @@ TEST(System, DecodeRoundTripsDistinctly)
     EXPECT_EQ(a.row, b.row);
 }
 
-TEST(System, MappingVariants)
-{
-    for (auto name : {"RoBaRaCoCh", "RoRaCoBaCh", "RoRaBaChCo"}) {
-        DramSystemConfig cfg = config(2);
-        cfg.mapping = addressMappingFromString(name);
-        DramSystem sys(cfg);
-        std::uint32_t ch = 0;
-        const DecodedAddr d = sys.decode(123456, ch);
-        EXPECT_LT(ch, 2u);
-        EXPECT_LT(d.bank, cfg.timing.banksPerRank);
-    }
-    EXPECT_THROW(addressMappingFromString("bogus"), FatalError);
-}
-
 namespace
 {
 
@@ -263,15 +249,12 @@ TEST(System, DecodeMatchesPlainDivisionForAnyGeometry)
     using F = Field;
     const std::pair<const char*, std::vector<Field>> mappings[] = {
         {"RoBaRaCoCh", {F::Ch, F::Col, F::Rank, F::Bank, F::Row}},
-        {"RoRaCoBaCh", {F::Ch, F::Bank, F::Col, F::Rank, F::Row}},
-        {"RoRaBaChCo", {F::Col, F::Ch, F::Bank, F::Rank, F::Row}},
     };
     for (const auto& [name, order] : mappings) {
         for (std::uint32_t geometry = 0; geometry < 5 * 3 * 2; ++geometry) {
             DramSystemConfig cfg = config(
                 std::array<std::uint32_t, 5>{1, 2, 3, 4, 6}[geometry % 5]);
             cfg.ranks = 1 + geometry / 5 % 3;
-            cfg.mapping = addressMappingFromString(name);
             if (geometry >= 15) {
                 cfg.timing.banksPerRank = 12;
                 cfg.timing.rowsPerBank = 3000;

@@ -239,21 +239,6 @@ TEST(ActionCounts, TraceAndAnalyticalAgreeOnStructure)
     }
 }
 
-TEST(ActionCounts, MergeAccumulates)
-{
-    ActionCounts a, b;
-    a.macRandom = 10;
-    a.ifmapSram.readRandom = 5;
-    b.macRandom = 7;
-    b.ifmapSram.readRepeat = 3;
-    b.cycles = 11;
-    a.merge(b);
-    EXPECT_EQ(a.macRandom, 17u);
-    EXPECT_EQ(a.ifmapSram.readRandom, 5u);
-    EXPECT_EQ(a.ifmapSram.readRepeat, 3u);
-    EXPECT_EQ(a.cycles, 11u);
-}
-
 TEST(Model, EnergyPositiveAndDecomposed)
 {
     const GemmDims gemm{32, 32, 32};

@@ -4,7 +4,8 @@
  * shared-timeline model and its conflicts on a bandwidth-starved
  * configuration, the arbiter's grant order, operand offsets reaching
  * the shared L2, the l1FillWords == L2 service invariant, zero-share-core coverage on grids wider than
- * the mapped dims, the port-level cpi.conservation read-latency split,
+ * the mapped dims, the port-level cpi.conservation read-latency split
+ * with the L2 on and off,
  * and spatial-partition operand-view coverage for all three dataflows.
  */
 
@@ -464,6 +465,32 @@ TEST(PortLatencySplit, ConservesTotalReadLatencyWithoutL2)
         EXPECT_EQ(port.readQueueWait, 0u) << i;
         EXPECT_GT(port.readService, 0u) << i;
     }
+}
+
+TEST(Contention, L2OffPortSplitIsWaitPlusService)
+{
+    // With no L2 the ports sit in front of the fixed-bandwidth bus,
+    // which has no controller queue or refresh: each read's issue wait
+    // is port wait and the rest of its round trip is service.
+    const auto r = run(configB(), layerB(), ContentionModel::Shared);
+    ASSERT_EQ(r.ports.size(), 4u);
+    Cycle port_wait = 0;
+    for (std::size_t i = 0; i < r.ports.size(); ++i) {
+        const auto& port = r.ports[i];
+        ASSERT_GT(port.readRequests, 0u) << i;
+        EXPECT_EQ(port.readQueueWait, 0u) << i;
+        EXPECT_EQ(port.readRefresh, 0u) << i;
+        EXPECT_EQ(port.readPortWait + port.readService,
+                  port.totalReadLatency)
+            << i;
+        port_wait += port.readPortWait;
+    }
+    EXPECT_GT(port_wait, 0u);
+
+    check::InvariantAuditor auditor;
+    auditor.auditArbiter(r, false, "l2Off");
+    EXPECT_TRUE(auditor.report().clean());
+    EXPECT_GT(auditor.report().checksForLaw("cpi.conservation"), 0u);
 }
 
 // ---------------------------------------------------------------------

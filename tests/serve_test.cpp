@@ -584,21 +584,6 @@ TEST(LayerCache, GarbageHeaderRejected)
     std::remove(path.c_str());
 }
 
-TEST(LayerCache, StatsRegistryExportsCounters)
-{
-    LayerResultCache cache;
-    cache.insert(1, "x");
-    std::string got;
-    cache.lookup(1, got);
-    cache.lookup(2, got);
-    obs::StatsRegistry reg;
-    cache.registerStats(reg);
-    EXPECT_EQ(reg.scalarValue("sim.cache.hits"), 1.0);
-    EXPECT_EQ(reg.scalarValue("sim.cache.misses"), 1.0);
-    EXPECT_EQ(reg.scalarValue("sim.cache.inserts"), 1.0);
-    EXPECT_DOUBLE_EQ(reg.evaluate("sim.cache.hitRate"), 0.5);
-}
-
 // ---------------------------------------------------------------------
 // Request protocol.
 
