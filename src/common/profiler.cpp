@@ -76,6 +76,8 @@ SimProfile::writeReport(std::ostream& out) const
          "unattributed seconds");
     stat("sim.overhead.layers", std::to_string(layersProfiled),
          "layers profiled");
+    stat("sim.overhead.layersReused", std::to_string(layersReused),
+         "layers reusing an earlier layer's work");
     stat("sim.overhead.peakRssKb", std::to_string(peakRssKb),
          "process peak resident set");
 }

@@ -55,6 +55,12 @@ struct SimProfile
     double cpuSeconds = 0.0;
     /** Layers profiled (repetitions are simulated once). */
     std::uint64_t layersProfiled = 0;
+    /**
+     * Layers whose work a run took from an earlier layer of the same
+     * shape: demand stages Simulator::run reused, or multi-core layers
+     * runMultiCore reused (DESIGN.md "Run pipeline").
+     */
+    std::uint64_t layersReused = 0;
     /** Process peak resident-set size sampled at the end, in KiB. */
     std::uint64_t peakRssKb = 0;
 
@@ -83,6 +89,7 @@ struct SimProfile
         totalSeconds += other.totalSeconds;
         cpuSeconds += other.cpuSeconds;
         layersProfiled += other.layersProfiled;
+        layersReused += other.layersReused;
         if (other.peakRssKb > peakRssKb)
             peakRssKb = other.peakRssKb;
     }
@@ -156,6 +163,9 @@ class SimProfiler
         ++profile_.layersProfiled;
         return seconds;
     }
+
+    /** Count one layer whose work came from an earlier layer's. */
+    void countReuse() { ++profile_.layersReused; }
 
     /** Charge another thread's CPU seconds (a run's demand worker). */
     void chargeCpu(double seconds) { profile_.cpuSeconds += seconds; }

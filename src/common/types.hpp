@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 namespace scalesim
 {
@@ -189,6 +190,21 @@ struct LayerSpec
      * M = ofmapH*ofmapW, K = filterH*filterW*channels, N = numFilters.
      */
     GemmDims toGemm() const;
+
+    /**
+     * Every field that decides what one instance of the layer computes,
+     * as a tie: all but the display `name` and the `repetitions` that
+     * scale results outside it. Simulator::run's layer-shape memo
+     * compares layers with it and the serve cache key hashes it, so a
+     * new shape field reaches both.
+     */
+    auto
+    shapeFields() const
+    {
+        return std::tie(type, ifmapH, ifmapW, filterH, filterW, channels,
+                        numFilters, stride, gemmDims.m, gemmDims.n,
+                        gemmDims.k, batch, sparseN, sparseM, tail);
+    }
 
     /** Dense MAC count of one instance of the layer. */
     std::uint64_t macs() const { return toGemm().macs(); }

@@ -453,6 +453,53 @@ Simulator::runLayers(const Topology& topology,
                      const std::vector<std::size_t>& indices,
                      const LayerDone& done)
 {
+    // Plan: with a demand pass, a layer whose shape an earlier layer of
+    // this call has takes a copy of that layer's demand instead of
+    // running its own (DESIGN.md "Run pipeline"). demandStage reads only
+    // cfg_, the shape and, for sparsity, the index, so the copy is the
+    // demand the stage would make (the name in its dense sparse model
+    // is never read). Off with sparsity (row-wise patterns seed on the
+    // index) and with SRAM traces (they need the stream).
+    const std::size_t n = indices.size();
+    std::vector<std::size_t> source(n);
+    std::vector<std::size_t> repeats(n, 0);
+    const bool reuse = modelPass() && !sramTrace_ && !cfg_.sparsity.enabled;
+    for (std::size_t k = 0; k < n; ++k) {
+        source[k] = k;
+        if (!reuse)
+            continue;
+        const auto shape = topology.layers[indices[k]].shapeFields();
+        for (std::size_t j = 0; j < k; ++j) {
+            if (source[j] == j
+                && topology.layers[indices[j]].shapeFields() == shape) {
+                source[k] = j;
+                ++repeats[j];
+                break;
+            }
+        }
+    }
+    // Demands kept for their repeats, freed after the last one. Only
+    // the thread running the demand stages touches them, in order.
+    std::vector<std::optional<LayerDemand>> kept(n);
+    auto demand = [&](std::size_t k) {
+        const std::size_t first = source[k];
+        if (first == k) {
+            LayerDemand d = demandStage(topology.layers[indices[k]],
+                                        indices[k]);
+            if (repeats[k] > 0) {
+                kept[k] = d;
+                kept[k]->profiler.reset();
+            }
+            return d;
+        }
+        LayerDemand d = repeats[first] > 1 ? *kept[first]
+                                           : std::move(*kept[first]);
+        if (--repeats[first] == 0)
+            kept[first].reset();
+        d.profiler.countReuse();
+        return d;
+    };
+
     // Two-stage pipeline: with a demand pass, one worker runs the
     // demand stages of `indices` in order while this thread runs the
     // timing stages, so demand k+1 overlaps timing k. Every stateful
@@ -460,18 +507,13 @@ Simulator::runLayers(const Topology& topology,
     // parallelFor worker the cores are already busy, so both stages
     // run here.
     std::optional<DemandWorker<LayerDemand>> worker;
-    if ((modelPass() || sramTrace_) && !indices.empty()
-        && !onParallelWorker()) {
-        worker.emplace(indices.size(), [&](std::size_t k) {
-            return demandStage(topology.layers[indices[k]], indices[k]);
-        });
-    }
-    for (std::size_t k = 0; k < indices.size(); ++k) {
+    if ((modelPass() || sramTrace_) && n > 0 && !onParallelWorker())
+        worker.emplace(n, demand);
+    for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = indices[k];
-        const LayerSpec& layer = topology.layers[i];
         const SimProfiler::LayerStart start;
         LayerResult result = timingStage(
-            layer, worker ? worker->take(k) : demandStage(layer, i));
+            topology.layers[i], worker ? worker->take(k) : demand(k));
         profiler_.chargeLayer(start);
         done(i, std::move(result));
     }
@@ -662,6 +704,7 @@ runMultiCore(const SimConfig& cfg, std::uint64_t pr, std::uint64_t pc,
                         "weighted by repetitions",
                         static_cast<double>(conflicts));
     run.profile = profiler.snapshot();
+    run.profile.layersReused = sim.layersReused();
     if (auditor) {
         auditRunTotals(*auditor, run);
         run.audited = true;
@@ -1195,6 +1238,7 @@ RunResult::writeJson(std::ostream& out) const
 
     json.key("profile").beginObject();
     json.field("layersProfiled", profile.layersProfiled);
+    json.field("layersReused", profile.layersReused);
     json.field("totalSeconds", profile.totalSeconds);
     json.field("cpuSeconds", profile.cpuSeconds);
     json.field("peakRssKb", profile.peakRssKb);

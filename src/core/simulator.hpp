@@ -236,9 +236,12 @@ class Simulator
      * thread runs the layers' demand stages in order while the calling
      * thread runs each layer's timing stage (DESIGN.md "Run
      * pipeline"); on a parallelFor worker both run on the calling
-     * thread. Results equal runLayer over every layer plus
-     * registerStats. An exception stops and joins the worker and is
-     * rethrown, the first in layer order.
+     * thread. A layer of an earlier layer's shape (LayerSpec::
+     * shapeFields) reuses that layer's demand, unless sparsity is on or
+     * SRAM traces are attached (SimProfile::layersReused). Results
+     * equal runLayer over every layer plus registerStats. An exception
+     * stops and joins the worker and is rethrown, the first in layer
+     * order.
      */
     RunResult run(const Topology& topology);
 
@@ -305,8 +308,9 @@ class Simulator
 
     /**
      * The one layer loop of run() and runIsolated(): the demand and
-     * timing stages of `indices` in order, calling `done` after each
-     * timing stage (DESIGN.md "Run pipeline").
+     * timing stages of `indices` in order, a repeated shape's demand
+     * copied from its first layer, calling `done` after each timing
+     * stage (DESIGN.md "Run pipeline").
      */
     void runLayers(const Topology& topology,
                    const std::vector<std::size_t>& indices,

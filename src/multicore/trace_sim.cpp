@@ -103,6 +103,18 @@ MultiCoreTraceResult
 MultiCoreTraceSimulator::runLayer(const LayerSpec& layer)
 {
     const GemmDims gemm = layer.toGemm();
+    for (const auto& [seen, result] : results_) {
+        if (seen == gemm) {
+            ++layersReused_;
+            return result;
+        }
+    }
+    return results_.emplace_back(gemm, simulate(gemm)).second;
+}
+
+MultiCoreTraceResult
+MultiCoreTraceSimulator::simulate(const GemmDims& gemm)
+{
     const MappedDims mapped = systolic::mapGemmConventional(
         gemm, cfg_.dataflow);
     const auto sr_starts = shareStarts(mapped.sr, cfg_.pr);

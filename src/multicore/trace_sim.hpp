@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -124,8 +125,15 @@ class MultiCoreTraceSimulator
      * Run one layer, spatially partitioned Pr x Pc over the mapped
      * (Sr, Sc) dimensions; each core's partition keeps its global
      * operand addresses so shared partitions deduplicate in the L2.
+     * A layer depends only on its GEMM (every layer starts from an
+     * empty L2 and rewound bus cursors, and its DRAM and L2 counters
+     * are differences), so a GEMM this object ran before returns the
+     * stored result.
      */
     MultiCoreTraceResult runLayer(const LayerSpec& layer);
+
+    /** runLayer calls answered from the stored results. */
+    std::uint64_t layersReused() const { return layersReused_; }
 
     /** A core's partition: share dims + global-address operand view. */
     struct CorePartition
@@ -154,10 +162,16 @@ class MultiCoreTraceSimulator
                                                   std::uint64_t parts);
 
   private:
+    /** Simulate one GEMM from a cold L2 at cycle 0 (runLayer's body). */
+    MultiCoreTraceResult simulate(const GemmDims& gemm);
+
     MultiCoreTraceConfig cfg_;
     std::unique_ptr<systolic::BandwidthMemory> dram_;
     std::unique_ptr<SharedL2> l2_;
     systolic::MainMemory* coreView_; // L2 if enabled, else DRAM
+    /** Every GEMM simulated so far, with its result. */
+    std::vector<std::pair<GemmDims, MultiCoreTraceResult>> results_;
+    std::uint64_t layersReused_ = 0;
 };
 
 } // namespace scalesim::multicore

@@ -68,8 +68,6 @@ LayerResultCache::insert(std::uint64_t key, std::string payload)
     entries_.emplace(key, Entry{std::move(payload), lru_.begin()});
     ++stats_.inserts;
     evictToBudget();
-    stats_.bytes = bytes_;
-    stats_.entries = entries_.size();
 }
 
 void

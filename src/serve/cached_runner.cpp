@@ -1,6 +1,7 @@
 #include "serve/cached_runner.hpp"
 
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 
@@ -20,24 +21,20 @@ constexpr std::uint64_t kCacheSchemaVersion = 2;
 void
 mixLayer(Fnv1a& h, const LayerSpec& layer)
 {
-    // Canonical shape only: `name` is a display label and
-    // `repetitions` scales results outside the per-instance numbers,
-    // so neither may split cache entries.
-    h.mix(static_cast<std::uint8_t>(layer.type));
-    h.mix(layer.ifmapH);
-    h.mix(layer.ifmapW);
-    h.mix(layer.filterH);
-    h.mix(layer.filterW);
-    h.mix(layer.channels);
-    h.mix(layer.numFilters);
-    h.mix(layer.stride);
-    h.mix(layer.gemmDims.m);
-    h.mix(layer.gemmDims.n);
-    h.mix(layer.gemmDims.k);
-    h.mix(layer.batch);
-    h.mix(layer.sparseN);
-    h.mix(layer.sparseM);
-    h.mix(static_cast<std::uint8_t>(layer.tail));
+    // The canonical shape, without the display name and repetition
+    // count (see shapeFields); enums hash as one byte.
+    std::apply(
+        [&](const auto&... fields) {
+            const auto mix = [&](const auto& field) {
+                if constexpr (std::is_enum_v<
+                                  std::decay_t<decltype(field)>>)
+                    h.mix(static_cast<std::uint8_t>(field));
+                else
+                    h.mix(field);
+            };
+            (mix(fields), ...);
+        },
+        layer.shapeFields());
 }
 
 } // namespace

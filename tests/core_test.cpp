@@ -12,11 +12,13 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
 #include "common/csv.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "check/audit.hpp"
 #include "common/workloads.hpp"
 #include "core/dse.hpp"
@@ -1062,6 +1064,174 @@ TEST(Pipeline, RunMatchesLayerLoop)
         }
         expectSameArtifacts(got, artifacts(ref, looped_traces), c.name);
     }
+    setQuiet(was_quiet);
+}
+
+namespace
+{
+
+/**
+ * Layers that repeat an earlier shape under another name and
+ * repetition count, beside near-repeats that differ from one in a
+ * single shape field (stride, tail): four of the eight are repeats.
+ */
+Topology
+repeatedTopology()
+{
+    Topology topo;
+    topo.name = "repeated";
+    topo.layers.push_back(LayerSpec::conv("a", 14, 14, 3, 3, 16, 32, 1));
+    topo.layers.push_back(LayerSpec::gemm("qk", 24, 24, 32)
+                              .withTail(VectorTail::Softmax));
+    topo.layers.push_back(LayerSpec::conv("a2", 14, 14, 3, 3, 16, 32, 1,
+                                          3));
+    topo.layers.push_back(LayerSpec::conv("s2", 14, 14, 3, 3, 16, 32, 2));
+    topo.layers.push_back(LayerSpec::gemm("qk_plain", 24, 24, 32));
+    topo.layers.push_back(LayerSpec::gemm("qk2", 24, 24, 32, 2)
+                              .withTail(VectorTail::Softmax));
+    topo.layers.push_back(LayerSpec::conv("a3", 14, 14, 3, 3, 16, 32, 1));
+    topo.layers.push_back(LayerSpec::conv("s2b", 14, 14, 3, 3, 16, 32, 2));
+    return topo;
+}
+
+constexpr std::uint64_t kRepeatedLayers = 4;
+
+} // namespace
+
+TEST(Pipeline, RepeatedShapesReuseDemand)
+{
+    // A repeat takes a copy of the first same-shape layer's demand;
+    // everything the run writes must still equal a fresh Simulator
+    // driven one runLayer at a time, which runs every demand stage.
+    struct Case
+    {
+        const char* name;
+        std::function<void(SimConfig&)> edit;
+        bool traces = false;
+        std::uint64_t reused = kRepeatedLayers;
+    };
+    const std::vector<Case> cases = {
+        {"energy os",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::OutputStationary;
+         }},
+        {"energy ws", [](SimConfig& c) { c.energy.enabled = true; }},
+        {"energy is",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::InputStationary;
+         }},
+        {"layout",
+         [](SimConfig& c) {
+             c.layout.enabled = true;
+             c.layout.banks = 4;
+             c.layout.onChipBandwidth = 16;
+         }},
+        {"dram energy",
+         [](SimConfig& c) {
+             c.dram.enabled = true;
+             c.energy.enabled = true;
+         }},
+        {"audit",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.layout.enabled = true;
+             c.audit = true;
+         }},
+        {"intervals",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.intervalCycles = 500;
+         }},
+        {"fold cache off",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.foldCache = false;
+         }},
+        // SRAM traces need every layer's stream.
+        {"traces", [](SimConfig& c) { c.energy.enabled = true; }, true,
+         0},
+        // Row-wise patterns seed on the layer index.
+        {"sparsity",
+         [](SimConfig& c) {
+             c.sparsity.enabled = true;
+             c.sparsity.optimizedMapping = true;
+             c.energy.enabled = true;
+         },
+         false, 0},
+    };
+    Topology topo = repeatedTopology();
+    for (std::size_t i = 0; i < topo.layers.size(); ++i) {
+        topo.layers[i].sparseN = 2;
+        topo.layers[i].sparseM = 4;
+    }
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    for (const Case& c : cases) {
+        SimConfig cfg = baseConfig();
+        c.edit(cfg);
+        TraceSinks piped_traces, looped_traces;
+        Simulator piped(cfg, c.traces ? piped_traces.streams()
+                                      : TraceStreams{});
+        const RunResult run = piped.run(topo);
+        Simulator looped(cfg, c.traces ? looped_traces.streams()
+                                       : TraceStreams{});
+        RunResult ref = layerLoop(looped, topo);
+        EXPECT_EQ(run.profile.layersReused, c.reused) << c.name;
+        EXPECT_EQ(run.profile.layersProfiled, topo.layers.size())
+            << c.name;
+        if (cfg.audit) {
+            // Per-layer laws match law by law; the run adds run-level
+            // ones, so the reports are compared byte for byte after.
+            ASSERT_TRUE(run.audited);
+            EXPECT_TRUE(run.audit.clean());
+            for (const char* law :
+                 {"spad.stallAccounting", "runtime.envelope",
+                  "foldCache.replayFidelity", "energy.actionAccounting",
+                  "energy.demandAgreement"}) {
+                EXPECT_GT(ref.audit.checksForLaw(law), 0u) << law;
+                EXPECT_EQ(run.audit.checksForLaw(law),
+                          ref.audit.checksForLaw(law)) << law;
+            }
+            ref.audit = run.audit;
+            ref.stats = obs::StatsRegistry();
+            ref.registerStats(ref.stats);
+            looped.registerStats(ref.stats);
+        }
+        expectSameArtifacts(artifacts(run, piped_traces),
+                            artifacts(ref, looped_traces), c.name);
+    }
+
+    // The memo also serves a run whose stages both run on the calling
+    // thread (a parallelFor worker), and runIsolated.
+    SimConfig cfg = baseConfig();
+    cfg.energy.enabled = true;
+    cfg.dram.enabled = true;
+    Simulator looped(cfg);
+    const auto want = artifacts(layerLoop(looped, topo), {});
+    std::vector<RunResult> runs(2);
+    parallelFor(runs.size(), 2, [&](std::uint64_t i) {
+        runs[i] = Simulator(cfg).run(topo);
+    });
+    for (const RunResult& run : runs) {
+        EXPECT_EQ(run.profile.layersReused, kRepeatedLayers);
+        expectSameArtifacts(artifacts(run, {}), want, "inline");
+    }
+    std::vector<std::size_t> all(topo.layers.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    Simulator isolated(cfg);
+    RunResult iso, fresh_run;
+    isolated.runIsolated(topo, all, [&](std::size_t i, LayerResult&& got) {
+        iso.addLayer(std::move(got), true);
+        Simulator fresh(cfg);
+        fresh_run.addLayer(fresh.runLayer(topo.layers[i], i), true);
+    });
+    const auto got = artifacts(iso, {});
+    const auto ref = artifacts(fresh_run, {});
+    for (const char* name : {"compute", "bandwidth", "energy", "power"})
+        EXPECT_EQ(got.at(name), ref.at(name)) << "isolated " << name;
+    EXPECT_EQ(isolated.profile().layersReused, kRepeatedLayers);
     setQuiet(was_quiet);
 }
 

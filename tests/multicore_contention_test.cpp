@@ -425,9 +425,9 @@ TEST(ZeroShareCores, StatsAndConservationLawsHold)
 
 // ---------------------------------------------------------------------
 // Port-level cpi.conservation: the read-latency split must cover the
-// total exactly — the residual the backend leaves unattributed (all of
-// the L2's hit/fill/transfer time) is folded into readService instead
-// of silently vanishing from the queue/port split.
+// total exactly. MemoryPort charges each read's issue wait at the
+// shared serialization point as readPortWait and the rest of its round
+// trip (for the L2, all of its hit/fill/transfer time) as readService.
 
 TEST(PortLatencySplit, ConservesTotalReadLatencyWithL2)
 {
@@ -440,8 +440,8 @@ TEST(PortLatencySplit, ConservesTotalReadLatencyWithL2)
                       + port.readRefresh + port.readService,
                   port.totalReadLatency)
             << i;
-        // SharedL2 reports no component stats at all, so everything
-        // beyond the issue wait must have landed in readService.
+        // Neither the L2 nor the bus behind it has a controller queue,
+        // so everything beyond the issue wait is readService.
         EXPECT_EQ(port.readQueueWait, 0u) << i;
         EXPECT_GT(port.readService, 0u) << i;
         // waitCycles also accumulates write-issue waits, so it bounds
@@ -460,8 +460,8 @@ TEST(PortLatencySplit, ConservesTotalReadLatencyWithoutL2)
                       + port.readRefresh + port.readService,
                   port.totalReadLatency)
             << i;
-        // The bandwidth model's queue wait equals the issue wait, so
-        // the reclassification absorbs it completely.
+        // The bus's only wait is the issue wait, which the port
+        // charges as readPortWait, never as a queue wait.
         EXPECT_EQ(port.readQueueWait, 0u) << i;
         EXPECT_GT(port.readService, 0u) << i;
     }

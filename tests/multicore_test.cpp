@@ -700,3 +700,49 @@ TEST(RunMultiCore, AuditsEachCoreAndTheRunTotals)
     }
     EXPECT_GT(run.audit.checks(), per_core.report().checks());
 }
+
+TEST(RunMultiCore, RepeatedLayersMatchAFreshSimulator)
+{
+    // A layer whose GEMM ran before is answered from the stored
+    // result; it must equal a fresh simulator's, under every dataflow
+    // with the shared L2 on and off. conv2 lowers to gemm_c's GEMM; the
+    // other near-repeat differs from `gemm` in K alone.
+    Topology topo;
+    topo.name = "repeated";
+    topo.layers = {LayerSpec::gemm("gemm", 64, 40, 48),
+                   LayerSpec::conv("conv", 10, 10, 3, 3, 8, 24, 1),
+                   LayerSpec::gemm("gemm2", 64, 40, 48, 3),
+                   LayerSpec::gemm("gemm_c", 64, 24, 72),
+                   LayerSpec::gemm("gemm_k", 64, 40, 56),
+                   LayerSpec::gemm("gemm3", 64, 40, 48)};
+    constexpr std::uint64_t kRepeats = 3;
+    SimConfig cfg = starvedConfig();
+    for (const Dataflow df :
+         {Dataflow::OutputStationary, Dataflow::WeightStationary,
+          Dataflow::InputStationary}) {
+        cfg.dataflow = df;
+        for (const bool l2 : {true, false}) {
+            const std::string what = toString(df) + (l2 ? " l2" : " no l2");
+            MultiCoreTraceConfig mc = multiCoreTraceConfig(cfg, 2, 2);
+            mc.useL2 = l2;
+            MultiCoreTraceSimulator sim(mc);
+            obs::StatsRegistry got, want;
+            for (std::size_t i = 0; i < topo.layers.size(); ++i) {
+                const std::string scope = "mc.l" + std::to_string(i);
+                sim.runLayer(topo.layers[i]).registerStats(got, scope);
+                MultiCoreTraceSimulator fresh(mc);
+                fresh.runLayer(topo.layers[i]).registerStats(want, scope);
+            }
+            EXPECT_EQ(sim.layersReused(), kRepeats) << what;
+            EXPECT_EQ(linesWithPrefix(got, "mc.l"),
+                      linesWithPrefix(want, "mc.l")) << what;
+            if (l2) {
+                const core::RunResult run
+                    = core::runMultiCore(cfg, 2, 2, topo);
+                EXPECT_EQ(run.profile.layersReused, kRepeats) << what;
+                EXPECT_EQ(linesWithPrefix(run.stats, "mc.l"),
+                          linesWithPrefix(want, "mc.l")) << what;
+            }
+        }
+    }
+}
