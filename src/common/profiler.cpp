@@ -78,6 +78,8 @@ SimProfile::writeReport(std::ostream& out) const
          "layers profiled");
     stat("sim.overhead.layersReused", std::to_string(layersReused),
          "layers reusing an earlier layer's work");
+    stat("sim.overhead.captureBytes", std::to_string(captureBytes),
+         "fold-capture arena the demand passes needed");
     stat("sim.overhead.peakRssKb", std::to_string(peakRssKb),
          "process peak resident set");
 }

@@ -6,7 +6,7 @@
  * Table IV treats simulation overhead as a first-class result). One
  * SimProfiler per Simulator instance — workers in a parallel sweep
  * each profile their own run, so no synchronization is needed. A run's
- * demand worker times its stages into a SimProfiler of its own, which
+ * demand workers time each stage into a SimProfiler of its own, which
  * the calling thread merges in layer order.
  */
 
@@ -50,7 +50,8 @@ struct SimProfile
     /**
      * CPU seconds of the threads that simulated the layers
      * (CLOCK_THREAD_CPUTIME_ID): the calling thread's share of
-     * totalSeconds plus the whole of the run's demand worker.
+     * totalSeconds plus the whole of every demand worker of the run
+     * (up to two, DESIGN.md "Run pipeline").
      */
     double cpuSeconds = 0.0;
     /** Layers profiled (repetitions are simulated once). */
@@ -61,6 +62,13 @@ struct SimProfile
      * runMultiCore reused (DESIGN.md "Run pipeline").
      */
     std::uint64_t layersReused = 0;
+    /**
+     * Bytes of the capture arena the run's demand passes needed: the
+     * largest fold-capture footprint of a layer that ran a pass
+     * (DESIGN.md "Run pipeline"). Deterministic for a given config
+     * and topology; 0 without a demand pass.
+     */
+    std::uint64_t captureBytes = 0;
     /** Process peak resident-set size sampled at the end, in KiB. */
     std::uint64_t peakRssKb = 0;
 
@@ -90,6 +98,8 @@ struct SimProfile
         cpuSeconds += other.cpuSeconds;
         layersProfiled += other.layersProfiled;
         layersReused += other.layersReused;
+        if (other.captureBytes > captureBytes)
+            captureBytes = other.captureBytes;
         if (other.peakRssKb > peakRssKb)
             peakRssKb = other.peakRssKb;
     }
@@ -167,7 +177,15 @@ class SimProfiler
     /** Count one layer whose work came from an earlier layer's. */
     void countReuse() { ++profile_.layersReused; }
 
-    /** Charge another thread's CPU seconds (a run's demand worker). */
+    /** Record a run's capture-arena need; the profile keeps the most. */
+    void
+    noteCaptureBytes(std::uint64_t bytes)
+    {
+        if (bytes > profile_.captureBytes)
+            profile_.captureBytes = bytes;
+    }
+
+    /** Charge other threads' CPU seconds (a run's demand workers). */
     void chargeCpu(double seconds) { profile_.cpuSeconds += seconds; }
 
     /**

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <future>
 #include <numeric>
 #include <ostream>
+#include <span>
 #include <thread>
 
+#include "check/thread_safety.hpp"
 #include "common/csv.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
@@ -15,6 +18,7 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "systolic/demand.hpp"
+#include "systolic/fold_cache.hpp"
 
 namespace scalesim::core
 {
@@ -121,13 +125,63 @@ LayerResult
 Simulator::runLayer(const LayerSpec& layer, std::uint64_t layer_index)
 {
     const SimProfiler::LayerStart start;
-    LayerResult result = timingStage(layer, demandStage(layer, layer_index));
+    LayerResult result = timingStage(
+        layer, demandStage(layer, layer_index,
+                           std::pmr::get_default_resource()));
     profiler_.chargeLayer(start);
     return result;
 }
 
+namespace
+{
+
+systolic::OperandMap
+operandMap(const SimConfig& cfg, const LayerSpec& layer)
+{
+    return cfg.memory.im2colAddressing
+        ? systolic::OperandMap::forLayer(layer, cfg.memory)
+        : systolic::OperandMap(layer.toGemm(), cfg.memory);
+}
+
+/**
+ * The generator of a layer's demand pass; none for a sparse OS/IS
+ * layer, which has no demand stream.
+ */
+std::optional<systolic::DemandGenerator>
+passGenerator(const SimConfig& cfg, const LayerSpec& layer,
+              const sparse::SparseLayerModel& sparse_model,
+              const systolic::OperandMap& operands)
+{
+    std::optional<systolic::DemandGenerator> generator;
+    if (sparse_model.active()
+        && cfg.dataflow != Dataflow::WeightStationary) {
+        return generator;
+    }
+    generator.emplace(layer.toGemm(), cfg.dataflow, cfg.arrayRows,
+                      cfg.arrayCols, operands,
+                      sparse_model.active() ? &sparse_model.pattern()
+                                            : nullptr);
+    generator->setFoldCache(cfg.foldCache);
+    return generator;
+}
+
+/** Bytes of fold captures the layer's demand pass takes (0: none). */
+std::size_t
+captureBytes(const SimConfig& cfg, const LayerSpec& layer,
+             std::uint64_t layer_index)
+{
+    const sparse::SparseLayerModel sparse_model(layer, cfg.sparsity,
+                                                layer_index);
+    const auto generator = passGenerator(cfg, layer, sparse_model,
+                                         operandMap(cfg, layer));
+    return generator ? generator->captureBytes() : 0;
+}
+
+} // namespace
+
 Simulator::LayerDemand
-Simulator::demandStage(const LayerSpec& layer, std::uint64_t layer_index)
+Simulator::demandStage(const LayerSpec& layer, std::uint64_t layer_index,
+                       std::pmr::memory_resource* captures)
 {
     LayerDemand demand;
     // 1. Sparsity resolution (§IV).
@@ -135,25 +189,17 @@ Simulator::demandStage(const LayerSpec& layer, std::uint64_t layer_index)
         const auto prof = demand.profiler.scope(SimPhase::Sparsity);
         demand.sparse.emplace(layer, cfg_.sparsity, layer_index);
     }
-    const sparse::SparseLayerModel& sparse_model = *demand.sparse;
-    const GemmDims dense_gemm = layer.toGemm();
-    demand.operands = cfg_.memory.im2colAddressing
-        ? systolic::OperandMap::forLayer(layer, cfg_.memory)
-        : systolic::OperandMap(dense_gemm, cfg_.memory);
+    demand.operands = operandMap(cfg_, layer);
 
     // 2. Demand-driven passes: layout slowdown, exact energy action
     //    counts (trace mode) and the SRAM traces share one pass.
     const bool model_pass = modelPass();
-    const bool sparse_trace_ok = !sparse_model.active()
-        || cfg_.dataflow == Dataflow::WeightStationary;
-    if ((!model_pass && !sramTrace_) || !sparse_trace_ok)
+    if (!model_pass && !sramTrace_)
         return demand;
-    const sparse::SparsityPattern* gather = sparse_model.active()
-        ? &sparse_model.pattern() : nullptr;
-    systolic::DemandGenerator generator(dense_gemm, cfg_.dataflow,
-                                        cfg_.arrayRows, cfg_.arrayCols,
-                                        demand.operands, gather);
-    generator.setFoldCache(cfg_.foldCache);
+    const auto generator = passGenerator(cfg_, layer, *demand.sparse,
+                                         demand.operands);
+    if (!generator)
+        return demand;
     std::optional<layout::BankConflictEvaluator> layout_eval;
     std::optional<energy::ActionCountVisitor> action_visitor;
     std::vector<systolic::DemandVisitor*> sinks;
@@ -174,11 +220,11 @@ Simulator::demandStage(const LayerSpec& layer, std::uint64_t layer_index)
     systolic::TeeVisitor tee(std::move(sinks));
     {
         const auto prof = demand.profiler.scope(SimPhase::DemandGen);
-        generator.run(tee);
+        generator->run(tee, captures);
     }
     // A pass run only for the SRAM traces leaves the counters alone.
     if (model_pass)
-        demand.foldCache = generator.foldCacheStats();
+        demand.foldCache = generator->foldCacheStats();
     if (layout_eval)
         demand.layoutSlowdown = layout_eval->slowdown();
     if (action_visitor)
@@ -374,76 +420,180 @@ auditRunTotals(check::InvariantAuditor& auditor, const RunResult& run)
 }
 
 /**
- * One thread that runs the demand stages of a run's layers in order,
- * ahead of the calling thread's timing stages. Each stage's result, or its
- * exception, is handed over through a promise, and the first exception
- * ends the worker. Destruction (also while an error unwinds the run)
- * stops the worker after its current stage and joins it.
+ * Threads that run the demand stages of a run's jobs (its layers that
+ * run one), starting them in job order ahead of the calling thread's
+ * timing stages. Job j's fold captures take `bytes[j]` of `arena`: a
+ * job starts only when that fits, first-fit, beside the jobs running,
+ * and always when none runs, so the captures in flight never exceed
+ * the largest job's. Each stage's result, or its exception, is handed
+ * over through a promise. An exception starts no further job and is
+ * handed to every job not started, so take() never waits on a job that
+ * nothing runs. Destruction (also while an error unwinds the run) lets
+ * the running stages finish, starts no more and joins the threads.
  */
 template <class Demand>
-class DemandWorker
+class DemandWorkers
 {
   public:
     template <class Stage>
-    DemandWorker(std::size_t layers, Stage stage) : promises_(layers)
+    DemandWorkers(unsigned threads, std::span<std::byte> arena,
+                  const std::vector<std::size_t>& bytes, Stage stage)
+        : arena_(arena), bytes_(bytes), promises_(bytes.size())
     {
-        futures_.reserve(layers);
+        futures_.reserve(promises_.size());
         for (std::promise<Demand>& promise : promises_)
             futures_.push_back(promise.get_future());
-        thread_ = std::jthread([this, stage](std::stop_token stop) {
-            const double cpu_start = threadCpuSeconds();
-            for (std::size_t i = 0;
-                 i < promises_.size() && !stop.stop_requested(); ++i) {
-                try {
-                    promises_[i].set_value(stage(i));
-                } catch (...) {
-                    promises_[i].set_exception(std::current_exception());
-                    break;
-                }
-            }
-            cpuSeconds_ = threadCpuSeconds() - cpu_start;
-            done_.store(true, std::memory_order_release);
-        });
+        threads_.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            threads_.emplace_back([this, stage] { work(stage); });
     }
-    /** The thread holds `this`. */
-    DemandWorker(const DemandWorker&) = delete;
-    DemandWorker& operator=(const DemandWorker&) = delete;
+    /** The threads hold `this`. */
+    DemandWorkers(const DemandWorkers&) = delete;
+    DemandWorkers& operator=(const DemandWorkers&) = delete;
+
+    ~DemandWorkers()
+    {
+        {
+            const MutexLock lock(mutex_);
+            stop_ = true;
+        }
+        changed_.notify_all();
+    }
 
     /**
-     * Wait for layer i's demand stage; rethrows its exception. Spins
+     * Wait for job j's demand stage; rethrows its exception. Spins
      * with yields instead of sleeping: on a 4-vCPU VM, a calling
      * thread that slept in the kernel during the run ran its
      * single-threaded work after the run up to 1.8x slower (perfbench
      * setup_s), and spinning restored the serial figure.
      */
     Demand
-    take(std::size_t i)
+    take(std::size_t j)
     {
-        while (futures_[i].wait_for(std::chrono::seconds(0))
+        while (futures_[j].wait_for(std::chrono::seconds(0))
                != std::future_status::ready) {
             std::this_thread::yield();
         }
-        return futures_[i].get();
+        return futures_[j].get();
     }
 
-    /** Join the worker after the last take(); its CPU seconds. */
+    /** Join the threads after the last take(); their CPU seconds. */
     double
     join()
     {
-        // Spin until the worker is done, for the reason take() spins.
-        while (!done_.load(std::memory_order_acquire))
+        // Spin until every thread is done, for the reason take() spins.
+        while (done_.load(std::memory_order_acquire) < threads_.size())
             std::this_thread::yield();
-        thread_.join();
+        threads_.clear();
+        const MutexLock lock(mutex_);
         return cpuSeconds_;
     }
 
   private:
+    /**
+     * Whether the next job's captures fit beside the running jobs';
+     * if so, `offset` is the first gap that holds them.
+     */
+    bool
+    fits(std::size_t& offset) const SIM_REQUIRES(mutex_)
+    {
+        std::vector<Region> taken = running_;
+        std::sort(taken.begin(), taken.end(),
+                  [](const Region& a, const Region& b) {
+                      return a.offset < b.offset;
+                  });
+        const std::size_t want = bytes_[next_];
+        offset = 0;
+        for (const Region& r : taken) {
+            if (r.offset - offset >= want)
+                return true;
+            offset = r.offset + r.bytes;
+        }
+        return arena_.size() - offset >= want;
+    }
+
+    /**
+     * Wait until the next job's captures fit and claim it; false once
+     * every job has started or the workers stop.
+     */
+    bool
+    start(std::size_t& job, std::size_t& offset) SIM_EXCLUDES(mutex_)
+    {
+        const MutexLock lock(mutex_);
+        while (!stop_ && next_ < bytes_.size() && !fits(offset))
+            changed_.wait(mutex_);
+        if (stop_ || next_ == bytes_.size())
+            return false;
+        job = next_++;
+        running_.push_back({job, offset, bytes_[job]});
+        return true;
+    }
+
+    /** Release a job's region; an error fails every job not started. */
+    void
+    finish(std::size_t job, const std::exception_ptr& error)
+        SIM_EXCLUDES(mutex_)
+    {
+        {
+            const MutexLock lock(mutex_);
+            std::erase_if(running_,
+                          [&](const Region& r) { return r.job == job; });
+            if (error) {
+                stop_ = true;
+                for (; next_ < bytes_.size(); ++next_)
+                    promises_[next_].set_exception(error);
+            }
+        }
+        changed_.notify_all();
+    }
+
+    template <class Stage>
+    void
+    work(const Stage& stage)
+    {
+        const double cpu_start = threadCpuSeconds();
+        std::size_t job = 0, offset = 0;
+        while (start(job, offset)) {
+            std::exception_ptr error;
+            try {
+                promises_[job].set_value(
+                    stage(job, arena_.subspan(offset, bytes_[job])));
+            } catch (...) {
+                error = std::current_exception();
+                promises_[job].set_exception(error);
+            }
+            finish(job, error);
+        }
+        {
+            const MutexLock lock(mutex_);
+            cpuSeconds_ += threadCpuSeconds() - cpu_start;
+        }
+        done_.fetch_add(1, std::memory_order_release);
+    }
+
+    const std::span<std::byte> arena_;
+    const std::vector<std::size_t> bytes_;
     std::vector<std::promise<Demand>> promises_;
     std::vector<std::future<Demand>> futures_;
-    double cpuSeconds_ = 0.0;
-    std::atomic<bool> done_{false};
-    /** Last member, so it is joined before the others are destroyed. */
-    std::jthread thread_;
+
+    /** The arena bytes [offset, offset + bytes) a running job holds. */
+    struct Region
+    {
+        std::size_t job;
+        std::size_t offset;
+        std::size_t bytes;
+    };
+
+    CheckedMutex mutex_;
+    std::size_t next_ SIM_GUARDED_BY(mutex_) = 0; ///< next job to start
+    std::vector<Region> running_ SIM_GUARDED_BY(mutex_);
+    bool stop_ SIM_GUARDED_BY(mutex_) = false;
+    double cpuSeconds_ SIM_GUARDED_BY(mutex_) = 0.0;
+    std::condition_variable_any changed_;
+
+    std::atomic<std::size_t> done_{0};
+    /** Last member, so they are joined before the others are destroyed. */
+    std::vector<std::jthread> threads_;
 };
 
 } // namespace
@@ -463,62 +613,104 @@ Simulator::runLayers(const Topology& topology,
     const std::size_t n = indices.size();
     std::vector<std::size_t> source(n);
     std::vector<std::size_t> repeats(n, 0);
+    const bool pass = modelPass() || sramTrace_;
     const bool reuse = modelPass() && !sramTrace_ && !cfg_.sparsity.enabled;
+    std::vector<std::size_t> jobs; // positions that run demandStage
     for (std::size_t k = 0; k < n; ++k) {
         source[k] = k;
-        if (!reuse)
-            continue;
-        const auto shape = topology.layers[indices[k]].shapeFields();
-        for (std::size_t j = 0; j < k; ++j) {
-            if (source[j] == j
-                && topology.layers[indices[j]].shapeFields() == shape) {
-                source[k] = j;
-                ++repeats[j];
-                break;
+        if (reuse) {
+            const auto shape = topology.layers[indices[k]].shapeFields();
+            for (std::size_t j = 0; j < k; ++j) {
+                if (source[j] == j
+                    && topology.layers[indices[j]].shapeFields() == shape) {
+                    source[k] = j;
+                    ++repeats[j];
+                    break;
+                }
             }
+        }
+        if (source[k] == k)
+            jobs.push_back(k);
+    }
+    // Each job's fold captures, sized in advance, go to a region of the
+    // capture arena, which holds the largest. A job whose sizing fails
+    // rethrows that error from its stage, so it surfaces in layer order.
+    std::vector<std::size_t> bytes(jobs.size(), 0);
+    std::vector<std::exception_ptr> errors(jobs.size());
+    for (std::size_t j = 0; pass && j < jobs.size(); ++j) {
+        const std::size_t i = indices[jobs[j]];
+        try {
+            bytes[j] = captureBytes(cfg_, topology.layers[i], i);
+        } catch (...) {
+            errors[j] = std::current_exception();
         }
     }
-    // Demands kept for their repeats, freed after the last one. Only
-    // the thread running the demand stages touches them, in order.
-    std::vector<std::optional<LayerDemand>> kept(n);
-    auto demand = [&](std::size_t k) {
-        const std::size_t first = source[k];
-        if (first == k) {
-            LayerDemand d = demandStage(topology.layers[indices[k]],
-                                        indices[k]);
-            if (repeats[k] > 0) {
-                kept[k] = d;
-                kept[k]->profiler.reset();
-            }
-            return d;
-        }
-        LayerDemand d = repeats[first] > 1 ? *kept[first]
-                                           : std::move(*kept[first]);
-        if (--repeats[first] == 0)
-            kept[first].reset();
-        d.profiler.countReuse();
-        return d;
+    const std::size_t most = jobs.empty()
+        ? 0 : *std::max_element(bytes.begin(), bytes.end());
+    if (most > 0) {
+        if (!captures_)
+            captures_ = std::make_unique<systolic::CaptureArena>();
+        captures_->reserve(most);
+        profiler_.noteCaptureBytes(most);
+    }
+    const std::span<std::byte> arena = captures_
+        ? std::span<std::byte>(captures_->data(), captures_->size())
+        : std::span<std::byte>();
+    auto stage = [&](std::size_t j, std::span<std::byte> region) {
+        if (errors[j])
+            std::rethrow_exception(errors[j]);
+        std::pmr::monotonic_buffer_resource captures(
+            region.data(), region.size(), std::pmr::null_memory_resource());
+        const std::size_t i = indices[jobs[j]];
+        return demandStage(topology.layers[i], i, &captures);
     };
 
-    // Two-stage pipeline: with a demand pass, one worker runs the
-    // demand stages of `indices` in order while this thread runs the
-    // timing stages, so demand k+1 overlaps timing k. Every stateful
-    // component is still touched in layer order on one thread. On a
-    // parallelFor worker the cores are already busy, so both stages
-    // run here.
-    std::optional<DemandWorker<LayerDemand>> worker;
-    if ((modelPass() || sramTrace_) && n > 0 && !onParallelWorker())
-        worker.emplace(n, demand);
+    // Pipeline: with a demand pass, up to two demand workers, one
+    // fewer than the host's threads (SCALESIM_JOBS, else hardware), run
+    // the jobs while this thread runs the timing stages in layer order,
+    // so later layers' demand overlaps timing k. Every stateful
+    // component is still touched in layer order on this thread. A run
+    // with SRAM traces keeps one worker: its trace writer takes the
+    // layers in order. On a parallelFor worker the cores are already
+    // busy, so both stages run here.
+    std::optional<DemandWorkers<LayerDemand>> workers;
+    if (pass && !jobs.empty() && !onParallelWorker()) {
+        const unsigned threads = sramTrace_
+            ? 1 : std::clamp(resolveJobs(0), 2u, 3u) - 1;
+        workers.emplace(static_cast<unsigned>(std::min<std::size_t>(
+                            threads, jobs.size())),
+                        arena, bytes, stage);
+    }
+    // Demands kept for their repeats, freed after the last one.
+    std::vector<std::optional<LayerDemand>> kept(n);
+    std::size_t job = 0;
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = indices[k];
         const SimProfiler::LayerStart start;
-        LayerResult result = timingStage(
-            topology.layers[i], worker ? worker->take(k) : demand(k));
+        LayerDemand demand;
+        if (source[k] == k) {
+            demand = workers ? workers->take(job)
+                             : stage(job, arena.first(bytes[job]));
+            ++job;
+            if (repeats[k] > 0) {
+                kept[k] = demand;
+                kept[k]->profiler.reset();
+            }
+        } else {
+            const std::size_t first = source[k];
+            demand = repeats[first] > 1 ? *kept[first]
+                                        : std::move(*kept[first]);
+            if (--repeats[first] == 0)
+                kept[first].reset();
+            demand.profiler.countReuse();
+        }
+        LayerResult result = timingStage(topology.layers[i],
+                                         std::move(demand));
         profiler_.chargeLayer(start);
         done(i, std::move(result));
     }
-    if (worker)
-        profiler_.chargeCpu(worker->join());
+    if (workers)
+        profiler_.chargeCpu(workers->join());
 }
 
 void
@@ -1239,6 +1431,7 @@ RunResult::writeJson(std::ostream& out) const
     json.key("profile").beginObject();
     json.field("layersProfiled", profile.layersProfiled);
     json.field("layersReused", profile.layersReused);
+    json.field("captureBytes", profile.captureBytes);
     json.field("totalSeconds", profile.totalSeconds);
     json.field("cpuSeconds", profile.cpuSeconds);
     json.field("peakRssKb", profile.peakRssKb);

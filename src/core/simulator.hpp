@@ -12,6 +12,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,11 @@
 #include "sparse/model.hpp"
 #include "systolic/scratchpad.hpp"
 #include "systolic/trace_io.hpp"
+
+namespace scalesim::systolic
+{
+class CaptureArena;
+}
 
 namespace scalesim::core
 {
@@ -189,8 +195,9 @@ struct RunResult
  * Trace taps on a Simulator's run (DESIGN.md "Trace outputs"). Null
  * streams cost nothing; the others must outlive the Simulator. In
  * Simulator::run and runIsolated the SRAM streams may be written by
- * the run's demand worker and the memory stream by the calling thread,
- * so the memory stream must not be one of the SRAM streams.
+ * the run's (then only) demand worker and the memory stream by the
+ * calling thread, so the memory stream must not be one of the SRAM
+ * streams.
  */
 struct TraceStreams
 {
@@ -232,16 +239,19 @@ class Simulator
 
     /**
      * Simulate a whole topology. When the run has a demand pass (trace
-     * mode with energy or layout, or SRAM traces attached), one worker
-     * thread runs the layers' demand stages in order while the calling
-     * thread runs each layer's timing stage (DESIGN.md "Run
-     * pipeline"); on a parallelFor worker both run on the calling
-     * thread. A layer of an earlier layer's shape (LayerSpec::
-     * shapeFields) reuses that layer's demand, unless sparsity is on or
-     * SRAM traces are attached (SimProfile::layersReused). Results
-     * equal runLayer over every layer plus registerStats. An exception
-     * stops and joins the worker and is rethrown, the first in layer
-     * order.
+     * mode with energy or layout, or SRAM traces attached), demand
+     * workers run the layers' demand stages, started in layer order,
+     * while the calling thread runs each layer's timing stage
+     * (DESIGN.md "Run pipeline"): min(2, resolveJobs(0) - 1) of them,
+     * at least 1, and 1 with SRAM traces; on a parallelFor worker both
+     * stages run on the calling thread. The passes' fold captures live
+     * in this
+     * object's capture arena (SimProfile::captureBytes). A layer of an
+     * earlier layer's shape (LayerSpec::shapeFields) reuses that
+     * layer's demand, unless sparsity is on or SRAM traces are attached
+     * (SimProfile::layersReused). Results equal runLayer over every
+     * layer plus registerStats. An exception stops and joins the
+     * workers and is rethrown, the first in layer order.
      */
     RunResult run(const Topology& topology);
 
@@ -320,12 +330,13 @@ class Simulator
     bool modelPass() const;
 
     /**
-     * Sparsity resolution plus the demand pass of one layer. Touches
-     * only per-layer objects and sramTrace_, so runLayers() can give it
-     * to its demand worker.
+     * Sparsity resolution plus the demand pass of one layer, its fold
+     * captures in `captures`. Touches only per-layer objects and
+     * sramTrace_, so runLayers() can give it to a demand worker.
      */
     LayerDemand demandStage(const LayerSpec& layer,
-                            std::uint64_t layer_index);
+                            std::uint64_t layer_index,
+                            std::pmr::memory_resource* captures);
 
     /**
      * The rest of one layer, on the calling thread in layer order:
@@ -354,6 +365,11 @@ class Simulator
     SimProfiler profiler_;
     /** Set by run(); triggers a reset() at the next run() call. */
     bool ranOnce_ = false;
+    /**
+     * Fold captures of runLayers' demand passes, mapped at the first
+     * run that needs it and kept (DESIGN.md "Run pipeline").
+     */
+    std::unique_ptr<systolic::CaptureArena> captures_;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "systolic/demand.hpp"
 
+#include <set>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -217,20 +218,87 @@ DemandGenerator::replayDeltas(const FoldCacheEntry& entry,
     return d;
 }
 
+bool
+DemandGenerator::cached() const
+{
+    // A single-fold layer has nothing to replay.
+    return foldCache_ && grid_.numFolds() > 1;
+}
+
+bool
+DemandGenerator::replayable(std::uint64_t rf, std::uint64_t cf,
+                            std::uint64_t& key) const
+{
+    // Replay requires the canonical (first fold's) tile shape; ragged
+    // edge folds run live.
+    return grid_.tileRows(rf) == grid_.tileRows(0)
+        && grid_.tileCols(cf) == grid_.tileCols(0)
+        && replayKey(rf, cf, key);
+}
+
+CaptureShape
+DemandGenerator::captureShape() const
+{
+    // Every stream of a fold emits each element of its tile once: the
+    // stationary tile (rows x cols), the streamed one (rows x T) and
+    // the outputs (OS: rows x cols, else cols x T), all within the
+    // fold's 2R + C + T - 2 cycles.
+    const std::uint64_t tr = grid_.tileRows(0);
+    const std::uint64_t tc = grid_.tileCols(0);
+    const std::uint64_t t = grid_.mapped().t;
+    CaptureShape shape;
+    shape.cycles = grid_.foldCycles();
+    switch (grid_.dataflow()) {
+      case Dataflow::OutputStationary:
+        shape.ifmap = tr * t;
+        shape.filter = tc * t;
+        shape.writes = tr * tc;
+        break;
+      case Dataflow::WeightStationary:
+        shape.ifmap = tr * t;
+        shape.filter = tr * tc;
+        shape.writes = tc * t;
+        break;
+      case Dataflow::InputStationary:
+        shape.ifmap = tr * tc;
+        shape.filter = tr * t;
+        shape.writes = tc * t;
+        break;
+    }
+    return shape;
+}
+
+std::size_t
+DemandGenerator::captureBytes() const
+{
+    if (!cached())
+        return 0;
+    // The cache holds at most kMaxEntries captures at once.
+    std::set<std::uint64_t> classes;
+    auto open = [&] {
+        return classes.size() < FoldReplayCache::kMaxEntries;
+    };
+    for (std::uint64_t rf = 0; rf < grid_.rowFolds() && open(); ++rf) {
+        for (std::uint64_t cf = 0; cf < grid_.colFolds() && open(); ++cf) {
+            std::uint64_t key = 0;
+            if (replayable(rf, cf, key))
+                classes.insert(key);
+        }
+    }
+    return classes.size() * captureShape().bytes();
+}
+
 void
-DemandGenerator::run(DemandVisitor& visitor) const
+DemandGenerator::run(DemandVisitor& visitor,
+                     std::pmr::memory_resource* captures) const
 {
     cacheStats_ = {};
     visitor.beginLayer(grid_, operands_);
     const Cycle fold_len = grid_.foldCycles();
-    // A single-fold layer has nothing to replay. Replay requires the
-    // candidate fold to have the canonical (first fold's) tile shape;
-    // ragged edge folds fall back to live.
-    const bool cached = foldCache_ && grid_.numFolds() > 1;
-    const std::uint64_t ctr = grid_.tileRows(0);
-    const std::uint64_t ctc = grid_.tileCols(0);
+    const bool cached = this->cached();
     const bool os = grid_.dataflow() == Dataflow::OutputStationary;
-    FoldReplayCache cache;
+    const CaptureShape shape = captureShape();
+    FoldReplayCache cache(shape, captures);
     FoldReplayScratch scratch;
     Cycle fold_start = 0;
     for (std::uint64_t rf = 0; rf < grid_.rowFolds(); ++rf) {
@@ -241,8 +309,7 @@ DemandGenerator::run(DemandVisitor& visitor) const
             FoldCacheEntry* entry = nullptr;
             ReplayDeltas deltas;
             std::uint64_t key = 0;
-            if (cached && grid_.tileRows(rf) == ctr
-                && grid_.tileCols(cf) == ctc && replayKey(rf, cf, key)) {
+            if (cached && replayable(rf, cf, key)) {
                 entry = cache.find(key);
                 if (entry) {
                     deltas = replayDeltas(*entry, rf, cf);
@@ -256,6 +323,14 @@ DemandGenerator::run(DemandVisitor& visitor) const
                     entry = &cache.insert(key, rf, cf);
                     FoldCaptureVisitor capture(*entry);
                     runFold(capture, rf, cf, fold_start);
+                    SIM_CHECK(entry->ifmap.addrs.size() == shape.ifmap
+                                  && entry->filter.addrs.size()
+                                      == shape.filter
+                                  && entry->writes.addrs.size()
+                                      == shape.writes
+                                  && entry->writes.begin.size()
+                                      == shape.cycles + 1,
+                              "a capture fills exactly its CaptureShape");
                     ++cacheStats_.foldsLive;
                 }
             }

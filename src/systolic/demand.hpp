@@ -16,6 +16,7 @@
 #ifndef SCALESIM_SYSTOLIC_DEMAND_HH
 #define SCALESIM_SYSTOLIC_DEMAND_HH
 
+#include <memory_resource>
 #include <span>
 #include <vector>
 
@@ -65,6 +66,7 @@ struct FoldCacheStats
     }
 };
 
+struct CaptureShape;
 struct FoldCacheEntry;
 struct ReplayDeltas;
 
@@ -132,8 +134,23 @@ class DemandGenerator
     /** Total cycles the generated schedule spans. */
     Cycle totalCycles() const { return grid_.totalCycles(); }
 
-    /** Run the full layer through the visitor. */
-    void run(DemandVisitor& visitor) const;
+    /**
+     * Run the full layer through the visitor. The fold cache's
+     * captures take their storage from `captures`, exactly
+     * captureBytes() of it; a resource that cannot give that much
+     * throws out of run().
+     */
+    void run(DemandVisitor& visitor,
+             std::pmr::memory_resource* captures =
+                 std::pmr::get_default_resource()) const;
+
+    /**
+     * Bytes run() takes from its resource: one capture of the
+     * canonical fold's shape per equivalence class, at most
+     * FoldReplayCache::kMaxEntries of them (0 without the fold cache
+     * or with a single fold). Computed from the fold grid alone.
+     */
+    std::size_t captureBytes() const;
 
     /** Enable/disable the fold-replay demand cache (default on). */
     void setFoldCache(bool enabled) { foldCache_ = enabled; }
@@ -159,6 +176,13 @@ class DemandGenerator
      */
     bool replayKey(std::uint64_t rf, std::uint64_t cf,
                    std::uint64_t& key) const;
+    /** True when run() replays: the cache is on, folds > 1. */
+    bool cached() const;
+    /** Whether fold (rf, cf) may replay, and its class key if so. */
+    bool replayable(std::uint64_t rf, std::uint64_t cf,
+                    std::uint64_t& key) const;
+    /** Sizes of one capture of the canonical (first) fold. */
+    CaptureShape captureShape() const;
     ReplayDeltas replayDeltas(const FoldCacheEntry& entry,
                               std::uint64_t rf, std::uint64_t cf) const;
 

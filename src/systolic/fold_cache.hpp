@@ -14,14 +14,19 @@
  * per-cycle push_back/clear churn) and replays it for every fold of
  * the class by adding the constant deltas — the capture fold itself
  * at zero shift — so every visitor sees a bit-identical cycle/address
- * sequence at a fraction of the generation cost.
+ * sequence at a fraction of the generation cost. A generator's cache
+ * takes each capture's storage, sized exactly, from a memory resource
+ * its caller picks: the heap by default, or a region of a Simulator's
+ * CaptureArena (DESIGN.md "Run pipeline").
  */
 
 #ifndef SCALESIM_SYSTOLIC_FOLD_CACHE_HH
 #define SCALESIM_SYSTOLIC_FOLD_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory_resource>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -46,19 +51,46 @@ struct FoldReplayScratch
     std::vector<Addr> writes;
 };
 
+/** What one captured fold holds: addresses per stream, fold cycles. */
+struct CaptureShape
+{
+    std::uint64_t ifmap = 0;
+    std::uint64_t filter = 0;
+    std::uint64_t writes = 0;
+    Cycle cycles = 0;
+
+    /** Bytes of one capture: the three address arenas and begin lists. */
+    std::size_t
+    bytes() const
+    {
+        return (ifmap + filter + writes) * sizeof(Addr)
+            + 3 * (cycles + 1) * sizeof(std::uint64_t);
+    }
+};
+
 /**
  * One captured canonical fold: three flat address arenas with
  * per-cycle begin offsets (`begin[c]..begin[c+1]` is cycle c's span).
  * Ofmap accumulate reads are not stored — they are always the write
- * addresses of the same cycle, so replay synthesizes them.
+ * addresses of the same cycle, so replay synthesizes them. A
+ * default-constructed entry grows on the heap; FoldReplayCache's
+ * entries hold exactly one CaptureShape from its memory resource.
  */
 struct FoldCacheEntry
 {
     struct Stream
     {
-        std::vector<Addr> addrs;
-        std::vector<std::uint64_t> begin{0};
+        std::pmr::vector<Addr> addrs;
+        std::pmr::vector<std::uint64_t> begin{0};
     };
+
+    FoldCacheEntry() = default;
+    /** Storage for exactly `shape`, taken from `captures`. */
+    FoldCacheEntry(const CaptureShape& shape,
+                   std::pmr::memory_resource* captures);
+
+    /** Empty the streams for the next capture, keeping the storage. */
+    void clear();
 
     /** Fold indices this entry was captured at (delta reference). */
     std::uint64_t rf = 0;
@@ -139,13 +171,21 @@ class FoldCaptureVisitor : public DemandVisitor
 /**
  * Bounded map from fold-equivalence-class key to captured entry.
  * Classes are visited largely in key order, so when the bound is hit
- * the smallest (oldest) key is evicted.
+ * the smallest (oldest) key is evicted, and its storage holds the new
+ * capture. Every capture of a layer has one shape (its canonical
+ * fold's), so the cache takes min(classes, kMaxEntries) shapes of
+ * storage from its resource and no more.
  */
 class FoldReplayCache
 {
   public:
     /** Classes kept at once. */
     static constexpr std::size_t kMaxEntries = 32;
+
+    FoldReplayCache(const CaptureShape& shape,
+                    std::pmr::memory_resource* captures)
+        : shape_(shape), captures_(captures)
+    {}
 
     FoldCacheEntry*
     find(std::uint64_t key)
@@ -157,18 +197,56 @@ class FoldReplayCache
     FoldCacheEntry&
     insert(std::uint64_t key, std::uint64_t rf, std::uint64_t cf)
     {
-        if (entries_.size() >= kMaxEntries)
-            entries_.erase(entries_.begin());
-        FoldCacheEntry& entry = entries_[key];
-        entry.rf = rf;
-        entry.cf = cf;
-        return entry;
+        std::map<std::uint64_t, FoldCacheEntry>::iterator it;
+        if (entries_.size() >= kMaxEntries) {
+            auto node = entries_.extract(entries_.begin());
+            node.key() = key;
+            node.mapped().clear();
+            it = entries_.insert(std::move(node)).position;
+        } else {
+            it = entries_.try_emplace(key, shape_, captures_).first;
+        }
+        it->second.rf = rf;
+        it->second.cf = cf;
+        return it->second;
     }
 
     std::size_t size() const { return entries_.size(); }
 
   private:
+    CaptureShape shape_;
+    std::pmr::memory_resource* captures_;
     std::map<std::uint64_t, FoldCacheEntry> entries_;
+};
+
+/**
+ * Page-mapped bytes that hold a Simulator's fold captures
+ * (DESIGN.md "Run pipeline"). Mapped with mmap, so freed captures
+ * never sit in a thread's malloc arena; on hosts without POSIX it
+ * falls back to the heap. It grows, never shrinks, and starts empty.
+ */
+class CaptureArena
+{
+  public:
+    CaptureArena() = default;
+    ~CaptureArena();
+    CaptureArena(const CaptureArena&) = delete;
+    CaptureArena& operator=(const CaptureArena&) = delete;
+
+    /**
+     * Grow to at least `bytes`, dropping the old contents. Only while
+     * no pass holds a region of it. Throws std::bad_alloc on failure.
+     */
+    void reserve(std::size_t bytes);
+
+    std::byte* data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+  private:
+    void release();
+
+    std::byte* data_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 } // namespace scalesim::systolic

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <ctime>
 #include <filesystem>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -1235,11 +1238,211 @@ TEST(Pipeline, RepeatedShapesReuseDemand)
     setQuiet(was_quiet);
 }
 
+namespace
+{
+
+/**
+ * One layer whose fold captures need the whole capture arena under
+ * every dataflow ("big", at least twice any other layer's), small
+ * layers around it and a repeat of one of them.
+ */
+Topology
+arenaTopology()
+{
+    Topology topo;
+    topo.name = "arena";
+    topo.layers.push_back(LayerSpec::gemm("small", 24, 24, 32));
+    topo.layers.push_back(LayerSpec::conv("big", 40, 40, 3, 3, 16, 32,
+                                          1));
+    topo.layers.push_back(LayerSpec::conv("c2", 12, 12, 3, 3, 8, 16, 1));
+    topo.layers.push_back(LayerSpec::gemm("fc", 4, 64, 128));
+    topo.layers.push_back(LayerSpec::gemm("qk", 24, 24, 32)
+                              .withTail(VectorTail::Softmax));
+    topo.layers.push_back(LayerSpec::conv("c3", 10, 10, 1, 1, 32, 48, 1));
+    topo.layers.push_back(LayerSpec::conv("c2b", 12, 12, 3, 3, 8, 16, 1));
+    return topo;
+}
+
+/**
+ * SCALESIM_JOBS=3 while in scope, so a run starts two demand workers
+ * on any host. Set and restored with no simulator thread running.
+ */
+class TwoDemandWorkers
+{
+  public:
+    TwoDemandWorkers()
+    {
+        if (const char* old = std::getenv("SCALESIM_JOBS"))
+            old_ = old;
+        ::setenv("SCALESIM_JOBS", "3", 1);
+    }
+    ~TwoDemandWorkers()
+    {
+        if (old_)
+            ::setenv("SCALESIM_JOBS", old_->c_str(), 1);
+        else
+            ::unsetenv("SCALESIM_JOBS");
+    }
+    TwoDemandWorkers(const TwoDemandWorkers&) = delete;
+    TwoDemandWorkers& operator=(const TwoDemandWorkers&) = delete;
+
+  private:
+    std::optional<std::string> old_;
+};
+
+/** Fold-capture bytes of a dense layer's demand pass under `cfg`. */
+std::size_t
+layerCaptureBytes(const SimConfig& cfg, const LayerSpec& layer)
+{
+    systolic::DemandGenerator gen(
+        layer.toGemm(), cfg.dataflow, cfg.arrayRows, cfg.arrayCols,
+        systolic::OperandMap::forLayer(layer, cfg.memory));
+    gen.setFoldCache(cfg.foldCache);
+    return gen.captureBytes();
+}
+
+} // namespace
+
+TEST(Pipeline, TwoWorkersMatchLayerLoop)
+{
+    // Two demand workers share the capture arena, which holds the big
+    // layer's captures alone or two small layers' side by side; every
+    // artifact must equal a fresh Simulator driven one runLayer at a
+    // time.
+    struct Case
+    {
+        const char* name;
+        std::function<void(SimConfig&)> edit;
+        bool memTrace = false;
+    };
+    const std::vector<Case> cases = {
+        {"energy os",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::OutputStationary;
+         }},
+        {"energy ws", [](SimConfig& c) { c.energy.enabled = true; }},
+        {"energy is",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.dataflow = Dataflow::InputStationary;
+         }},
+        {"layout",
+         [](SimConfig& c) {
+             c.layout.enabled = true;
+             c.layout.banks = 4;
+             c.layout.onChipBandwidth = 16;
+         }},
+        {"dram energy mem trace",
+         [](SimConfig& c) {
+             c.dram.enabled = true;
+             c.energy.enabled = true;
+         },
+         true},
+        {"sparse ws",
+         [](SimConfig& c) {
+             c.sparsity.enabled = true;
+             c.energy.enabled = true;
+             c.layout.enabled = true;
+         }},
+        {"audit",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.layout.enabled = true;
+             c.audit = true;
+         }},
+        {"intervals",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.intervalCycles = 500;
+         }},
+        {"fold cache off",
+         [](SimConfig& c) {
+             c.energy.enabled = true;
+             c.foldCache = false;
+         }},
+    };
+    Topology topo = arenaTopology();
+    for (std::size_t i : {0, 2, 3}) {
+        topo.layers[i].sparseN = 2;
+        topo.layers[i].sparseM = 4;
+    }
+    const TwoDemandWorkers two;
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    for (const Case& c : cases) {
+        SimConfig cfg = baseConfig();
+        c.edit(cfg);
+        TraceSinks piped_traces, looped_traces;
+        auto streams = [&](TraceSinks& sinks) {
+            TraceStreams t;
+            if (c.memTrace)
+                t.memory = &sinks.mem;
+            return t;
+        };
+        Simulator piped(cfg, streams(piped_traces));
+        const RunResult run = piped.run(topo);
+        Simulator looped(cfg, streams(looped_traces));
+        RunResult ref = layerLoop(looped, topo);
+        EXPECT_EQ(run.profile.layersProfiled, topo.layers.size())
+            << c.name;
+        if (!cfg.sparsity.enabled) {
+            // The arena is the big layer's captures, twice any other's.
+            const std::size_t big = layerCaptureBytes(cfg, topo.layers[1]);
+            for (const LayerSpec& layer : topo.layers) {
+                if (layer.name != "big") {
+                    EXPECT_LE(2 * layerCaptureBytes(cfg, layer), big)
+                        << c.name << " " << layer.name;
+                }
+            }
+            EXPECT_EQ(run.profile.captureBytes, big) << c.name;
+        }
+        if (cfg.audit) {
+            ASSERT_TRUE(run.audited);
+            EXPECT_TRUE(run.audit.clean());
+            ref.audit = run.audit;
+            ref.stats = obs::StatsRegistry();
+            ref.registerStats(ref.stats);
+            looped.registerStats(ref.stats);
+        }
+        const auto got = artifacts(run, piped_traces);
+        if (c.memTrace) {
+            EXPECT_FALSE(got.at("mem").empty()) << c.name;
+        }
+        expectSameArtifacts(got, artifacts(ref, looped_traces), c.name);
+    }
+    setQuiet(was_quiet);
+}
+
+TEST(Pipeline, CpuSecondsCoverEveryWorker)
+{
+    // The calling thread spins while it waits, so without the workers'
+    // CPU seconds cpuSeconds would fall well short of the process's.
+    SimConfig cfg = baseConfig();
+    cfg.energy.enabled = true;
+    cfg.dataflow = Dataflow::OutputStationary;
+    const TwoDemandWorkers two;
+    Simulator sim(cfg);
+    Topology topo;
+    for (std::uint32_t c = 8; c <= 32; c += 4) {
+        topo.layers.push_back(LayerSpec::conv(
+            "conv" + std::to_string(c), 64, 64, 3, 3, c, 32, 1));
+    }
+    const std::clock_t before = std::clock();
+    const RunResult run = sim.run(topo);
+    const double process = static_cast<double>(std::clock() - before)
+        / CLOCKS_PER_SEC;
+    EXPECT_GE(run.profile.cpuSeconds, 0.8 * process);
+    EXPECT_LE(run.profile.cpuSeconds, 1.05 * process + 0.01);
+}
+
 TEST(Pipeline, ErrorJoinsWorker)
 {
     // An exception in either stage mid-run stops and joins the demand
-    // worker and reaches the caller, the first in layer order; the
-    // object then runs like a fresh one.
+    // workers and reaches the caller, the first in layer order; the
+    // object then runs like a fresh one. With SRAM traces one worker
+    // runs; with only the memory trace two do, and a later layer's
+    // demand stage fails while the big layer before it still runs.
     SimConfig cfg = baseConfig();
     cfg.energy.enabled = true;
     cfg.sparsity.enabled = true;
@@ -1248,16 +1451,12 @@ TEST(Pipeline, ErrorJoinsWorker)
     // resolution) fails.
     Topology bad_demand = good;
     bad_demand.layers[3].sparseN = 5;
+    const Topology arena_good = arenaTopology();
+    Topology arena_bad = arena_good;
+    arena_bad.layers[2].sparseN = 5;
+    arena_bad.layers[2].sparseM = 4;
 
-    TraceSinks fresh_traces;
-    Simulator fresh(cfg, fresh_traces.streams());
-    const std::string mem_header = fresh_traces.bufs[4].text;
-    const auto want = artifacts(fresh.run(good), fresh_traces);
-    ASSERT_GT(want.at("mem").size(), mem_header.size());
-    // The memory trace is written by the timing stage; failing it
-    // halfway fails a middle layer's timing stage.
-    const std::size_t half_mem = want.at("mem").size() / 2;
-
+    const TwoDemandWorkers two;
     const bool was_quiet = quiet();
     setQuiet(true);
     struct Case
@@ -1267,37 +1466,58 @@ TEST(Pipeline, ErrorJoinsWorker)
         bool failMem;
         bool timingError; ///< which error run() must rethrow
     };
-    const Case cases[] = {
-        {"demand stage", &bad_demand, false, false},
-        {"timing stage", &good, true, true},
-        // Timing fails before the layer whose demand stage fails.
-        {"both stages", &bad_demand, true, true},
-    };
-    for (const Case& c : cases) {
-        TraceSinks traces;
-        traces.mem.exceptions(std::ios::badbit);
-        Simulator sim(cfg, traces.streams());
-        if (c.failMem)
-            traces.bufs[4].budget = half_mem - mem_header.size();
-        const std::size_t threads_before = threadCount();
-        bool timing_error = false, demand_error = false;
-        try {
-            (void)sim.run(*c.topo);
-        } catch (const std::ios_base::failure&) {
-            timing_error = true;
-        } catch (const FatalError& e) {
-            demand_error = true;
-            EXPECT_NE(std::string(e.what()).find("invalid N:M ratio"),
-                      std::string::npos) << e.what();
-        }
-        EXPECT_EQ(timing_error, c.timingError) << c.name;
-        EXPECT_EQ(demand_error, !c.timingError) << c.name;
-        EXPECT_EQ(threadCount(), threads_before) << c.name;
+    auto check = [&](const Topology& clean, bool sram,
+                     std::initializer_list<Case> cases) {
+        auto streams = [&](TraceSinks& sinks) {
+            TraceStreams t = sinks.streams();
+            if (!sram)
+                t = {nullptr, nullptr, nullptr, nullptr, t.memory};
+            return t;
+        };
+        TraceSinks fresh_traces;
+        Simulator fresh(cfg, streams(fresh_traces));
+        const std::string mem_header = fresh_traces.bufs[4].text;
+        const auto want = artifacts(fresh.run(clean), fresh_traces);
+        ASSERT_GT(want.at("mem").size(), mem_header.size());
+        // The memory trace is written by the timing stage; failing it
+        // halfway fails a middle layer's timing stage.
+        const std::size_t half_mem = want.at("mem").size() / 2;
+        for (const Case& c : cases) {
+            TraceSinks traces;
+            traces.mem.exceptions(std::ios::badbit);
+            Simulator sim(cfg, streams(traces));
+            if (c.failMem)
+                traces.bufs[4].budget = half_mem - mem_header.size();
+            const std::size_t threads_before = threadCount();
+            bool timing_error = false, demand_error = false;
+            try {
+                (void)sim.run(*c.topo);
+            } catch (const std::ios_base::failure&) {
+                timing_error = true;
+            } catch (const FatalError& e) {
+                demand_error = true;
+                EXPECT_NE(std::string(e.what()).find("invalid N:M ratio"),
+                          std::string::npos) << e.what();
+            }
+            EXPECT_EQ(timing_error, c.timingError) << c.name;
+            EXPECT_EQ(demand_error, !c.timingError) << c.name;
+            EXPECT_EQ(threadCount(), threads_before) << c.name;
 
-        traces.clear();
-        traces.bufs[4].text = mem_header;
-        const auto again = artifacts(sim.run(good), traces);
-        expectSameArtifacts(again, want, c.name);
-    }
+            traces.clear();
+            traces.bufs[4].text = mem_header;
+            const auto again = artifacts(sim.run(clean), traces);
+            expectSameArtifacts(again, want, c.name);
+        }
+    };
+    check(good, true,
+          {{"demand stage", &bad_demand, false, false},
+           {"timing stage", &good, true, true},
+           // Timing fails before the layer whose demand stage fails.
+           {"both stages", &bad_demand, true, true}});
+    check(arena_good, false,
+          {{"two workers, demand stage", &arena_bad, false, false},
+           {"two workers, timing stage", &arena_good, true, true},
+           // The big layer's timing fails after layer 2's demand did.
+           {"two workers, both stages", &arena_bad, true, true}});
     setQuiet(was_quiet);
 }

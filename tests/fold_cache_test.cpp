@@ -11,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory_resource>
+#include <new>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/types.hpp"
 #include "energy/action_counts.hpp"
 #include "sparse/pattern.hpp"
 #include "systolic/demand.hpp"
+#include "systolic/fold_cache.hpp"
 #include "systolic/trace_io.hpp"
 
 using namespace scalesim;
@@ -521,4 +525,206 @@ TEST(CaptureAsReplay, CaptureOnlyLayerMatchesUncached)
         EXPECT_EQ(cached.cache.foldsLive, cached.cache.foldsTotal);
         EXPECT_EQ(cached.foldsSummarized, 0u);
     }
+}
+
+namespace
+{
+
+/** Hands allocations to `upstream` and counts the bytes handed out. */
+class CountingResource : public std::pmr::memory_resource
+{
+  public:
+    explicit CountingResource(std::pmr::memory_resource* upstream)
+        : upstream_(upstream)
+    {}
+
+    std::size_t bytes = 0;
+
+  private:
+    void*
+    do_allocate(std::size_t n, std::size_t align) override
+    {
+        void* p = upstream_->allocate(n, align);
+        bytes += n;
+        return p;
+    }
+    void
+    do_deallocate(void* p, std::size_t n, std::size_t align) override
+    {
+        upstream_->deallocate(p, n, align);
+    }
+    bool
+    do_is_equal(const std::pmr::memory_resource& other) const
+        noexcept override
+    {
+        return this == &other;
+    }
+
+    std::pmr::memory_resource* upstream_;
+};
+
+/**
+ * Sees every replayed entry: counts the captures (one per capture
+ * fold) and checks that each fills its storage to capacity.
+ */
+class EntryCheck : public DemandVisitor
+{
+  public:
+    void cycle(Cycle, std::span<const Addr>, std::span<const Addr>,
+               std::span<const Addr>, std::span<const Addr>) override
+    {}
+
+    bool
+    replayFold(const FoldCacheEntry& entry, Cycle,
+               const ReplayDeltas& deltas, bool) override
+    {
+        if (deltas.ifmap == 0 && deltas.filter == 0 && deltas.ofmap == 0
+            && entry.rf == rf_ && entry.cf == cf_) {
+            ++captures;
+        }
+        for (const auto* s : {&entry.ifmap, &entry.filter, &entry.writes}) {
+            full = full && s->addrs.size() == s->addrs.capacity()
+                && s->begin.size() == s->begin.capacity();
+        }
+        return false;
+    }
+
+    void
+    beginFold(std::uint64_t rf, std::uint64_t cf, Cycle) override
+    {
+        rf_ = rf;
+        cf_ = cf;
+    }
+
+    Count captures = 0;
+    bool full = true;
+
+  private:
+    std::uint64_t rf_ = 0;
+    std::uint64_t cf_ = 0;
+};
+
+/** What a pass emitted, to compare an arena run with a heap run. */
+struct Emitted
+{
+    CountingVisitor counts;
+    energy::ActionCounts actions;
+    EntryCheck entries;
+};
+
+Emitted
+emit(const DemandGenerator& gen, std::pmr::memory_resource* captures)
+{
+    Emitted out;
+    energy::ActionCountVisitor actions(EnergyConfig{});
+    TeeVisitor tee({&out.counts, &actions, &out.entries});
+    gen.run(tee, captures);
+    out.actions = actions.counts();
+    return out;
+}
+
+} // namespace
+
+TEST(FoldCache, CaptureBytesAreExact)
+{
+    // Each pass gets exactly captureBytes() in a buffer whose upstream
+    // is null_memory_resource: the captures must fit, take all of it,
+    // fill their storage and emit what a heap-backed pass emits; one
+    // word less must throw.
+    struct Case
+    {
+        const char* name;
+        GemmDims gemm;
+        OperandMap operands;
+        std::uint32_t array;
+        bool sparse = false;
+        /** Expect more classes than the cache keeps (eviction). */
+        bool evicts = false;
+    };
+    const LayerSpec conv_even = LayerSpec::conv("even", 12, 12, 3, 3, 8,
+                                                16, 1);
+    const LayerSpec conv_ragged = LayerSpec::conv("ragged", 13, 11, 3, 3,
+                                                  5, 11, 1);
+    // ResNet-50's conv1: 109 output columns make 109 OS classes.
+    const LayerSpec conv1 = LayerSpec::conv("conv1", 224, 224, 7, 7, 3,
+                                            64, 2);
+    const GemmDims even{64, 32, 48};
+    const GemmDims ragged{61, 27, 45};
+    std::vector<Case> cases;
+    cases.push_back({"gemm even", even, makeOperands(even), 8});
+    cases.push_back({"gemm ragged", ragged, makeOperands(ragged), 8});
+    cases.push_back({"conv even", conv_even.toGemm(),
+                     convOperands(conv_even), 8});
+    cases.push_back({"conv ragged", conv_ragged.toGemm(),
+                     convOperands(conv_ragged), 8});
+    cases.push_back({"conv1", conv1.toGemm(), convOperands(conv1), 16,
+                     false, true});
+    const GemmDims sparse_even{48, 24, 32};
+    const GemmDims sparse_ragged{50, 27, 44};
+    cases.push_back({"sparse even", sparse_even, makeOperands(sparse_even),
+                     8, true});
+    cases.push_back({"sparse ragged", sparse_ragged,
+                     makeOperands(sparse_ragged), 8, true});
+
+    for (const Case& c : cases) {
+        for (Dataflow df : {Dataflow::OutputStationary,
+                            Dataflow::WeightStationary,
+                            Dataflow::InputStationary}) {
+            // The sparse gather is weight-stationary only.
+            if (c.sparse && df != Dataflow::WeightStationary)
+                continue;
+            const std::string what = std::string(c.name) + " "
+                + toString(df);
+            const auto pattern =
+                sparse::SparsityPattern::layerWise(c.gemm.k, 2, 4);
+            const DemandGenerator gen(c.gemm, df, c.array, c.array,
+                                      c.operands,
+                                      c.sparse ? &pattern : nullptr);
+            const std::size_t bytes = gen.captureBytes();
+            ASSERT_GT(bytes, 0u) << what;
+
+            std::vector<std::byte> buf(bytes);
+            std::pmr::monotonic_buffer_resource arena(
+                buf.data(), buf.size(), std::pmr::null_memory_resource());
+            CountingResource counted(&arena);
+            const Emitted got = emit(gen, &counted);
+            EXPECT_EQ(counted.bytes, bytes) << what;
+            EXPECT_TRUE(got.entries.full) << what;
+            const Emitted want = emit(gen,
+                                      std::pmr::get_default_resource());
+            EXPECT_EQ(got.counts.ifmapReads, want.counts.ifmapReads)
+                << what;
+            EXPECT_EQ(got.counts.filterReads, want.counts.filterReads)
+                << what;
+            EXPECT_EQ(got.counts.ofmapWrites, want.counts.ofmapWrites)
+                << what;
+            EXPECT_EQ(got.counts.activeCycles, want.counts.activeCycles)
+                << what;
+            expectActionsEqual(got.actions, want.actions);
+            EXPECT_GT(got.entries.captures, 0u) << what;
+
+            std::pmr::monotonic_buffer_resource short_arena(
+                buf.data(), bytes - sizeof(Addr),
+                std::pmr::null_memory_resource());
+            EXPECT_THROW(emit(gen, &short_arena), std::bad_alloc) << what;
+
+            // An evicted entry's storage holds the next capture.
+            if (c.evicts && df != Dataflow::WeightStationary) {
+                EXPECT_GT(got.entries.captures,
+                          FoldReplayCache::kMaxEntries) << what;
+            }
+        }
+    }
+
+    // Without the fold cache, or with one fold, nothing is captured.
+    DemandGenerator off(even, Dataflow::OutputStationary, 8, 8,
+                        makeOperands(even));
+    off.setFoldCache(false);
+    EXPECT_EQ(off.captureBytes(), 0u);
+    std::pmr::monotonic_buffer_resource none(
+        nullptr, 0, std::pmr::null_memory_resource());
+    EXPECT_NO_THROW(emit(off, &none));
+    const DemandGenerator single({8, 8, 8}, Dataflow::OutputStationary, 8,
+                                 8, makeOperands({8, 8, 8}));
+    EXPECT_EQ(single.captureBytes(), 0u);
 }
